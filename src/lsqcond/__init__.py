@@ -1,7 +1,7 @@
 """Condition numbers of full rank least squares residuals and orthogonal
-projections: tight two-sided estimates, the Jacobian machinery behind them,
-empirical verification, and comparisons against the classical textbook
-bounds.
+projections: tight two-sided estimates, the exact value with an attaining
+perturbation, the Jacobian machinery behind them, and comparisons against
+the classical textbook bounds.
 """
 
 from .conditioning import (
@@ -12,7 +12,6 @@ from .conditioning import (
     error_bound_rhs,
     projection_condition_bounds,
     residual_condition_bounds,
-    residual_condition_wrt_b,
     scale_preset,
     table2_variants,
 )
@@ -59,14 +58,11 @@ from .generators import (
 )
 from .jacobian import (
     DirectionCandidate,
-    EmpiricalEstimate,
     Rank2Adjoint,
-    SamplerConfig,
     adjoint_rank2,
     apply_residual_jacobian,
     attaining_perturbation,
     canonicalize_direction,
-    empirical_condition_wrt_A,
     finite_difference_condition,
     g_objective,
     sandwich_bounds,

@@ -1,6 +1,10 @@
 """Command-line interface: analysis reports, verification suites, comparison
 tables, problem generation, parameter sweeps, and the Lanczos demo.
 
+Every command is deterministic. The condition number with respect to the
+matrix is computed in closed form (jacobian.worst_case_direction), so a
+seed only ever chooses generated problems.
+
 Exit codes: 0 success, 1 verification failure, 2 I/O or parameter errors,
 3 numerical preconditions (the error name goes to stderr).
 """
@@ -35,6 +39,7 @@ from .conditioning import (
     table2_variants,
 )
 from .core import (
+    LsCache,
     LsProblem,
     geometry,
     nuclear_norm,
@@ -50,13 +55,13 @@ from .generators import (
     random_problem,
 )
 from .jacobian import (
-    SamplerConfig,
     adjoint_rank2,
     apply_residual_jacobian,
+    attaining_perturbation,
     canonicalize_direction,
-    empirical_condition_wrt_A,
     g_objective,
     sandwich_bounds,
+    worst_case_direction,
 )
 from .prior_bounds import compare_table
 from .report import build_report, dump_json, write_csv
@@ -73,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="Matrix Market file for A")
     p.add_argument("--rhs", required=True, help="vector file for b (Matrix Market or text)")
     p.add_argument("--scales", default="relative", choices=SCALE_PRESETS)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--refine-iters", type=int, default=60)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-reproducibility)")
     p.set_defaults(func=_cmd_analyze)
@@ -83,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites; exit 0 iff all pass")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--problems", type=int, default=200)
-    p.add_argument("--samples", type=int, default=2000)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compare", help="published condition estimates vs. the tight one")
@@ -120,10 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=0.5)
     s.add_argument("--beta", type=float, default=2.0)
     s.add_argument("--phi", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--samples", type=int, default=2000)
     s.add_argument("--out")
-    s.set_defaults(func=_cmd_sweep_gvl)
+    s.set_defaults(func=_cmd_sweep)
     s = ssub.add_parser("ensemble")
     s.add_argument("--param", required=True, choices=("theta", "mix"))
     s.add_argument("--values", required=True)
@@ -133,9 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=math.pi / 4)
     s.add_argument("--mix", type=float, default=0.5)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=int, default=2000)
     s.add_argument("--out")
-    s.set_defaults(func=_cmd_sweep_ensemble)
+    s.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("lanczos", help="per-step conditioning of the three-term recurrence")
     p.add_argument("--matrix", required=True, help="symmetric matrix (Matrix Market)")
@@ -158,15 +156,18 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _chi_A(cache: LsCache, scales: ScaleFactors) -> float:
+    """Exact scaled condition number of the residual wrt the matrix."""
+    return scales.scale_A / scales.scale_r * worst_case_direction(cache).g_value
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     problem = _load_problem(args.matrix, args.rhs)
     cache = solve_least_squares(problem)
     geom = geometry(cache)
     t1 = time.perf_counter()
-    scales = scale_preset(args.scales, cache)
-    config = SamplerConfig(n_samples=args.samples, seed=args.seed, refine_iters=args.refine_iters)
-    empirical = empirical_condition_wrt_A(cache, scales, config)
+    chi_A = _chi_A(cache, scale_preset(args.scales, cache))
     t2 = time.perf_counter()
     rows = compare_table(cache)
     timings = None
@@ -175,7 +176,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rep = build_report(
         cache,
         geom,
-        empirical,
+        chi_A,
         args.scales,
         rows,
         matrix_file=args.matrix,
@@ -289,60 +290,34 @@ _SWEEP_HEADER = [
     "chi_A_lower",
     "chi_A_upper",
     "empirical",
-    "samples",
-    "seed",
 ]
 
-
-def _sweep_row(param: str, value: float, problem: LsProblem, samples: int, seed: int) -> list:
-    cache = solve_least_squares(problem)
-    geom = geometry(cache)
-    scales = ScaleFactors.relative(cache)
-    est = residual_condition_bounds(cache, geom, scales)
-    emp = empirical_condition_wrt_A(cache, scales, SamplerConfig(n_samples=samples, seed=seed))
-    return [
-        param,
-        value,
-        problem.m,
-        problem.n,
-        geom.kappa,
-        geom.theta,
-        geom.vds,
-        geom.sigma_min,
-        est.chi_b,
-        est.chi_A_lower,
-        est.chi_A_upper,
-        emp.value,
-        samples,
-        seed,
-    ]
+# how each sweep kind builds its problem from the arguments, with the swept
+# parameter already substituted
+_SWEEP_PROBLEMS = {
+    "gvl": lambda p: gvl_example(p["alpha"], p["beta"], p["phi"]).problem,
+    "ensemble": lambda p: random_problem(
+        EnsembleSpec(p["m"], p["n"], _parse_values(p["sigmas"]), p["theta"], p["mix"], p["seed"])
+    ),
+}
 
 
 def _parse_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _cmd_sweep_gvl(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for value in _parse_values(args.values):
-        params = {"alpha": args.alpha, "beta": args.beta, "phi": args.phi}
-        params[args.param] = value
-        ex = gvl_example(params["alpha"], params["beta"], params["phi"])
-        rows.append(_sweep_row(args.param, value, ex.problem, args.samples, args.seed))
-    buf = io.StringIO()
-    write_csv(buf, _SWEEP_HEADER, rows)
-    _write_text(args.out, buf.getvalue())
-    return 0
-
-
-def _cmd_sweep_ensemble(args: argparse.Namespace) -> int:
-    sigmas = tuple(float(v) for v in args.sigmas.split(","))
-    rows = []
-    for value in _parse_values(args.values):
-        params = {"theta": args.theta, "mix": args.mix}
-        params[args.param] = value
-        spec = EnsembleSpec(args.m, args.n, sigmas, params["theta"], params["mix"], args.seed)
-        rows.append(_sweep_row(args.param, value, random_problem(spec), args.samples, args.seed))
+        problem = _SWEEP_PROBLEMS[args.kind]({**vars(args), args.param: value})
+        cache = solve_least_squares(problem)
+        geom = geometry(cache)
+        scales = ScaleFactors.relative(cache)
+        est = residual_condition_bounds(cache, geom, scales)
+        rows.append([
+            args.param, value, problem.m, problem.n, geom.kappa, geom.theta, geom.vds, geom.sigma_min,
+            est.chi_b, est.chi_A_lower, est.chi_A_upper, _chi_A(cache, scales),
+        ])
     buf = io.StringIO()
     write_csv(buf, _SWEEP_HEADER, rows)
     _write_text(args.out, buf.getvalue())
@@ -388,7 +363,7 @@ def _solved(spec: EnsembleSpec):
     return cache, geometry(cache)
 
 
-def _suite_solve_invariants(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_solve_invariants(seed: int, problems: int) -> tuple[bool, str]:
     # the 1e-12 orthogonality/Pythagoras budget needs eps * kappa below it,
     # so this suite caps kappa at 1e3; the sandwich suite still goes to 1e6
     worst = 0.0
@@ -400,22 +375,31 @@ def _suite_solve_invariants(seed: int, problems: int, samples: int) -> tuple[boo
     return worst <= 1e-12, f"worst solve defect {worst:.2e} (tol 1e-12)"
 
 
-def _suite_sandwich(seed: int, problems: int, samples: int) -> tuple[bool, str]:
-    worst_low = math.inf
-    worst_high = 0.0
+def _suite_sandwich(seed: int, problems: int) -> tuple[bool, str]:
+    lo, hi, worst_norm, worst_cert = math.inf, 0.0, 0.0, 0.0
     for spec in ensemble_specs(problems, seed + 1):
         cache, geom = _solved(spec)
         scales = ScaleFactors.relative(cache)
-        est = residual_condition_bounds(cache, geom, scales)
-        emp = empirical_condition_wrt_A(cache, scales, SamplerConfig(samples, spec.seed))
-        worst_low = min(worst_low, emp.value / (est.chi_A_upper / SQRT2))
-        worst_high = max(worst_high, emp.value / est.chi_A_upper)
-        if not est.chi_A_upper / SQRT2 * (1 - 1e-12) <= emp.value <= est.chi_A_upper * (1 + 1e-8):
-            return False, f"estimate {emp.value} outside sandwich for seed {spec.seed}"
-    return True, f"estimate/lower in [{worst_low:.6f}, ...], estimate/upper <= {worst_high:.6f}"
+        upper = residual_condition_bounds(cache, geom, scales).chi_A_upper
+        cand = worst_case_direction(cache)
+        value = scales.scale_A / scales.scale_r * cand.g_value
+        lo, hi = min(lo, value / upper), max(hi, value / upper)
+        if not upper / SQRT2 * (1 - 1e-12) <= value <= upper * (1 + 1e-8):
+            return False, f"exact value {value} outside sandwich for seed {spec.seed}"
+        dA = attaining_perturbation(cache, cand.delta_r)
+        dr, _ = apply_residual_jacobian(cache, dA)
+        worst_norm = max(worst_norm, abs(float(np.linalg.norm(dA, 2)) - 1.0))
+        worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - cand.g_value) / cand.g_value)
+    ok = worst_norm <= 1e-12 and worst_cert <= 1e-10
+    return ok, (
+        f"exact/upper in [{lo:.6f}, {hi:.6f}], worst | ||dA||_2 - 1 | {worst_norm:.2e} (tol 1e-12), "
+        f"worst certificate defect {worst_cert:.2e} (tol 1e-10)"
+    )
 
 
-def _suite_adjoint(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_adjoint(seed: int, problems: int) -> tuple[bool, str]:
+    # lhs sums two terms that can cancel, so defects are measured against
+    # the magnitudes of those terms, the scale at which rounding occurs
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     for spec in ensemble_specs(20, seed + 2, max_kappa_exp=3.0):
@@ -429,12 +413,12 @@ def _suite_adjoint(seed: int, problems: int, samples: int) -> tuple[bool, str]:
             adj = adjoint_rank2(cache, d)
             lhs = float(dr @ d)
             rhs = adj.sign * float(np.sum(dA * adj.matrix()))
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return worst <= 1e-11, f"worst adjoint-identity defect {worst:.2e} (tol 1e-11)"
+            scale = abs(adj.u1 @ dA @ adj.v1) + abs(adj.u2 @ dA @ adj.v2)
+            worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
+    return worst <= 1e-12, f"worst adjoint-identity defect {worst:.2e} (tol 1e-12)"
 
 
-def _suite_dual_norm(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_dual_norm(seed: int, problems: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 3)
     worst_eq = 0.0
     for spec in ensemble_specs(20, seed + 3, max_kappa_exp=3.0):
@@ -453,7 +437,7 @@ def _suite_dual_norm(seed: int, problems: int, samples: int) -> tuple[bool, str]
     return worst_eq <= 1e-10, f"worst |g - nuclear|/nuclear = {worst_eq:.2e} (tol 1e-10)"
 
 
-def _suite_jacobian_remainder(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_jacobian_remainder(seed: int, problems: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 4)
     ratios = []
     for spec in ensemble_specs(25, seed + 4, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
@@ -472,7 +456,7 @@ def _suite_jacobian_remainder(seed: int, problems: int, samples: int) -> tuple[b
     return ok, f"remainder halving ratios in [{min(ratios):.3f}, {max(ratios):.3f}] (band 3.5-4.5)"
 
 
-def _suite_chi_b_attainment(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_chi_b_attainment(seed: int, problems: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(50, seed + 5, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
         cache, geom = _solved(spec)
@@ -484,7 +468,7 @@ def _suite_chi_b_attainment(seed: int, problems: int, samples: int) -> tuple[boo
     return worst <= 1e-10, f"worst csc(theta) attainment defect {worst:.2e} (tol 1e-10)"
 
 
-def _suite_prior_dominance(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_prior_dominance(seed: int, problems: int) -> tuple[bool, str]:
     # the gvlh stated value can exceed kappa times the tight sum at small
     # kappa; the provable pointwise bound is kappa + 1/2 (tight sum >= 2)
     for spec in ensemble_specs(100, seed + 6):
@@ -496,7 +480,7 @@ def _suite_prior_dominance(seed: int, problems: int, samples: int) -> tuple[bool
     return True, "all published-estimate ratios inside their provable bands"
 
 
-def _suite_table2(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_table2(seed: int, problems: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(50, seed + 7, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
         cache, geom = _solved(spec)
@@ -509,7 +493,7 @@ def _suite_table2(seed: int, problems: int, samples: int) -> tuple[bool, str]:
     return worst <= 1e-12, f"worst scaling-identity defect {worst:.2e} (tol 1e-12)"
 
 
-def _suite_projection(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_projection(seed: int, problems: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(50, seed + 8, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
         cache, geom = _solved(spec)
@@ -524,7 +508,7 @@ def _suite_projection(seed: int, problems: int, samples: int) -> tuple[bool, str
     return worst <= 1e-12, f"worst projection-consistency defect {worst:.2e} (tol 1e-12)"
 
 
-def _suite_block_norm(seed: int, problems: int, samples: int) -> tuple[bool, str]:
+def _suite_block_norm(seed: int, problems: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 9)
     for _ in range(100):
         rows = int(rng.integers(1, 7))
@@ -557,7 +541,7 @@ _SUITES = [
 def _cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name, suite in _SUITES:
-        ok, detail = suite(args.seed, args.problems, args.samples)
+        ok, detail = suite(args.seed, args.problems)
         status = " ok " if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")
         failures += 0 if ok else 1

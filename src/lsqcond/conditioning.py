@@ -5,6 +5,9 @@ sandwich: the true value lies between upper/sqrt(2) and upper, where
 
     upper = (scale_A / scale_r) * sqrt((||r|| / sigma_min)^2 + ||x||^2).
 
+The true value is attained at upper when m >= n + 2; the jacobian module
+computes it exactly in both cases.
+
 The condition number with respect to the right-hand side is exactly
 scale_b / scale_r. Scale factors are free; three named presets cover the
 conventions found in the literature.
@@ -73,8 +76,10 @@ class ConditionEstimates:
     """Two-sided condition estimate with respect to the matrix, plus the
     exact condition number with respect to the right-hand side.
 
-    The interval is reported rather than a point value because only a
-    sqrt(2)-wide sandwich is available for chi wrt the matrix.
+    The interval is the paper's sqrt(2)-wide sandwich. The exact value
+    inside it is (scale_A / scale_r) * jacobian.worst_case_direction(cache)
+    .g_value: it equals chi_A_upper when m >= n + 2, and for m = n + 1 it is
+    the largest singular value of [V^t x | ||r|| Sigma^{-1}], scaled.
     """
 
     chi_b: float
@@ -112,11 +117,6 @@ def residual_condition_bounds(
         chi_A_upper=upper,
         target="residual",
     )
-
-
-def residual_condition_wrt_b(scales: ScaleFactors) -> float:
-    """Exact condition number of the residual with respect to b: scale_b / scale_r."""
-    return scales.scale_b / scales.scale_r
 
 
 def projection_condition_bounds(

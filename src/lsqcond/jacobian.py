@@ -1,4 +1,4 @@
-"""Residual Jacobian machinery and empirical condition estimators.
+"""Residual Jacobian machinery and the exact condition number wrt the matrix.
 
 The derivative of the residual with respect to the matrix acts on a
 perturbation dA as
@@ -14,7 +14,9 @@ admits the closed two-sided bounds L <= g <= U evaluated here.
 The pointwise lower bound holds on half the sphere: flipping the sign of
 the component of a direction along r always moves it into the half where
 cos(theta_u - theta_v) >= 0 without changing L, U, or the attainable
-maximum. All sampling in this module performs that sign canonicalization.
+maximum. The maximum itself has a closed form (see worst_case_direction):
+it equals U's maximum when m >= n + 2 and is the largest singular value of
+an n x (n + 1) matrix when m = n + 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import SQRT2, ScaleFactors
+from .conditioning import ScaleFactors, _tight_numerator
 from .core import LsCache, LsProblem, solve_least_squares
 from .errors import (
     DegenerateDirection,
@@ -33,8 +35,6 @@ from .errors import (
     ZeroResidual,
     ZeroSolution,
 )
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,17 +173,6 @@ class DirectionCandidate:
     g_value: float
     L_value: float
     U_value: float
-    origin: str  # "sampled" | "constructed" | "refined"
-
-
-@dataclass(frozen=True)
-class EmpiricalEstimate:
-    """Best sampled value of the scaled objective, with provenance."""
-
-    value: float
-    best_direction: DirectionCandidate
-    samples_used: int
-    seed: int
 
 
 def _require_geometry(cache: LsCache) -> None:
@@ -193,170 +182,62 @@ def _require_geometry(cache: LsCache) -> None:
         raise ZeroSolution("solution is zero; no worst-case direction exists")
 
 
+def _complement_direction(cache: LsCache, rhat: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to col(A) and to r, for m >= n + 2.
+
+    Starts from the coordinate vector whose row of [U | rhat] is shortest.
+    The squared row norms sum to n + 1, so its rejection has squared norm
+    at least 1 - (n + 1) / m > 0; a second pass restores orthogonality to
+    rounding.
+    """
+    U = cache.svd.left_vectors
+    w = np.zeros(cache.problem.m)
+    w[int(np.argmin(np.einsum("ij,ij->i", U, U) + rhat * rhat))] = 1.0
+    for _ in range(2):
+        w -= U @ (U.T @ w) + (rhat @ w) * rhat
+    return w / np.linalg.norm(w)
+
+
 def worst_case_direction(cache: LsCache) -> DirectionCandidate:
-    """Direction maximizing the upper bound U over the unit sphere.
+    """Exact maximizer of the objective over the unit sphere.
 
-    Built as cos(phi*) rhat + sin(phi*) a'' where a'' is the left singular
-    vector for sigma_min and tan(phi*) = (||r|| / sigma_min) / ||x||; its U
-    value is sqrt((||r|| / sigma_min)^2 + ||x||^2). Among the four sign
-    combinations of rhat and a'' the one with the largest objective is
-    returned.
+    Its g_value is the unscaled condition number wrt the matrix. Split a
+    unit direction into u orthogonal to col(A) and p inside it. Then
+    a = ||x|| ||u|| and b = ||r|| ||Sigma^{-1} U^t p|| <= ||r|| ||p|| / sigma_min,
+    so g <= a + b <= sqrt((||r|| / sigma_min)^2 + ||x||^2). The maximizer
+    depends on the dimension m - n of the complement of col(A):
+
+    * m >= n + 2: with a = ||x||, b = ||r|| / sigma_min,
+      c = v_min^t x / ||x||, s = sqrt(1 - c^2) and a unit w orthogonal to
+      r and col(A), the direction d = (a (c rhat + s w) + b a'') / hypot(a, b)
+      gives theta_u = theta_v = arccos(c) and maximal a + b, so the upper
+      estimate is attained.
+    * m = n + 1: the complement is spanned by rhat, so d = alpha rhat + U c
+      and the adjoint collapses to rhat (alpha x + ||r|| V Sigma^{-1} c)^t.
+      Its nuclear norm is ||M (alpha, c)|| with M = [V^t x | ||r|| Sigma^{-1}],
+      maximized by the top right singular vector of the n x (n + 1) matrix M.
     """
     _require_geometry(cache)
-    rhat = cache.r / cache.norm_r
-    amin = cache.svd.left_vectors[:, -1]
-    phistar = math.atan2(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
-    c, s = math.cos(phistar), math.sin(phistar)
-    best = None
-    best_g = -1.0
-    for sr in (1.0, -1.0):
-        for sa in (1.0, -1.0):
-            d = sr * c * rhat + sa * s * amin
-            g = g_objective(cache, d)
-            if g > best_g:
-                best, best_g = d, g
-    L, U = sandwich_bounds(cache, best)
-    return DirectionCandidate(delta_r=best, g_value=best_g, L_value=L, U_value=U, origin="constructed")
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Settings for the empirical condition estimator.
-
-    Sample i is drawn from entries i*m .. (i+1)*m of the seeded Gaussian
-    stream, so the candidate set for a given (seed, n_samples) is
-    independent of evaluation order.
-    """
-
-    n_samples: int = 2000
-    seed: int = 0
-    refine_iters: int = 60
-
-
-def _batch_objective(cache: LsCache, D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (g, L, U, flip) over unit columns of D.
-
-    g is the sign-optimal objective: for each column the better of the two
-    r-component signs, which always has cos(theta_u - theta_v) >= 0.
-    flip marks columns whose canonical representative is the flipped one.
-    """
     svd = cache.svd
-    nx, nr = cache.norm_x, cache.norm_r
-    rhat = cache.r / nr
-    xhat = cache.x / nx
-    UtD = svd.left_vectors.T @ D
-    U1 = D - svd.left_vectors @ UtD
-    V2 = svd.right_vectors @ (UtD / svd.singular_values[:, None])
-    nu1 = np.linalg.norm(U1, axis=0)
-    nv2 = np.linalg.norm(V2, axis=0)
-    a = nu1 * nx
-    b = nr * nv2
-    # rejection-based sines stay accurate when an angle degenerates
-    with np.errstate(invalid="ignore", divide="ignore"):
-        U1h = np.where(nu1 > 0.0, U1 / nu1, 0.0)
-        V2h = np.where(nv2 > 0.0, V2 / nv2, 0.0)
-    cu = np.where(nu1 > 0.0, rhat @ U1h, 1.0)
-    su = np.where(nu1 > 0.0, np.linalg.norm(U1h - rhat[:, None] * cu, axis=0), 0.0)
-    cv = np.where(nv2 > 0.0, xhat @ V2h, 1.0)
-    sv = np.where(nv2 > 0.0, np.linalg.norm(V2h - xhat[:, None] * cv, axis=0), 0.0)
-    cos_keep = cu * cv + su * sv
-    cos_flip = -cu * cv + su * sv
-    flip = cos_flip > cos_keep
-    cos_best = np.where(flip, cos_flip, cos_keep)
-    g = np.sqrt(np.maximum(a * a + b * b + 2.0 * a * b * cos_best, 0.0))
-    L = np.hypot(a, b)
-    U = a + b
-    return g, L, U, flip
-
-
-def empirical_condition_wrt_A(
-    cache: LsCache, scales: ScaleFactors, config: SamplerConfig | None = None
-) -> EmpiricalEstimate:
-    """Empirical estimate of the condition number with respect to the matrix.
-
-    Maximizes the objective over the constructed worst-case sign family,
-    +/- rhat, +/- a'', n_samples seeded uniform sphere directions (each
-    sign-canonicalized), and a golden-section refinement over the plane
-    spanned by rhat and a''. The returned value, scaled by
-    scale_A / scale_r, is guaranteed to land inside the theoretical
-    sandwich [chi_A_upper / sqrt(2), chi_A_upper].
-    """
-    if config is None:
-        config = SamplerConfig()
-    _require_geometry(cache)
-    m = cache.problem.m
     rhat = cache.r / cache.norm_r
-    amin = cache.svd.left_vectors[:, -1]
-
-    columns: list[np.ndarray] = []
-    origins: list[str] = []
-
-    phistar = math.atan2(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
-    c, s = math.cos(phistar), math.sin(phistar)
-    for sr in (1.0, -1.0):
-        for sa in (1.0, -1.0):
-            columns.append(sr * c * rhat + sa * s * amin)
-            origins.append("constructed")
-    for d in (rhat, -rhat, amin, -amin):
-        columns.append(d)
-        origins.append("constructed")
-
-    if config.n_samples > 0:
-        rng = np.random.default_rng(config.seed)
-        Z = rng.standard_normal((config.n_samples, m)).T
-        Z /= np.linalg.norm(Z, axis=0)
-        columns.extend(Z.T)
-        origins.extend(["sampled"] * config.n_samples)
-
-    # golden-section refinement of phi -> g(cos(phi) rhat + sin(phi) sa * a'')
-    # on [0, pi/2]; g restricted to that plane is unimodal in 2*phi
-    for sa in (1.0, -1.0):
-        def plane_objective(phi: float, sa: float = sa) -> float:
-            return g_objective(cache, math.cos(phi) * rhat + sa * math.sin(phi) * amin)
-
-        phi_best = _golden_max(plane_objective, 0.0, math.pi / 2.0, config.refine_iters)
-        columns.append(math.cos(phi_best) * rhat + sa * math.sin(phi_best) * amin)
-        origins.append("refined")
-
-    D = np.column_stack(columns)
-    g, L, U, flip = _batch_objective(cache, D)
-    best = int(np.argmax(g))
-    d_best = D[:, best]
-    if flip[best]:
-        d_best = d_best - 2.0 * (rhat @ d_best) * rhat
-    candidate = DirectionCandidate(
-        delta_r=d_best,
-        g_value=float(g[best]),
-        L_value=float(L[best]),
-        U_value=float(U[best]),
-        origin=origins[best],
-    )
-    value = scales.scale_A / scales.scale_r * candidate.g_value
-
-    upper = scales.scale_A / scales.scale_r * math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
-    if not upper / SQRT2 * (1.0 - 1e-9) <= value <= upper * (1.0 + 1e-9):
-        raise RuntimeError(f"estimate {value} escaped the sandwich [{upper / SQRT2}, {upper}]")
-    return EmpiricalEstimate(
-        value=value, best_direction=candidate, samples_used=config.n_samples, seed=config.seed
-    )
-
-
-def _golden_max(f, lo: float, hi: float, iters: int) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-    return c if fc >= fd else d
+    if cache.problem.m >= cache.problem.n + 2:
+        a = cache.norm_x
+        b = cache.norm_r / svd.sigma_min
+        vmin = svd.right_vectors[:, -1]
+        xv = float(vmin @ cache.x)
+        c = xv / a
+        # rejection-based sine, accurate when x is nearly parallel to v_min
+        s = float(np.linalg.norm(cache.x - xv * vmin)) / a
+        u = c * rhat + s * _complement_direction(cache, rhat)
+        d = (a * u + b * svd.left_vectors[:, -1]) / math.hypot(a, b)
+        value = _tight_numerator(cache)
+    else:
+        M = np.column_stack([svd.right_vectors.T @ cache.x, np.diag(cache.norm_r / svd.singular_values)])
+        _, sv, Wt = np.linalg.svd(M)
+        d = Wt[0, 0] * rhat + svd.left_vectors @ Wt[0, 1:]
+        value = float(sv[0])
+    L, U = sandwich_bounds(cache, d)
+    return DirectionCandidate(delta_r=d, g_value=value, L_value=L, U_value=U)
 
 
 def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
@@ -389,7 +270,7 @@ def finite_difference_condition(
     Maximizes (||dr|| / scale_r) / (delta / scale_A) over unit-spectral-norm
     perturbation shapes: alternating dense Gaussian and rank-1 samples
     (sample i drawn from a stream seeded with (seed, i)), plus the
-    attaining perturbation of the constructed worst-case direction. The
+    attaining perturbation of the exact worst-case direction. The
     default step is sqrt(machine epsilon) * scale_A; the step must stay
     below sigma_min so every perturbed problem keeps full rank.
     """

@@ -1,6 +1,6 @@
 """Condition report assembly and deterministic JSON/CSV serialization.
 
-Reports must be byte-identical for identical inputs and seed, so floats
+Reports must be byte-identical for identical inputs, so floats
 are always written with 17 significant digits (enough to round-trip a
 double exactly) and key order is fixed by construction. Timings are only
 included when explicitly requested, since they would break reproducibility.
@@ -24,10 +24,9 @@ from .conditioning import (
     scale_preset,
 )
 from .core import Geometry, LsCache
-from .jacobian import EmpiricalEstimate
 from .prior_bounds import PriorBoundRow
 
-SCHEMA = "lsq-cond/1"
+SCHEMA = "lsq-cond/2"
 
 
 def file_sha256(path: str | Path) -> str:
@@ -37,7 +36,7 @@ def file_sha256(path: str | Path) -> str:
 def build_report(
     cache: LsCache,
     geom: Geometry,
-    empirical: EmpiricalEstimate,
+    chi_A: float,
     empirical_scales_name: str,
     prior_rows: list[PriorBoundRow],
     matrix_file: str | None = None,
@@ -46,8 +45,10 @@ def build_report(
 ) -> dict[str, Any]:
     """Assemble the full analysis record as a plain nested dict.
 
-    Raises if the empirical value escapes its own preset's sandwich, so a
-    report can never assert an inconsistent estimate.
+    chi_A is the exact condition number wrt the matrix under the preset
+    named by empirical_scales_name; the record keeps it in the "empirical"
+    block. Raises if it escapes that preset's sandwich, so a report can
+    never assert an inconsistent value.
     """
     problem = cache.problem
     estimates: dict[str, Any] = {}
@@ -62,9 +63,9 @@ def build_report(
 
     emp_scales = scale_preset(empirical_scales_name, cache)
     emp_bounds = residual_condition_bounds(cache, geom, emp_scales)
-    if not emp_bounds.chi_A_lower <= empirical.value <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
+    if not emp_bounds.chi_A_lower <= chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
         raise RuntimeError(
-            f"empirical value {empirical.value} outside "
+            f"exact value {chi_A} outside "
             f"[{emp_bounds.chi_A_lower}, {emp_bounds.chi_A_upper}]"
         )
 
@@ -101,12 +102,9 @@ def build_report(
         },
         "empirical": {
             "scales": empirical_scales_name,
-            "value": empirical.value,
+            "value": chi_A,
             "lower": emp_bounds.chi_A_lower,
             "upper": emp_bounds.chi_A_upper,
-            "seed": empirical.seed,
-            "samples": empirical.samples_used,
-            "best_direction_origin": empirical.best_direction.origin,
         },
         "prior_bounds": [
             {

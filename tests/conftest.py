@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,51 @@ def solved_ensemble(count, seed, **kwargs):
     for spec in lc.ensemble_specs(count, seed, **kwargs):
         cache = lc.solve_least_squares(lc.random_problem(spec))
         yield cache, lc.geometry(cache)
+
+
+def _batch_objective(cache, D):
+    """Sign-optimal objective g over the unit columns of D, vectorized.
+
+    For each column this is the better of the two r-component signs, which
+    always has cos(theta_u - theta_v) >= 0.
+    """
+    svd = cache.svd
+    nx, nr = cache.norm_x, cache.norm_r
+    rhat = cache.r / nr
+    xhat = cache.x / nx
+    UtD = svd.left_vectors.T @ D
+    U1 = D - svd.left_vectors @ UtD
+    V2 = svd.right_vectors @ (UtD / svd.singular_values[:, None])
+    nu1 = np.linalg.norm(U1, axis=0)
+    nv2 = np.linalg.norm(V2, axis=0)
+    a = nu1 * nx
+    b = nr * nv2
+    # rejection-based sines stay accurate when an angle degenerates
+    with np.errstate(invalid="ignore", divide="ignore"):
+        U1h = np.where(nu1 > 0.0, U1 / nu1, 0.0)
+        V2h = np.where(nv2 > 0.0, V2 / nv2, 0.0)
+    cu = np.where(nu1 > 0.0, rhat @ U1h, 1.0)
+    su = np.where(nu1 > 0.0, np.linalg.norm(U1h - rhat[:, None] * cu, axis=0), 0.0)
+    cv = np.where(nv2 > 0.0, xhat @ V2h, 1.0)
+    sv = np.where(nv2 > 0.0, np.linalg.norm(V2h - xhat[:, None] * cv, axis=0), 0.0)
+    cos_best = np.abs(cu * cv) + su * sv
+    return np.sqrt(np.maximum(a * a + b * b + 2.0 * a * b * cos_best, 0.0))
+
+
+def sampled_condition_wrt_A(cache, n_samples=2000, seed=0):
+    """Sampling oracle for the unscaled condition number wrt the matrix.
+
+    The best objective over the constructed family cos(phi*) rhat +/-
+    sin(phi*) a'' (tan(phi*) = (||r|| / sigma_min) / ||x||), +/- rhat,
+    +/- a'', and n_samples seeded uniform sphere directions. It can only
+    fall short of the exact value, never exceed it.
+    """
+    rhat = cache.r / cache.norm_r
+    amin = cache.svd.left_vectors[:, -1]
+    phistar = math.atan2(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    c, s = math.cos(phistar), math.sin(phistar)
+    columns = [c * rhat + s * amin, c * rhat - s * amin, rhat, amin]
+    if n_samples > 0:
+        Z = np.random.default_rng(seed).standard_normal((n_samples, cache.problem.m)).T
+        columns.extend((Z / np.linalg.norm(Z, axis=0)).T)
+    return float(_batch_objective(cache, np.column_stack(columns)).max())

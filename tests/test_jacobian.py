@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import solved_ensemble
+from conftest import sampled_condition_wrt_A, solved_ensemble
 
 SQRT2 = math.sqrt(2.0)
 
@@ -214,7 +217,7 @@ def test_canonicalize_preserves_bounds():
         assert lc.g_objective(cache, dc) >= lc.g_objective(cache, d) - 1e-12
 
 
-# --- worst-case direction -----------------------------------------------------------
+# --- worst-case direction (exact maximizer) -----------------------------------------------------------
 
 
 def test_worst_case_e1(e1_cache):
@@ -226,9 +229,13 @@ def test_worst_case_e1(e1_cache):
 
 def test_worst_case_parametric(gvl_cache):
     cand = lc.worst_case_direction(gvl_cache)
-    # ||r||/sigma_min = 2 and ||x|| = 2 give phi* = pi/4 and U = 2 sqrt(2)
-    assert cand.U_value == pytest.approx(2.0 * SQRT2, rel=1e-12)
-    assert cand.origin == "constructed"
+    # ||r||/sigma_min = 2 and ||x|| = 2 give upper = 2 sqrt(2); m = n + 1, and
+    # [V^t x | ||r|| Sigma^{-1}] = [[2, 1, 0], [0, 0, 2]] has sigma_max = sqrt(5)
+    scales = lc.ScaleFactors.absolute()
+    upper = lc.residual_condition_bounds(gvl_cache, lc.geometry(gvl_cache), scales).chi_A_upper
+    assert upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
+    assert cand.g_value == pytest.approx(math.sqrt(5.0), rel=1e-14)
+    assert lc.g_objective(gvl_cache, cand.delta_r) == pytest.approx(cand.g_value, rel=1e-12)
 
 
 def test_worst_case_orthonormal_columns():
@@ -238,43 +245,49 @@ def test_worst_case_orthonormal_columns():
     assert cand.U_value == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
 
 
-# --- empirical estimate ---------------------------------------------------------------
+def _exact(cache, scales):
+    return scales.scale_A / scales.scale_r * lc.worst_case_direction(cache).g_value
+
+
+def _both_branches(count, seed, **kwargs):
+    """Ensemble problems and, for each, the same recipe with m = n + 1."""
+    for spec in lc.ensemble_specs(count, seed, **kwargs):
+        for s in (spec, dataclasses.replace(spec, m=spec.n + 1)):
+            yield lc.solve_least_squares(lc.random_problem(s))
+
+
+# --- exact value against the sampling oracle -------------------------------------------
 
 
 def test_empirical_e1_attains_upper(e1_cache):
     scales = lc.ScaleFactors.relative(e1_cache)
-    est = lc.empirical_condition_wrt_A(e1_cache, scales, lc.SamplerConfig(n_samples=100, seed=2))
-    assert est.value == pytest.approx(SQRT2, rel=1e-9)
+    assert _exact(e1_cache, scales) == pytest.approx(SQRT2, rel=1e-14)
+    assert sampled_condition_wrt_A(e1_cache, n_samples=100, seed=2) <= SQRT2 * (1.0 + 1e-10)
 
 
 def test_empirical_parametric_inside_sandwich(gvl_cache):
     scales = lc.ScaleFactors.relative(gvl_cache)
-    est = lc.empirical_condition_wrt_A(gvl_cache, scales, lc.SamplerConfig(n_samples=500, seed=5))
-    assert 2.0 - 1e-12 <= est.value <= 2.0 * SQRT2 * (1.0 + 1e-12)
+    assert 2.0 - 1e-12 <= _exact(gvl_cache, scales) <= 2.0 * SQRT2 * (1.0 + 1e-12)
 
 
 def test_empirical_constructed_only_reaches_lower_bound():
     for cache, geom in solved_ensemble(15, 79):
         scales = lc.ScaleFactors.relative(cache)
-        est = lc.empirical_condition_wrt_A(cache, scales, lc.SamplerConfig(n_samples=0, seed=0))
         bounds = lc.residual_condition_bounds(cache, geom, scales)
-        assert est.value >= bounds.chi_A_upper / SQRT2 * (1.0 - 1e-12)
-        assert est.samples_used == 0
+        constructed = scales.scale_A / scales.scale_r * sampled_condition_wrt_A(cache, n_samples=0)
+        assert constructed >= bounds.chi_A_upper / SQRT2 * (1.0 - 1e-12)
+        assert constructed <= _exact(cache, scales) * (1.0 + 1e-10)
 
 
 def test_empirical_deterministic(gvl_cache):
-    scales = lc.ScaleFactors.relative(gvl_cache)
-    config = lc.SamplerConfig(n_samples=300, seed=11)
-    first = lc.empirical_condition_wrt_A(gvl_cache, scales, config)
-    second = lc.empirical_condition_wrt_A(gvl_cache, scales, config)
-    assert first.value == second.value
-    np.testing.assert_array_equal(first.best_direction.delta_r, second.best_direction.delta_r)
+    first = lc.worst_case_direction(gvl_cache)
+    second = lc.worst_case_direction(gvl_cache)
+    assert first.g_value == second.g_value
+    np.testing.assert_array_equal(first.delta_r, second.delta_r)
 
 
 def test_empirical_candidate_invariants(gvl_cache):
-    scales = lc.ScaleFactors.relative(gvl_cache)
-    est = lc.empirical_condition_wrt_A(gvl_cache, scales, lc.SamplerConfig(n_samples=200, seed=7))
-    cand = est.best_direction
+    cand = lc.worst_case_direction(gvl_cache)
     assert np.linalg.norm(cand.delta_r) == pytest.approx(1.0, abs=1e-12)
     assert cand.L_value - 1e-10 <= cand.g_value <= cand.U_value + 1e-10
 
@@ -282,10 +295,62 @@ def test_empirical_candidate_invariants(gvl_cache):
 def test_global_sandwich_of_sampled_maximum():
     # max sampled g lies within [U(worst)/sqrt(2), U(worst)]
     for cache, _ in solved_ensemble(10, 83):
-        scales = lc.ScaleFactors.absolute()
-        est = lc.empirical_condition_wrt_A(cache, scales, lc.SamplerConfig(n_samples=500, seed=3))
-        worst = lc.worst_case_direction(cache)
-        assert worst.U_value / SQRT2 * (1 - 1e-12) <= est.value <= worst.U_value * (1 + 1e-12)
+        sampled = sampled_condition_wrt_A(cache, n_samples=500, seed=3)
+        upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+        assert upper / SQRT2 * (1 - 1e-12) <= sampled <= upper * (1 + 1e-12)
+
+
+def test_oracle_never_exceeds_exact():
+    for cache in _both_branches(200, 113):
+        exact = lc.worst_case_direction(cache).g_value
+        assert sampled_condition_wrt_A(cache, n_samples=1000, seed=cache.problem.m) <= exact * (1.0 + 1e-10)
+
+
+def test_certificate_attains_exact():
+    for cache in _both_branches(200, 127):
+        cand = lc.worst_case_direction(cache)
+        dA = lc.attaining_perturbation(cache, cand.delta_r)
+        assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
+        dr, _ = lc.apply_residual_jacobian(cache, dA)
+        assert np.linalg.norm(dr) == pytest.approx(cand.g_value, rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 4),
+    kappa_exp=st.floats(0.0, 6.0),
+    theta=st.floats(0.05, 1.52),
+    mix=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_exact_value_property(n, extra, kappa_exp, theta, mix, seed):
+    sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
+    cache = lc.solve_least_squares(lc.random_problem(lc.EnsembleSpec(n + extra, n, sv, theta, mix, seed)))
+    cand = lc.worst_case_direction(cache)
+    upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    assert upper / SQRT2 * (1.0 - 1e-12) <= cand.g_value <= upper * (1.0 + 1e-12)
+    if extra >= 2:
+        assert cand.g_value == upper  # a direction orthogonal to r and col(A) attains upper
+    dA = lc.attaining_perturbation(cache, cand.delta_r)
+    dr, _ = lc.apply_residual_jacobian(cache, dA)
+    assert np.linalg.norm(dr) == pytest.approx(cand.g_value, rel=1e-10)
+    assert sampled_condition_wrt_A(cache, n_samples=200, seed=seed) <= cand.g_value * (1.0 + 1e-10)
+
+
+def test_gvl_exact_matches_eigenvalue_closed_form():
+    # A = diag(1, alpha) over a zero row and r = e3, so V = I and
+    # sigma_max = ||r|| = 1; chi_A^2 is the top eigenvalue of
+    # x x^t + diag(1, 1/alpha^2)
+    for alpha in (0.5, 0.1, 0.01):
+        for beta in (1.0, 10.0, 100.0):
+            for phi in (0.0, math.pi / 4, math.pi / 2):
+                cache = lc.solve_least_squares(lc.gvl_example(alpha, beta, phi).problem)
+                x1, x2 = beta * math.cos(phi), beta * math.sin(phi) / alpha
+                p, q, r = x1 * x1 + 1.0, x2 * x2 + 1.0 / alpha**2, x1 * x2
+                lam = (p + q) / 2.0 + math.hypot((p - q) / 2.0, r)
+                scales = lc.ScaleFactors.relative(cache)
+                assert _exact(cache, scales) == pytest.approx(math.sqrt(lam), rel=1e-14)
 
 
 def test_empirical_matches_exhaustive_circle_in_2d(e1_cache):
@@ -298,17 +363,15 @@ def test_empirical_matches_exhaustive_circle_in_2d(e1_cache):
         block = directions[:, k : k + 5000]
         for d in block.T:
             best = max(best, lc.nuclear_norm(lc.adjoint_rank2(e1_cache, d).matrix()))
-    est = lc.empirical_condition_wrt_A(
-        e1_cache, lc.ScaleFactors.absolute(), lc.SamplerConfig(n_samples=100, seed=1)
-    )
-    assert est.value == pytest.approx(best, rel=1e-8)
+    exact = lc.worst_case_direction(e1_cache).g_value
+    assert best <= exact * (1.0 + 1e-12)
+    assert exact == pytest.approx(best, rel=1e-8)
 
 
 def test_empirical_agrees_with_exhaustive_grid_in_3d():
-    # independent oracle: a dense 3-d grid of SVD-evaluated objectives.
-    # The true maximizer need not lie in the span of rhat and a'' (here the
-    # grid lands marginally above the sampler), so the checks are mutual
-    # agreement and containment in the theoretical sandwich on both sides.
+    # independent oracle: a dense 3-d grid of SVD-evaluated objectives. The
+    # maximizer need not lie in the span of rhat and a'' (m = n + 1 here), so
+    # the grid lands between the upper estimate's lower end and the exact value
     ex = lc.gvl_example(0.37, 1.7, 0.6)
     cache = lc.solve_least_squares(ex.problem)
     rng = np.random.default_rng(12)
@@ -317,12 +380,12 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
     grid_best = 0.0
     for d in grid.T:
         grid_best = max(grid_best, lc.nuclear_norm(lc.adjoint_rank2(cache, d).matrix()))
-    scales = lc.ScaleFactors.absolute()
-    est = lc.empirical_condition_wrt_A(cache, scales, lc.SamplerConfig(n_samples=2000, seed=9))
-    worst = lc.worst_case_direction(cache)
-    assert est.value == pytest.approx(grid_best, rel=1e-3)
-    for value in (grid_best, est.value):
-        assert worst.U_value / SQRT2 * (1.0 - 1e-12) <= value <= worst.U_value * (1.0 + 1e-12)
+    exact = lc.worst_case_direction(cache).g_value
+    upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    assert grid_best <= exact * (1.0 + 1e-12)
+    assert exact == pytest.approx(grid_best, rel=1e-3)
+    for value in (grid_best, exact):
+        assert upper / SQRT2 * (1.0 - 1e-12) <= value <= upper * (1.0 + 1e-12)
 
 
 # --- attaining perturbation --------------------------------------------------------------

@@ -42,14 +42,23 @@ def test_write_csv_quotes_commas():
 def test_build_report_structure(e1_cache):
     geom = lc.geometry(e1_cache)
     scales = lc.ScaleFactors.relative(e1_cache)
-    emp = lc.empirical_condition_wrt_A(e1_cache, scales, lc.SamplerConfig(n_samples=50, seed=1))
-    rep = build_report(e1_cache, geom, emp, "relative", lc.compare_table(e1_cache))
-    assert rep["schema"] == "lsq-cond/1"
+    chi_A = scales.scale_A / scales.scale_r * lc.worst_case_direction(e1_cache).g_value
+    rep = build_report(e1_cache, geom, chi_A, "relative", lc.compare_table(e1_cache))
+    assert rep["schema"] == "lsq-cond/2"
     assert rep["problem"]["m"] == 2 and rep["problem"]["n"] == 1
     assert set(rep["estimates"]) == {"relative", "b-relative", "absolute"}
     emp_block = rep["empirical"]
+    assert list(emp_block) == ["scales", "value", "lower", "upper"]
     assert emp_block["lower"] <= emp_block["value"] <= emp_block["upper"] * (1.0 + 1e-8)
     assert rep["timings"] is None
     assert len(rep["prior_bounds"]) == 3
     # full report serializes deterministically
     assert dump_json(rep) == dump_json(rep)
+
+
+def test_build_report_rejects_value_outside_sandwich(e1_cache):
+    geom = lc.geometry(e1_cache)
+    upper = lc.residual_condition_bounds(e1_cache, geom, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
+    for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
+        with pytest.raises(RuntimeError):
+            build_report(e1_cache, geom, value, "relative", lc.compare_table(e1_cache))

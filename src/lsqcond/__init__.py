@@ -16,12 +16,10 @@ from .conditioning import (
     table2_variants,
 )
 from .core import (
-    DEFAULT_TOLERANCES,
     Geometry,
     LsCache,
     LsProblem,
     SpectralData,
-    Tolerances,
     geometry,
     nuclear_norm,
     projector_difference_norm,
@@ -63,7 +61,6 @@ from .jacobian import (
     apply_residual_jacobian,
     attaining_perturbation,
     canonicalize_direction,
-    finite_difference_condition,
     g_objective,
     sandwich_bounds,
     worst_case_direction,

@@ -313,7 +313,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache = solve_least_squares(problem)
         geom = geometry(cache)
         scales = ScaleFactors.relative(cache)
-        est = residual_condition_bounds(cache, geom, scales)
+        est = residual_condition_bounds(cache, scales)
         rows.append([
             args.param, value, problem.m, problem.n, geom.kappa, geom.theta, geom.vds, geom.sigma_min,
             est.chi_b, est.chi_A_lower, est.chi_A_upper, _chi_A(cache, scales),
@@ -378,9 +378,9 @@ def _suite_solve_invariants(seed: int, problems: int) -> tuple[bool, str]:
 def _suite_sandwich(seed: int, problems: int) -> tuple[bool, str]:
     lo, hi, worst_norm, worst_cert = math.inf, 0.0, 0.0, 0.0
     for spec in ensemble_specs(problems, seed + 1):
-        cache, geom = _solved(spec)
+        cache, _ = _solved(spec)
         scales = ScaleFactors.relative(cache)
-        upper = residual_condition_bounds(cache, geom, scales).chi_A_upper
+        upper = residual_condition_bounds(cache, scales).chi_A_upper
         cand = worst_case_direction(cache)
         value = scales.scale_A / scales.scale_r * cand.g_value
         lo, hi = min(lo, value / upper), max(hi, value / upper)
@@ -484,7 +484,7 @@ def _suite_table2(seed: int, problems: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(50, seed + 7, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
         cache, geom = _solved(spec)
-        row_r, row_b = table2_variants(cache, geom)
+        row_r, row_b = table2_variants(cache)
         worst = max(
             worst,
             abs(row_b.tight_estimate - row_r.tight_estimate * math.sin(geom.theta))
@@ -496,10 +496,10 @@ def _suite_table2(seed: int, problems: int) -> tuple[bool, str]:
 def _suite_projection(seed: int, problems: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(50, seed + 8, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
-        cache, geom = _solved(spec)
+        cache, _ = _solved(spec)
         scales = ScaleFactors.relative(cache)
-        res = residual_condition_bounds(cache, geom, scales)
-        proj = projection_condition_bounds(cache, geom, scales)
+        res = residual_condition_bounds(cache, scales)
+        proj = projection_condition_bounds(cache, scales)
         lhs = proj.chi_A_upper * cache.norm_Ax
         rhs = res.chi_A_upper * cache.norm_r
         worst = max(worst, abs(lhs - rhs) / rhs)
@@ -514,13 +514,14 @@ def _suite_block_norm(seed: int, problems: int) -> tuple[bool, str]:
         rows = int(rng.integers(1, 7))
         A = rng.standard_normal((rows, int(rng.integers(1, 5))))
         B = rng.standard_normal((rows, int(rng.integers(1, 5))))
-        case = block_norm_case(A, B, samples=200, seed=int(rng.integers(0, 2**31)))
+        rng.integers(0, 2**31)  # discarded draw; it fixes which pairs each --seed checks
+        case = block_norm_case(A, B)
         hi = case.norm_A + case.norm_B
         lo = max(case.norm_A, case.norm_B)
-        if not lo - 1e-6 <= case.norm_joint_est <= hi + 1e-6:
-            return False, f"joint estimate {case.norm_joint_est} outside [{lo}, {hi}]"
-        if hi > 2.0 * case.norm_joint_est + 1e-6:
-            return False, f"sum {hi} exceeds twice the joint estimate {case.norm_joint_est}"
+        if not lo - 1e-6 <= case.norm_joint <= hi + 1e-6:
+            return False, f"joint norm {case.norm_joint} outside [{lo}, {hi}]"
+        if hi > 2.0 * case.norm_joint + 1e-6:
+            return False, f"sum {hi} exceeds twice the joint norm {case.norm_joint}"
     return True, "joint norm inside the two-sided band on all cases"
 
 

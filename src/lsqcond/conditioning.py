@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Geometry, LsCache
+from .core import LsCache
 from .errors import ZeroSolution
 
 SQRT2 = math.sqrt(2.0)
@@ -76,35 +76,35 @@ class ConditionEstimates:
     """Two-sided condition estimate with respect to the matrix, plus the
     exact condition number with respect to the right-hand side.
 
-    The interval is the paper's sqrt(2)-wide sandwich. The exact value
+    The interval is the paper's sqrt(2)-wide sandwich, so only its upper
+    end is stored. The exact value
     inside it is (scale_A / scale_r) * jacobian.worst_case_direction(cache)
     .g_value: it equals chi_A_upper when m >= n + 2, and for m = n + 1 it is
     the largest singular value of [V^t x | ||r|| Sigma^{-1}], scaled.
     """
 
     chi_b: float
-    chi_A_lower: float
     chi_A_upper: float
     target: str  # "residual" or "projection"
 
     def __post_init__(self):
-        for name in ("chi_b", "chi_A_lower", "chi_A_upper"):
+        for name in ("chi_b", "chi_A_upper"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not math.isclose(self.chi_A_upper, SQRT2 * self.chi_A_lower, rel_tol=1e-12):
-            raise ValueError("chi_A_upper must equal sqrt(2) * chi_A_lower")
         if self.target not in ("residual", "projection"):
             raise ValueError(f"unknown target {self.target!r}")
+
+    @property
+    def chi_A_lower(self) -> float:
+        return self.chi_A_upper / SQRT2
 
 
 def _tight_numerator(cache: LsCache) -> float:
     return math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
 
 
-def residual_condition_bounds(
-    cache: LsCache, geom: Geometry, scales: ScaleFactors
-) -> ConditionEstimates:
+def residual_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
     """Sandwich for chi_r(A) plus chi_r(b) = scale_b / scale_r.
 
     With fully relative scales the upper value equals
@@ -113,15 +113,12 @@ def residual_condition_bounds(
     upper = scales.scale_A / scales.scale_r * _tight_numerator(cache)
     return ConditionEstimates(
         chi_b=scales.scale_b / scales.scale_r,
-        chi_A_lower=upper / SQRT2,
         chi_A_upper=upper,
         target="residual",
     )
 
 
-def projection_condition_bounds(
-    cache: LsCache, geom: Geometry, scales: ScaleFactors
-) -> ConditionEstimates:
+def projection_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
     """Sandwich for chi_Ax(A) plus chi_Ax(b) = scale_b / scale_p.
 
     With scale_p = ||Ax|| the upper value equals
@@ -134,7 +131,6 @@ def projection_condition_bounds(
     upper = scales.scale_A / scales.scale_p * _tight_numerator(cache)
     return ConditionEstimates(
         chi_b=scales.scale_b / scales.scale_p,
-        chi_A_lower=upper / SQRT2,
         chi_A_upper=upper,
         target="projection",
     )
@@ -149,7 +145,7 @@ class Table2Row:
     chi_b: float
 
 
-def table2_variants(cache: LsCache, geom: Geometry) -> list[Table2Row]:
+def table2_variants(cache: LsCache) -> list[Table2Row]:
     """The two standard residual scalings side by side.
 
     Measuring changes to r against ||r|| gives (kappa sqrt(1 + (cot/vds)^2),
@@ -162,7 +158,7 @@ def table2_variants(cache: LsCache, geom: Geometry) -> list[Table2Row]:
         ("r-relative", ScaleFactors.relative(cache)),
         ("b-relative", ScaleFactors.b_relative(cache)),
     ):
-        est = residual_condition_bounds(cache, geom, scales)
+        est = residual_condition_bounds(cache, scales)
         rows.append(Table2Row(name, est.chi_A_upper, est.chi_b))
     return rows
 

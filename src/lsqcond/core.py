@@ -3,7 +3,8 @@
 The SVD-based solve is the reference path; every derived quantity
 (projections, pseudoinverse applications, condition geometry) is computed
 from the same factorization so that no normal-equations matrix is ever
-formed explicitly.
+formed explicitly. Two fixed relative tolerances guard the preconditions:
+RANK_TOL against sigma_max and RESID_TOL against ||b||.
 """
 
 from __future__ import annotations
@@ -22,22 +23,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative numerical tolerances used across the library.
-
-    ``rank_tol`` is measured against sigma_max, ``resid_tol`` against ||b||,
-    the rest against the natural scale of the quantity they guard.
-    """
-
-    rank_tol: float = 1e-12
-    ortho_tol: float = 1e-12
-    pythag_tol: float = 1e-12
-    svd_tol: float = 1e-12
-    resid_tol: float = 1e-14
-
-
-DEFAULT_TOLERANCES = Tolerances()
+RANK_TOL = 1e-12
+RESID_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -95,10 +82,10 @@ class SpectralData:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.T
 
 
-def spectral_data(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
+def spectral_data(A: np.ndarray) -> SpectralData:
     """Thin SVD of a full-column-rank matrix.
 
-    Raises NonFullRank when sigma_min <= rank_tol * sigma_max.
+    Raises NonFullRank when sigma_min <= RANK_TOL * sigma_max.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
@@ -106,7 +93,7 @@ def spectral_data(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectr
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= tol.rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
         raise NonFullRank(f"sigma_min/sigma_max = {ratio:.3e} within rank tolerance")
     return SpectralData(singular_values=s, left_vectors=U, right_vectors=Vt.T)
@@ -179,9 +166,9 @@ class LsCache:
         return {"orthogonality": ortho, "pythagoras": pythag, "idempotence": idem}
 
 
-def solve_least_squares(problem: LsProblem, tol: Tolerances = DEFAULT_TOLERANCES) -> LsCache:
+def solve_least_squares(problem: LsProblem) -> LsCache:
     """Solve the problem via the SVD and cache the factorized state."""
-    svd = spectral_data(problem.A, tol)
+    svd = spectral_data(problem.A)
     x = svd.right_vectors @ ((svd.left_vectors.T @ problem.b) / svd.singular_values)
     Ax = problem.A @ x
     r = problem.b - Ax
@@ -213,14 +200,14 @@ class Geometry:
             raise ValueError(f"vds = {self.vds} outside [1, kappa]")
 
 
-def geometry(cache: LsCache, tol: Tolerances = DEFAULT_TOLERANCES) -> Geometry:
+def geometry(cache: LsCache) -> Geometry:
     """Condition geometry of a solved problem.
 
-    Raises ZeroResidual when ||r|| <= resid_tol ||b|| (condition numbers
+    Raises ZeroResidual when ||r|| <= RESID_TOL ||b|| (condition numbers
     are undefined rather than large) and ZeroSolution when x = 0.
     """
     nr, nx, nax = cache.norm_r, cache.norm_x, cache.norm_Ax
-    if nr <= tol.resid_tol * cache.norm_b:
+    if nr <= RESID_TOL * cache.norm_b:
         raise ZeroResidual(f"||r|| = {nr:.3e} within residual tolerance of zero")
     if nx == 0.0:
         raise ZeroSolution("least squares solution is exactly zero")
@@ -246,9 +233,7 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def projector_difference_norm(
-    A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:
     """Spectral norm of P_A - P_B, the orthogonal projectors onto the column spaces.
 
     Always in [0, 1]; equals the sine of the largest principal angle when
@@ -258,8 +243,8 @@ def projector_difference_norm(
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    Qa = spectral_data(A, tol).left_vectors
-    Qb = spectral_data(B, tol).left_vectors
+    Qa = spectral_data(A).left_vectors
+    Qb = spectral_data(B).left_vectors
     diff = Qa @ Qa.T - Qb @ Qb.T
     return min(float(np.linalg.norm(diff, 2)), 1.0)
 

@@ -3,8 +3,9 @@
 Covers the parametric 3x2 family (a diagonal matrix with tunable
 conditioning, angle, and alignment, after the classic Golub & Van Loan
 textbook example), seeded random ensembles with prescribed singular values
-and angle, a Lanczos projection demo, column equilibration, and block-norm
-instances for the joint-versus-separate condition number inequalities.
+and angle, a Lanczos projection demo, column equilibration, and the exact
+two-block joint norm behind the joint-versus-separate condition number
+inequalities.
 """
 
 from __future__ import annotations
@@ -213,20 +214,14 @@ class LanczosStep:
     breakdown: bool
 
 
-def lanczos_demo(
-    T: np.ndarray,
-    v1: np.ndarray,
-    steps: int,
-    breakdown_tol: float | None = None,
-) -> list[LanczosStep]:
+def lanczos_demo(T: np.ndarray, v1: np.ndarray, steps: int) -> list[LanczosStep]:
     """Run the symmetric three-term recurrence and rate each step's projection.
 
     Each step projects b = T v_j onto span{v_{j-1}, v_j} (just {v_1} at the
     first step) and records the angle, its cosecant, and the worst
     pairwise inner product among all basis vectors so far. Iteration stops
     after recording a step whose new off-span component has norm at most
-    breakdown_tol (default 1e-12 ||T||_2); breakdown is reported, not
-    raised.
+    1e-12 ||T||_2; breakdown is reported, not raised.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -241,7 +236,6 @@ def lanczos_demo(
         raise ParamOutOfRange("start vector must have unit norm")
     if steps < 1:
         raise ParamOutOfRange("need at least one step")
-    tol_b = 1e-12 * norm_T if breakdown_tol is None else breakdown_tol
 
     basis = [v.copy()]
     v_prev = np.zeros_like(v)
@@ -252,7 +246,7 @@ def lanczos_demo(
         alpha = float(v @ u)
         w = u - alpha * v - beta_prev * v_prev
         beta_next = float(np.linalg.norm(w))
-        breakdown = beta_next <= tol_b
+        breakdown = beta_next <= 1e-12 * norm_T
 
         A_local = v[:, None] if j == 1 else np.column_stack([v_prev, v])
         theta = chi = math.nan
@@ -331,8 +325,8 @@ def equilibration_experiment(problem: LsProblem) -> EquilibrationResult:
     after = solve_least_squares(LsProblem(AD, problem.b))
 
     def chi_upper(cache: LsCache) -> float:
-        geom = geometry(cache)
-        return residual_condition_bounds(cache, geom, ScaleFactors.relative(cache)).chi_A_upper
+        geometry(cache)  # raises on a zero residual or solution
+        return residual_condition_bounds(cache, ScaleFactors.relative(cache)).chi_A_upper
 
     return EquilibrationResult(
         d=d,
@@ -345,8 +339,8 @@ def equilibration_experiment(problem: LsProblem) -> EquilibrationResult:
 
 @dataclass(frozen=True)
 class BlockNormCase:
-    """Sampled estimate of the norm of [A B] induced by the max-of-norms
-    domain norm, with its components.
+    """The norm of [A B] induced by the max-of-norms domain norm, with its
+    components.
 
     The joint norm always satisfies max(||A||, ||B||) <= ||[A B]|| <=
     ||A|| + ||B||, so the sum overestimates it by at most a factor of 2.
@@ -354,11 +348,11 @@ class BlockNormCase:
 
     norm_A: float
     norm_B: float
-    norm_joint_est: float
+    norm_joint: float
 
     @property
     def ratios(self) -> dict[str, float]:
-        joint = self.norm_joint_est
+        joint = self.norm_joint
         if joint == 0.0:
             return {"max_over_joint": 1.0, "sum_over_joint": 1.0}
         return {
@@ -371,53 +365,49 @@ def _spectral(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
-def block_norm_case(A: np.ndarray, B: np.ndarray, samples: int = 500, seed: int = 0) -> BlockNormCase:
-    """Estimate max ||A u + B v||_2 over max(||u||, ||v||) = 1.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    By duality the maximum equals max over unit w of ||A^t w|| + ||B^t w||,
-    so every codomain direction w yields a feasible (u, v) pair. Candidates
-    are the top left singular vectors of A and B plus seeded random pairs;
-    the best few are polished by alternating maximization, which is
-    monotone in the objective. The constructed candidates guarantee the
-    estimate is at least max(||A||, ||B||).
+
+def block_norm_case(A: np.ndarray, B: np.ndarray) -> BlockNormCase:
+    """Exact max ||A u + B v||_2 over max(||u||, ||v||) = 1.
+
+    By duality the maximum is max over unit w of ||A^t w|| + ||B^t w||.
+    Writing (alpha + beta)^2 = min over 0 < t < 1 of
+    alpha^2 / t + beta^2 / (1 - t) and swapping the max and the min gives
+
+        ||[A B]||^2 = min over 0 < t < 1 of lambda_max(A A^t / t + B B^t / (1 - t)).
+
+    The swap is exact: this is the dual of a semidefinite relaxation with
+    two constraints, which has a rank-one optimum (Pataki 1998). Every t
+    gives an upper bound, and the objective is convex in t and unbounded at
+    both ends, so a golden-section search brackets the minimizer to 1e-15.
+    A zero block leaves the other block's norm.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] != B.shape[0]:
         raise DimensionMismatch(f"row counts {A.shape[0]} and {B.shape[0]} differ")
     norm_A, norm_B = _spectral(A), _spectral(B)
+    if norm_A == 0.0 or norm_B == 0.0:
+        return BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=max(norm_A, norm_B))
+    # Gram matrices of the blocks scaled to norm at most 1, clear of overflow
+    scale = max(norm_A, norm_B)
+    GA = (A / scale) @ (A / scale).T
+    GB = (B / scale) @ (B / scale).T
 
-    def pair_from_codomain(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        au, bv = A.T @ w, B.T @ w
-        nau, nbv = np.linalg.norm(au), np.linalg.norm(bv)
-        return (au / nau if nau > 0.0 else np.zeros(A.shape[1])), (
-            bv / nbv if nbv > 0.0 else np.zeros(B.shape[1])
-        )
+    def dual(t: float) -> float:
+        return float(np.linalg.eigvalsh(GA / t + GB / (1.0 - t))[-1])
 
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
-    for M in (A, B):
-        if _spectral(M) > 0.0:
-            w_top = np.linalg.svd(M, full_matrices=False)[0][:, 0]
-            candidates.append(pair_from_codomain(w_top))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        u = rng.standard_normal(A.shape[1])
-        v = rng.standard_normal(B.shape[1])
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        candidates.append((u / nu if nu > 0 else u, v / nv if nv > 0 else v))
-
-    def objective(u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.linalg.norm(A @ u + B @ v))
-
-    scored = sorted(candidates, key=lambda uv: objective(*uv), reverse=True)
-    best = objective(*scored[0]) if scored else 0.0
-    for u, v in scored[:5]:
-        for _ in range(50):
-            w = A @ u + B @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            w /= nw
-            u, v = pair_from_codomain(w)
-        best = max(best, objective(u, v))
-    return BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint_est=best)
+    lo, hi = 0.0, 1.0
+    c, d = 1.0 - _INVPHI, _INVPHI
+    fc, fd = dual(c), dual(d)
+    while hi - lo > 1e-15:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = dual(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = dual(d)
+    return BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=scale * math.sqrt(min(fc, fd)))

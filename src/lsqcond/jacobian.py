@@ -26,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import ScaleFactors, _tight_numerator
-from .core import LsCache, LsProblem, solve_least_squares
-from .errors import (
-    DegenerateDirection,
-    DimensionMismatch,
-    NonFullRank,
-    ZeroResidual,
-    ZeroSolution,
-)
+from .conditioning import _tight_numerator
+from .core import LsCache
+from .errors import DegenerateDirection, DimensionMismatch, ZeroResidual, ZeroSolution
 
 
 def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,46 +251,3 @@ def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     keep = sh > 1e-13 * sh[0]
     return -(Uh[:, keep] @ Vht[keep, :])
 
-
-def finite_difference_condition(
-    problem: LsProblem,
-    scales: ScaleFactors,
-    delta: float | None = None,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Empirical condition estimate from exact perturbed solves.
-
-    Maximizes (||dr|| / scale_r) / (delta / scale_A) over unit-spectral-norm
-    perturbation shapes: alternating dense Gaussian and rank-1 samples
-    (sample i drawn from a stream seeded with (seed, i)), plus the
-    attaining perturbation of the exact worst-case direction. The
-    default step is sqrt(machine epsilon) * scale_A; the step must stay
-    below sigma_min so every perturbed problem keeps full rank.
-    """
-    cache = solve_least_squares(problem)
-    if delta is None:
-        delta = math.sqrt(np.finfo(float).eps) * scales.scale_A
-    if not 0.0 < delta < cache.svd.sigma_min:
-        raise NonFullRank(f"step {delta} not inside (0, sigma_min = {cache.svd.sigma_min})")
-
-    m, n = problem.m, problem.n
-    shapes: list[np.ndarray] = []
-    try:
-        shapes.append(attaining_perturbation(cache, worst_case_direction(cache).delta_r))
-    except (ZeroResidual, ZeroSolution, DegenerateDirection):
-        pass
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        if i % 2 == 0:
-            E = rng.standard_normal((m, n))
-        else:
-            E = np.outer(rng.standard_normal(m), rng.standard_normal(n))
-        shapes.append(E / np.linalg.svd(E, compute_uv=False)[0])
-
-    best = 0.0
-    for E in shapes:
-        perturbed = solve_least_squares(LsProblem(problem.A + delta * E, problem.b))
-        dr = np.linalg.norm(perturbed.r - cache.r)
-        best = max(best, (dr / scales.scale_r) / (delta / scales.scale_A))
-    return best

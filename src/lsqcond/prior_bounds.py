@@ -66,8 +66,8 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
     never mixed.
     """
     geom = geometry(cache)
-    absolute = residual_condition_bounds(cache, geom, ScaleFactors.absolute())
-    b_rel = residual_condition_bounds(cache, geom, ScaleFactors.b_relative(cache))
+    absolute = residual_condition_bounds(cache, ScaleFactors.absolute())
+    b_rel = residual_condition_bounds(cache, ScaleFactors.b_relative(cache))
     tight_abs = absolute.chi_A_upper
     tight_sum = b_rel.chi_A_upper + b_rel.chi_b
 

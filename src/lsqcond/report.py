@@ -54,7 +54,7 @@ def build_report(
     estimates: dict[str, Any] = {}
     for name in SCALE_PRESETS:
         scales = scale_preset(name, cache)
-        est = residual_condition_bounds(cache, geom, scales)
+        est = residual_condition_bounds(cache, scales)
         estimates[name] = {
             "chi_A_lower": est.chi_A_lower,
             "chi_A_upper": est.chi_A_upper,
@@ -62,14 +62,14 @@ def build_report(
         }
 
     emp_scales = scale_preset(empirical_scales_name, cache)
-    emp_bounds = residual_condition_bounds(cache, geom, emp_scales)
+    emp_bounds = residual_condition_bounds(cache, emp_scales)
     if not emp_bounds.chi_A_lower <= chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
         raise RuntimeError(
             f"exact value {chi_A} outside "
             f"[{emp_bounds.chi_A_lower}, {emp_bounds.chi_A_upper}]"
         )
 
-    proj = projection_condition_bounds(cache, geom, ScaleFactors.relative(cache))
+    proj = projection_condition_bounds(cache, ScaleFactors.relative(cache))
     return {
         "schema": SCHEMA,
         "problem": {

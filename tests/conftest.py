@@ -87,3 +87,87 @@ def sampled_condition_wrt_A(cache, n_samples=2000, seed=0):
         Z = np.random.default_rng(seed).standard_normal((n_samples, cache.problem.m)).T
         columns.extend((Z / np.linalg.norm(Z, axis=0)).T)
     return float(_batch_objective(cache, np.column_stack(columns)).max())
+
+
+def finite_difference_condition(problem, scales, delta=None, samples=200, seed=0):
+    """Empirical condition estimate from exact perturbed solves.
+
+    Maximizes (||dr|| / scale_r) / (delta / scale_A) over unit-spectral-norm
+    perturbation shapes: alternating dense Gaussian and rank-1 samples
+    (sample i drawn from a stream seeded with (seed, i)), plus the
+    attaining perturbation of the exact worst-case direction. The
+    default step is sqrt(machine epsilon) * scale_A; the step must stay
+    below sigma_min so every perturbed problem keeps full rank.
+    """
+    cache = lc.solve_least_squares(problem)
+    if delta is None:
+        delta = math.sqrt(np.finfo(float).eps) * scales.scale_A
+    if not 0.0 < delta < cache.svd.sigma_min:
+        raise lc.NonFullRank(f"step {delta} not inside (0, sigma_min = {cache.svd.sigma_min})")
+
+    m, n = problem.m, problem.n
+    shapes = []
+    try:
+        shapes.append(lc.attaining_perturbation(cache, lc.worst_case_direction(cache).delta_r))
+    except (lc.ZeroResidual, lc.ZeroSolution, lc.DegenerateDirection):
+        pass
+    for i in range(samples):
+        rng = np.random.default_rng((seed, i))
+        if i % 2 == 0:
+            E = rng.standard_normal((m, n))
+        else:
+            E = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+        shapes.append(E / np.linalg.svd(E, compute_uv=False)[0])
+
+    best = 0.0
+    for E in shapes:
+        perturbed = lc.solve_least_squares(lc.LsProblem(problem.A + delta * E, problem.b))
+        dr = np.linalg.norm(perturbed.r - cache.r)
+        best = max(best, (dr / scales.scale_r) / (delta / scales.scale_A))
+    return best
+
+
+def sampled_block_norm(A, B, samples=500, seed=0):
+    """Sampling oracle for max ||A u + B v||_2 over max(||u||, ||v||) = 1.
+
+    Every codomain direction w yields the feasible pair (A^t w / ||A^t w||,
+    B^t w / ||B^t w||). Candidates are the pairs from the top left singular
+    vectors of A and B plus seeded random pairs; the best five are polished
+    by alternating maximization, which is monotone in the objective. It can
+    only fall short of the exact joint norm, never exceed it.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+
+    def pair_from_codomain(w):
+        au, bv = A.T @ w, B.T @ w
+        nau, nbv = np.linalg.norm(au), np.linalg.norm(bv)
+        return (au / nau if nau > 0.0 else np.zeros(A.shape[1])), (
+            bv / nbv if nbv > 0.0 else np.zeros(B.shape[1])
+        )
+
+    candidates = []
+    for M in (A, B):
+        if np.linalg.norm(M, 2) > 0.0:
+            candidates.append(pair_from_codomain(np.linalg.svd(M, full_matrices=False)[0][:, 0]))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        u = rng.standard_normal(A.shape[1])
+        v = rng.standard_normal(B.shape[1])
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        candidates.append((u / nu if nu > 0 else u, v / nv if nv > 0 else v))
+
+    def objective(u, v):
+        return float(np.linalg.norm(A @ u + B @ v))
+
+    scored = sorted(candidates, key=lambda uv: objective(*uv), reverse=True)
+    best = objective(*scored[0]) if scored else 0.0
+    for u, v in scored[:5]:
+        for _ in range(50):
+            w = A @ u + B @ v
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                break
+            u, v = pair_from_codomain(w / nw)
+        best = max(best, objective(u, v))
+    return best

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lsqcond as lc
+from conftest import sampled_block_norm
 from lsqcond.cli import main as cli_main
 
 SQRT2 = math.sqrt(2.0)
@@ -58,9 +59,9 @@ def test_criterion_02_theorem_sandwich_containment():
     with criterion(2, "exact value inside [upper/sqrt(2), upper] on 200 problems, < 60 s"):
         start = time.perf_counter()
         for spec in lc.ensemble_specs(200, seed=2024, max_m=30, max_n=10, max_kappa_exp=6.0):
-            cache, geom = solved(spec)
+            cache, _ = solved(spec)
             scales = lc.ScaleFactors.relative(cache)
-            est = lc.residual_condition_bounds(cache, geom, scales)
+            est = lc.residual_condition_bounds(cache, scales)
             exact = scales.scale_A / scales.scale_r * lc.worst_case_direction(cache).g_value
             assert exact >= est.chi_A_upper / SQRT2 * (1.0 - 1e-12)
             assert exact <= est.chi_A_upper * (1.0 + 1e-8)
@@ -144,23 +145,25 @@ def test_criterion_07_prior_bound_dominance_and_worst_cases():
         stewart_ratio = lc.stewart_estimate(cache) / tight_abs
         assert abs(stewart_ratio - kappa) / kappa < 0.05
         stated, _ = lc.gvlh_estimate(geom)
-        est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.b_relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
         gvlh_ratio = stated / (est.chi_A_upper + est.chi_b)
         assert abs(gvlh_ratio - kappa) / kappa < 0.05
 
 
 def test_criterion_08_block_norm_band():
-    with criterion(8, "sampled joint norm satisfies both block-norm inequalities on 100 pairs"):
+    with criterion(8, "joint norm satisfies both block-norm inequalities on 100 pairs, >= sampled"):
         rng = np.random.default_rng(808)
         for _ in range(100):
             rows = int(rng.integers(1, 7))
             A = rng.standard_normal((rows, int(rng.integers(1, 5))))
             B = rng.standard_normal((rows, int(rng.integers(1, 5))))
-            case = lc.block_norm_case(A, B, samples=200, seed=int(rng.integers(1 << 31)))
+            sampled = sampled_block_norm(A, B, samples=200, seed=int(rng.integers(1 << 31)))
+            case = lc.block_norm_case(A, B)
             low = max(case.norm_A, case.norm_B)
             high = case.norm_A + case.norm_B
-            assert low - 1e-6 <= case.norm_joint_est <= high + 1e-6
-            assert high <= 2.0 * case.norm_joint_est + 1e-6
+            assert low - 1e-6 <= case.norm_joint <= high + 1e-6
+            assert high <= 2.0 * case.norm_joint + 1e-6
+            assert case.norm_joint >= sampled * (1.0 - 1e-12)
 
 
 def test_criterion_09_projection_consistency():
@@ -174,8 +177,8 @@ def test_criterion_09_projection_consistency():
                     scale_r=cache.norm_r,
                     scale_p=cache.norm_Ax,
                 )
-                res = lc.residual_condition_bounds(cache, geom, scales)
-                proj = lc.projection_condition_bounds(cache, geom, scales)
+                res = lc.residual_condition_bounds(cache, scales)
+                proj = lc.projection_condition_bounds(cache, scales)
                 assert proj.chi_A_upper * cache.norm_Ax == pytest.approx(
                     res.chi_A_upper * cache.norm_r, rel=1e-12
                 )

@@ -13,7 +13,7 @@ SQRT2 = math.sqrt(2.0)
 
 def bounds_for(cache, preset="relative"):
     geom = lc.geometry(cache)
-    return lc.residual_condition_bounds(cache, geom, lc.scale_preset(preset, cache)), geom
+    return lc.residual_condition_bounds(cache, lc.scale_preset(preset, cache)), geom
 
 
 # --- residual bounds ---------------------------------------------------------
@@ -46,7 +46,7 @@ def test_residual_bounds_parametric_closed_form(alpha, beta, phi):
 def test_upper_agrees_with_geometry_form():
     # the two displayed forms of the estimate must coincide
     for cache, geom in solved_ensemble(40, 23, max_kappa_exp=4.0):
-        est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
         alt = geom.kappa * math.sqrt(1.0 + (geom.cot_theta / geom.vds) ** 2)
         assert est.chi_A_upper == pytest.approx(alt, rel=1e-12)
         assert est.chi_b == pytest.approx(1.0 / math.sin(geom.theta), rel=1e-12)
@@ -70,7 +70,7 @@ _E1 = lc.solve_least_squares(lc.LsProblem([[1.0], [0.0]], [1.0, 1.0]))
 
 
 def chi_b(scales, cache=_E1):
-    return lc.residual_condition_bounds(cache, lc.geometry(cache), scales).chi_b
+    return lc.residual_condition_bounds(cache, scales).chi_b
 
 
 def test_chi_wrt_b_equal_scales():
@@ -94,8 +94,8 @@ def test_chi_wrt_b_ratio_property(sb, sr):
 
 
 def test_chi_b_at_least_one_under_defaults():
-    for cache, geom in solved_ensemble(40, 29):
-        est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.relative(cache))
+    for cache, _ in solved_ensemble(40, 29):
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
         assert est.chi_b >= 1.0 - 1e-12
 
 
@@ -103,8 +103,7 @@ def test_chi_b_at_least_one_under_defaults():
 
 
 def test_projection_bounds_e1(e1_cache):
-    geom = lc.geometry(e1_cache)
-    est = lc.projection_condition_bounds(e1_cache, geom, lc.ScaleFactors.relative(e1_cache))
+    est = lc.projection_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache))
     assert est.chi_b == pytest.approx(SQRT2, rel=1e-14)
     assert est.chi_A_upper == pytest.approx(SQRT2, rel=1e-14)
     assert est.target == "projection"
@@ -112,7 +111,7 @@ def test_projection_bounds_e1(e1_cache):
 
 def test_projection_bounds_parametric(gvl_cache):
     geom = lc.geometry(gvl_cache)
-    est = lc.projection_condition_bounds(gvl_cache, geom, lc.ScaleFactors.relative(gvl_cache))
+    est = lc.projection_condition_bounds(gvl_cache, lc.ScaleFactors.relative(gvl_cache))
     # kappa sqrt(tan^2 + 1/vds^2) = 2 sqrt(1/4 + 1/4)
     assert est.chi_A_upper == pytest.approx(SQRT2, rel=1e-12)
     alt = geom.kappa * math.sqrt(math.tan(geom.theta) ** 2 + 1.0 / geom.vds**2)
@@ -123,8 +122,8 @@ def test_projection_residual_consistency():
     # chi_Ax(A) ||Ax|| = chi_r(A) ||r|| when each uses its natural codomain scale
     for cache, geom in solved_ensemble(50, 31, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
         scales = lc.ScaleFactors.relative(cache)
-        res = lc.residual_condition_bounds(cache, geom, scales)
-        proj = lc.projection_condition_bounds(cache, geom, scales)
+        res = lc.residual_condition_bounds(cache, scales)
+        proj = lc.projection_condition_bounds(cache, scales)
         assert proj.chi_A_upper * cache.norm_Ax == pytest.approx(
             res.chi_A_upper * cache.norm_r, rel=1e-12
         )
@@ -135,8 +134,7 @@ def test_projection_residual_consistency():
 
 
 def test_table2_parametric_rows(gvl_cache):
-    geom = lc.geometry(gvl_cache)
-    row_r, row_b = lc.table2_variants(gvl_cache, geom)
+    row_r, row_b = lc.table2_variants(gvl_cache)
     assert row_r.tight_estimate == pytest.approx(2.0 * SQRT2, rel=1e-12)
     assert row_r.chi_b == pytest.approx(math.sqrt(5.0), rel=1e-12)
     assert row_b.tight_estimate == pytest.approx(2.0 * SQRT2 / math.sqrt(5.0), rel=1e-12)
@@ -147,15 +145,14 @@ def test_table2_near_orthogonal_limit():
     # b almost orthogonal to col(A) with orthonormal columns: both rows -> (1, 1)
     spec = lc.EnsembleSpec(6, 2, (1.0, 1.0), math.pi / 2 - 1e-6, 0.5, 41)
     cache = lc.solve_least_squares(lc.random_problem(spec))
-    geom = lc.geometry(cache)
-    for row in lc.table2_variants(cache, geom):
+    for row in lc.table2_variants(cache):
         assert row.tight_estimate == pytest.approx(1.0, abs=1e-5)
         assert row.chi_b == pytest.approx(1.0, abs=1e-5)
 
 
 def test_table2_rows_differ_by_sin_theta():
     for cache, geom in solved_ensemble(50, 37, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        row_r, row_b = lc.table2_variants(cache, geom)
+        row_r, row_b = lc.table2_variants(cache)
         assert row_b.tight_estimate == pytest.approx(
             row_r.tight_estimate * math.sin(geom.theta), rel=1e-12
         )
@@ -163,7 +160,7 @@ def test_table2_rows_differ_by_sin_theta():
 
 def test_sum_property_under_b_relative():
     for cache, geom in solved_ensemble(40, 43):
-        est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.b_relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
         assert est.chi_A_upper + est.chi_b <= geom.kappa + 1.0 + 1e-9
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lsqcond as lc
+from conftest import sampled_block_norm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,7 +47,7 @@ def test_gvl_expected_matches_computed(alpha, beta, phi):
     assert geom.kappa == pytest.approx(ex.expected.kappa, rel=1e-12)
     assert geom.vds == pytest.approx(ex.expected.vds, rel=1e-12)
     assert geom.cot_theta == pytest.approx(ex.expected.cot_theta, rel=1e-12)
-    est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.relative(cache))
+    est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
     assert est.chi_A_upper == pytest.approx(ex.expected.chi_A_upper, rel=1e-12)
 
 
@@ -180,7 +181,7 @@ def test_lanczos_orthonormal_basis_collapses_to_cosecant():
         geom = lc.geometry(cache)
         assert geom.kappa == pytest.approx(1.0, rel=1e-12)
         assert geom.vds == pytest.approx(1.0, rel=1e-10)
-        est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
         assert est.chi_A_upper == pytest.approx(1.0 / math.sin(geom.theta), rel=1e-10)
         beta_prev = np.linalg.norm(w)
         v_prev, v = v, w / beta_prev
@@ -242,14 +243,15 @@ def test_equilibration_experiment_ill_scaled():
 
 def test_block_norm_scalar_blocks():
     case = lc.block_norm_case(np.array([[1.0]]), np.array([[1.0]]))
-    assert case.norm_joint_est == pytest.approx(2.0, rel=1e-12)
+    assert case.norm_joint == pytest.approx(2.0, rel=1e-12)
     assert case.ratios["sum_over_joint"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_block_norm_zero_block():
     case = lc.block_norm_case(np.array([[3.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))
-    assert case.norm_joint_est == pytest.approx(3.0, rel=1e-12)
+    assert case.norm_joint == pytest.approx(3.0, rel=1e-12)
     assert case.ratios["max_over_joint"] == pytest.approx(1.0, rel=1e-12)
+    assert lc.block_norm_case(np.zeros((2, 1)), np.array([[0.0], [2.0]])).norm_joint == 2.0
 
 
 def test_block_norm_random_band():
@@ -257,11 +259,33 @@ def test_block_norm_random_band():
     for _ in range(20):
         A = rng.standard_normal((4, 3))
         B = rng.standard_normal((4, 2))
-        case = lc.block_norm_case(A, B, samples=200, seed=int(rng.integers(1 << 31)))
+        sampled = sampled_block_norm(A, B, samples=200, seed=int(rng.integers(1 << 31)))
+        case = lc.block_norm_case(A, B)
         low = max(case.norm_A, case.norm_B)
         high = case.norm_A + case.norm_B
-        assert low - 1e-9 <= case.norm_joint_est <= high + 1e-9
+        assert low - 1e-9 <= case.norm_joint <= high + 1e-9
         assert 1.0 - 1e-9 <= case.ratios["sum_over_joint"] <= 2.0 + 1e-9
+        assert case.norm_joint >= sampled * (1.0 - 1e-12)
+
+
+def test_block_norm_single_columns_closed_form():
+    # for columns a, b the maximum over |u|, |v| <= 1 sits at a vertex: max ||a +- b||
+    rng = np.random.default_rng(47)
+    cases = []
+    for _ in range(50):
+        rows = int(rng.integers(1, 7))
+        cases.append((rng.standard_normal(rows), 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(rows)))
+    # a orthogonal to b with equal norms: the dual's top eigenvalue repeats at the optimum
+    a = rng.standard_normal(5)
+    b = rng.standard_normal(5)
+    b -= (a @ b) / (a @ a) * a
+    cases.append((a, b * np.linalg.norm(a) / np.linalg.norm(b)))
+    for a, b in cases:
+        expected = max(np.linalg.norm(a + b), np.linalg.norm(a - b))
+        joint = lc.block_norm_case(a[:, None], b[:, None]).norm_joint
+        assert joint == pytest.approx(expected, rel=1e-12)
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    assert lc.block_norm_case(e1, e2).norm_joint == pytest.approx(SQRT2, rel=1e-12)
 
 
 def test_block_norm_rejects_mismatched_rows():

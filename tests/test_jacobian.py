@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import sampled_condition_wrt_A, solved_ensemble
+from conftest import finite_difference_condition, sampled_condition_wrt_A, solved_ensemble
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,7 +232,7 @@ def test_worst_case_parametric(gvl_cache):
     # ||r||/sigma_min = 2 and ||x|| = 2 give upper = 2 sqrt(2); m = n + 1, and
     # [V^t x | ||r|| Sigma^{-1}] = [[2, 1, 0], [0, 0, 2]] has sigma_max = sqrt(5)
     scales = lc.ScaleFactors.absolute()
-    upper = lc.residual_condition_bounds(gvl_cache, lc.geometry(gvl_cache), scales).chi_A_upper
+    upper = lc.residual_condition_bounds(gvl_cache, scales).chi_A_upper
     assert upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
     assert cand.g_value == pytest.approx(math.sqrt(5.0), rel=1e-14)
     assert lc.g_objective(gvl_cache, cand.delta_r) == pytest.approx(cand.g_value, rel=1e-12)
@@ -271,9 +271,9 @@ def test_empirical_parametric_inside_sandwich(gvl_cache):
 
 
 def test_empirical_constructed_only_reaches_lower_bound():
-    for cache, geom in solved_ensemble(15, 79):
+    for cache, _ in solved_ensemble(15, 79):
         scales = lc.ScaleFactors.relative(cache)
-        bounds = lc.residual_condition_bounds(cache, geom, scales)
+        bounds = lc.residual_condition_bounds(cache, scales)
         constructed = scales.scale_A / scales.scale_r * sampled_condition_wrt_A(cache, n_samples=0)
         assert constructed >= bounds.chi_A_upper / SQRT2 * (1.0 - 1e-12)
         assert constructed <= _exact(cache, scales) * (1.0 + 1e-10)
@@ -437,7 +437,7 @@ def test_attaining_degenerate_direction(e1_cache):
 
 def test_finite_difference_e1(e1_cache):
     scales = lc.ScaleFactors.relative(e1_cache)
-    value = lc.finite_difference_condition(
+    value = finite_difference_condition(
         e1_cache.problem, scales, delta=1e-7, samples=200, seed=1
     )
     assert 1.0 <= value <= SQRT2 * (1.0 + 1e-4)
@@ -474,14 +474,14 @@ def test_finite_difference_gvl_displayed_perturbation():
 
 
 def test_finite_difference_stays_below_upper_bound():
-    for cache, geom in solved_ensemble(5, 97, max_kappa_exp=2.0):
+    for cache, _ in solved_ensemble(5, 97, max_kappa_exp=2.0):
         scales = lc.ScaleFactors.relative(cache)
-        value = lc.finite_difference_condition(cache.problem, scales, samples=40, seed=2)
-        upper = lc.residual_condition_bounds(cache, geom, scales).chi_A_upper
+        value = finite_difference_condition(cache.problem, scales, samples=40, seed=2)
+        upper = lc.residual_condition_bounds(cache, scales).chi_A_upper
         assert value <= upper * (1.0 + 1e-4)
 
 
 def test_finite_difference_rejects_rank_losing_step(e1_cache):
     scales = lc.ScaleFactors.relative(e1_cache)
     with pytest.raises(lc.NonFullRank):
-        lc.finite_difference_condition(e1_cache.problem, scales, delta=2.0, samples=1, seed=0)
+        finite_difference_condition(e1_cache.problem, scales, delta=2.0, samples=1, seed=0)

@@ -63,7 +63,7 @@ def test_gvlh_parametric(gvl_cache):
     geom = lc.geometry(gvl_cache)
     stated, sum_bound = lc.gvlh_estimate(geom)
     assert stated == pytest.approx(5.0)
-    est = lc.residual_condition_bounds(gvl_cache, geom, lc.ScaleFactors.b_relative(gvl_cache))
+    est = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.b_relative(gvl_cache))
     actual_sum = est.chi_A_upper + est.chi_b
     assert actual_sum == pytest.approx(2.0 * SQRT2 / math.sqrt(5.0) + 1.0, rel=1e-12)
     assert actual_sum <= sum_bound <= stated
@@ -73,14 +73,14 @@ def test_gvlh_worst_case_ratio():
     cache = lc.solve_least_squares(lc.gvl_example(0.01, 1000.0, 0.0).problem)
     geom = lc.geometry(cache)
     stated, _ = lc.gvlh_estimate(geom)
-    est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.b_relative(cache))
+    est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
     ratio = stated / (est.chi_A_upper + est.chi_b)
     assert abs(ratio - geom.kappa) / geom.kappa < 0.05
 
 
 def test_gvlh_chain_on_ensemble():
     for cache, geom in solved_ensemble(40, 109):
-        est = lc.residual_condition_bounds(cache, geom, lc.ScaleFactors.b_relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
         assert est.chi_A_upper + est.chi_b <= geom.kappa + 1.0 + 1e-9
         assert geom.kappa + 1.0 <= 2.0 * geom.kappa + 1.0
 

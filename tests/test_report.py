@@ -58,7 +58,7 @@ def test_build_report_structure(e1_cache):
 
 def test_build_report_rejects_value_outside_sandwich(e1_cache):
     geom = lc.geometry(e1_cache)
-    upper = lc.residual_condition_bounds(e1_cache, geom, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
+    upper = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
     for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
         with pytest.raises(RuntimeError):
             build_report(e1_cache, geom, value, "relative", lc.compare_table(e1_cache))

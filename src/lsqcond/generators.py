@@ -387,6 +387,8 @@ def block_norm_case(A: np.ndarray, B: np.ndarray) -> BlockNormCase:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] != B.shape[0]:
         raise DimensionMismatch(f"row counts {A.shape[0]} and {B.shape[0]} differ")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("block entries must be finite")
     norm_A, norm_B = _spectral(A), _spectral(B)
     if norm_A == 0.0 or norm_B == 0.0:
         return BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=max(norm_A, norm_B))

@@ -172,6 +172,16 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_complex_matrix_exits_2(tmp_path, capsys):
+    # a real reader must not drop the imaginary parts
+    path = tmp_path / "C.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n3 1\n1 2\n3 4\n5 6\n")
+    mmio.write_vector(tmp_path / "b.txt", np.ones(3))
+    code = run_cli("analyze", "--matrix", str(path), "--rhs", str(tmp_path / "b.txt"))
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_rank_deficient_exits_3(tmp_path, capsys):
     mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     mmio.write_vector(tmp_path / "b.txt", np.ones(3))

@@ -254,6 +254,15 @@ def test_block_norm_zero_block():
     assert lc.block_norm_case(np.zeros((2, 1)), np.array([[0.0], [2.0]])).norm_joint == 2.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["A", "B"])
+def test_block_norm_rejects_non_finite(bad, block):
+    blocks = {"A": np.array([[1.0], [2.0]]), "B": np.array([[0.5, 1.0], [3.0, -1.0]])}
+    blocks[block][0, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        lc.block_norm_case(blocks["A"], blocks["B"])
+
+
 def test_block_norm_random_band():
     rng = np.random.default_rng(43)
     for _ in range(20):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,3 +63,125 @@ def test_read_vector_rejects_multicolumn_text(tmp_path):
     path.write_text("1.0 2.0\n3.0 4.0\n")
     with pytest.raises(ValueError):
         mmio.read_vector(path)
+
+
+# --- the NumPy reader and writer against scipy.io ------------------------------------
+
+SUPPORTED = [
+    (fmt, field, symmetry)
+    for fmt in ("array", "coordinate")
+    for field in ("real", "integer", "pattern")
+    for symmetry in ("general", "symmetric", "skew-symmetric")
+    if (fmt, field) != ("array", "pattern")
+]
+
+
+def _token(rng, field):
+    if field == "integer":
+        return str(int(rng.integers(-50, 51)))
+    return repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6)))
+
+
+def _mm_text(fmt, field, symmetry, seed):
+    """A Matrix Market file with comment and blank lines before the size
+    line and blank lines in the body; coordinate files repeat entries."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    m = n if symmetry != "general" else int(rng.integers(1, 8))
+    lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}", "% a comment", "", "%another"]
+    if fmt == "array":
+        if symmetry == "general":
+            cells = [(i, j) for j in range(n) for i in range(m)]
+        else:
+            k = 0 if symmetry == "symmetric" else 1
+            cells = [(i, j) for j in range(n) for i in range(j + k, n)]
+        lines.append(f"{m} {n}")
+        body = [_token(rng, field) for _ in cells]
+    else:
+        # lower-triangle positions only where symmetry mirrors them, and each
+        # repeated at most once, so every sum has two terms in either order
+        k = {"general": None, "symmetric": 0, "skew-symmetric": 1}[symmetry]
+        cells = [(i, j) for i in range(m) for j in range(n) if k is None or i >= j + k]
+        picks = rng.choice(len(cells), size=min(len(cells), 5), replace=False)
+        chosen = [cells[p] for p in picks] + [cells[picks[0]], cells[picks[-1]]]
+        lines.append(f"{m} {n} {len(chosen)}")
+        body = [
+            f"{i + 1} {j + 1}" + ("" if field == "pattern" else " " + _token(rng, field))
+            for i, j in chosen
+        ]
+    body.insert(len(body) // 2, "")
+    return "\n".join(lines + body) + "\n\n"
+
+
+@pytest.mark.parametrize("fmt,field,symmetry", SUPPORTED)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_read_matches_scipy_mmread(tmp_path, fmt, field, symmetry, seed):
+    import scipy.io
+    import scipy.sparse
+
+    path = tmp_path / "M.mtx"
+    path.write_text(_mm_text(fmt, field, symmetry, seed))
+    expected = scipy.io.mmread(str(path))
+    if scipy.sparse.issparse(expected):
+        expected = expected.toarray()
+    got = mmio.read_matrix(path)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, np.asarray(expected, dtype=float))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 1), (1, 3), (0, 2)])
+def test_write_matches_scipy_mmwrite_bytes(tmp_path, shape):
+    import scipy.io
+
+    special = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e-300, -1e300, 1.0 / 3.0]
+    M = np.resize(np.array(special), shape[0] * shape[1]).reshape(shape)
+    ours, theirs = tmp_path / "ours.mtx", tmp_path / "theirs.mtx"
+    mmio.write_matrix(ours, M)
+    scipy.io.mmwrite(str(theirs), M, precision=17)
+    assert ours.read_bytes() == theirs.read_bytes()
+    got = mmio.read_matrix(ours)
+    np.testing.assert_array_equal(got, M)
+    assert np.array_equal(np.signbit(got), np.signbit(M))
+
+
+MALFORMED = {
+    "truncated body": "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
+    "whitespace-only body": "%%MatrixMarket matrix array real general\n1 1\n\n",
+    "extra entries": "%%MatrixMarket matrix array real general\n2 1\n1\n2\n3\n",
+    "extra coordinate entry": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 1\n",
+    "bad token": "%%MatrixMarket matrix array real general\n2 1\n1\n1,5\n",
+    "comment in body": "%%MatrixMarket matrix array real general\n2 1\n1\n% note\n2\n",
+    "row index out of range": "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n",
+    "column index out of range": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1\n",
+    "zero index": "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n",
+    "fractional index": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1\n",
+    "bad banner": "%%MatrixMarket matrix array reals general\n2 1\n1\n2\n",
+    "no banner": "2 1\n1\n2\n",
+    "short banner": "%%MatrixMarket matrix array real\n2 1\n1\n2\n",
+    "vector object": "%%MatrixMarket vector array real general\n2\n1\n2\n",
+    "missing size line": "%%MatrixMarket matrix array real general\n% only a comment\n",
+    "size line too short": "%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1\n",
+    "negative size": "%%MatrixMarket matrix array real general\n-2 1\n1\n2\n",
+    "complex": "%%MatrixMarket matrix array complex general\n3 1\n1 2\n3 4\n5 6\n",
+    "hermitian": "%%MatrixMarket matrix coordinate complex hermitian\n2 2 1\n2 1 1 2\n",
+    "array pattern": "%%MatrixMarket matrix array pattern general\n2 1\n",
+    "non-square symmetric": "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n4\n5\n6\n",
+    "fractional integer": "%%MatrixMarket matrix array integer general\n2 1\n1.5\n2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_read_matrix_rejects_malformed(tmp_path, case):
+    path = tmp_path / "bad.mtx"
+    path.write_text(MALFORMED[case])
+    with pytest.raises(ValueError, match="bad.mtx"):
+        mmio.read_matrix(path)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(mmio.__file__).resolve().parent.parent
+    code = "import sys, lsqcond.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

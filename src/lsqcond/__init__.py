@@ -47,6 +47,7 @@ from .generators import (
     GvlExpected,
     LanczosStep,
     block_norm_case,
+    block_norm_cases,
     ensemble_specs,
     equilibrate_columns,
     equilibration_experiment,

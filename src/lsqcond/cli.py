@@ -48,7 +48,7 @@ from .core import (
 from .errors import LsqCondError, OutOfRange, ParamOutOfRange
 from .generators import (
     EnsembleSpec,
-    block_norm_case,
+    block_norm_cases,
     ensemble_specs,
     gvl_example,
     lanczos_demo,
@@ -397,6 +397,12 @@ def _suite_sandwich(seed: int, problems: int) -> tuple[bool, str]:
     )
 
 
+def _unit_columns(draws: np.ndarray) -> np.ndarray:
+    """The rows of draws, each scaled to unit 2-norm, as the columns of a
+    block; bitwise what dividing each row by np.linalg.norm gives."""
+    return (draws / np.sqrt(np.vecdot(draws, draws))[:, None]).T
+
+
 def _suite_adjoint(seed: int, problems: int) -> tuple[bool, str]:
     # lhs sums two terms that can cancel, so defects are measured against
     # the magnitudes of those terms, the scale at which rounding occurs
@@ -405,16 +411,18 @@ def _suite_adjoint(seed: int, problems: int) -> tuple[bool, str]:
     for spec in ensemble_specs(20, seed + 2, max_kappa_exp=3.0):
         cache, _ = _solved(spec)
         m, n = cache.problem.m, cache.problem.n
-        for _ in range(20):
-            d = rng.standard_normal(m)
-            d /= np.linalg.norm(d)
-            dA = rng.standard_normal((m, n))
-            dr, _ = apply_residual_jacobian(cache, dA)
-            adj = adjoint_rank2(cache, d)
-            lhs = float(dr @ d)
-            rhs = adj.sign * float(np.sum(dA * adj.matrix()))
-            scale = abs(adj.u1 @ dA @ adj.v1) + abs(adj.u2 @ dA @ adj.v2)
-            worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
+        # row k: the k-th direction, then the k-th perturbation row by row
+        draws = rng.standard_normal((20, m + m * n))
+        D = _unit_columns(draws[:, :m])
+        dA = draws[:, m:].reshape(20, m, n)
+        dr, _ = apply_residual_jacobian(cache, dA)
+        adj = adjoint_rank2(cache, D)
+        lhs = np.einsum("ik,ik->k", dr, D)
+        rhs = adj.sign * np.einsum("kij,kij->k", dA, adj.matrix())
+        scale = np.abs(np.einsum("ik,kij,j->k", adj.u1, dA, adj.v1)) + np.abs(
+            np.einsum("i,kij,jk->k", adj.u2, dA, adj.v2)
+        )
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-30))))
     return worst <= 1e-12, f"worst adjoint-identity defect {worst:.2e} (tol 1e-12)"
 
 
@@ -423,17 +431,17 @@ def _suite_dual_norm(seed: int, problems: int) -> tuple[bool, str]:
     worst_eq = 0.0
     for spec in ensemble_specs(20, seed + 3, max_kappa_exp=3.0):
         cache, _ = _solved(spec)
-        for _ in range(25):
-            d = rng.standard_normal(cache.problem.m)
-            d /= np.linalg.norm(d)
-            g = g_objective(cache, d)
-            nn = nuclear_norm(adjoint_rank2(cache, d).matrix())
-            worst_eq = max(worst_eq, abs(g - nn) / max(nn, 1e-30))
-            dc = canonicalize_direction(cache, d)
-            L, U = sandwich_bounds(cache, dc)
-            gc = g_objective(cache, dc)
-            if not (L - 1e-10 <= gc <= U + 1e-10):
-                return False, f"canonical sandwich violated: L={L} g={gc} U={U}"
+        D = _unit_columns(rng.standard_normal((25, cache.problem.m)))
+        g = g_objective(cache, D)
+        nn = nuclear_norm(adjoint_rank2(cache, D).matrix())
+        worst_eq = max(worst_eq, float(np.max(np.abs(g - nn) / np.maximum(nn, 1e-30))))
+        Dc = canonicalize_direction(cache, D)
+        L, U = sandwich_bounds(cache, Dc)
+        gc = g_objective(cache, Dc)
+        outside = np.flatnonzero(~((L - 1e-10 <= gc) & (gc <= U + 1e-10)))
+        if outside.size:
+            k = outside[0]
+            return False, f"canonical sandwich violated: L={float(L[k])} g={float(gc[k])} U={float(U[k])}"
     return worst_eq <= 1e-10, f"worst |g - nuclear|/nuclear = {worst_eq:.2e} (tol 1e-10)"
 
 
@@ -510,12 +518,14 @@ def _suite_projection(seed: int, problems: int) -> tuple[bool, str]:
 
 def _suite_block_norm(seed: int, problems: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed + 9)
+    pairs = []
     for _ in range(100):
         rows = int(rng.integers(1, 7))
         A = rng.standard_normal((rows, int(rng.integers(1, 5))))
         B = rng.standard_normal((rows, int(rng.integers(1, 5))))
         rng.integers(0, 2**31)  # discarded draw; it fixes which pairs each --seed checks
-        case = block_norm_case(A, B)
+        pairs.append((A, B))
+    for case in block_norm_cases(pairs):
         hi = case.norm_A + case.norm_B
         lo = max(case.norm_A, case.norm_B)
         if not lo - 1e-6 <= case.norm_joint <= hi + 1e-6:

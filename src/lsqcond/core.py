@@ -104,7 +104,8 @@ class LsCache:
     """Factorized state of a solved problem, shared by all analyses.
 
     Immutable after construction and safe for concurrent readers. All
-    applier methods go through the stored SVD.
+    applier methods go through the stored SVD; the 2-norms of b, r, Ax and
+    x are computed once, when the problem is solved.
     """
 
     problem: LsProblem
@@ -112,22 +113,12 @@ class LsCache:
     r: np.ndarray
     Ax: np.ndarray
     svd: SpectralData
+    norm_b: float
+    norm_r: float
+    norm_Ax: float
+    norm_x: float
 
-    @property
-    def norm_b(self) -> float:
-        return float(np.linalg.norm(self.problem.b))
-
-    @property
-    def norm_r(self) -> float:
-        return float(np.linalg.norm(self.r))
-
-    @property
-    def norm_Ax(self) -> float:
-        return float(np.linalg.norm(self.Ax))
-
-    @property
-    def norm_x(self) -> float:
-        return float(np.linalg.norm(self.x))
+    # each applier takes a vector or a block whose columns are vectors
 
     def apply_proj(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto col(A)."""
@@ -137,17 +128,20 @@ class LsCache:
     def apply_pinv(self, v: np.ndarray) -> np.ndarray:
         """Pseudoinverse application (A^t A)^{-1} A^t v = V diag(1/s) U^t v."""
         d = self.svd
-        return d.right_vectors @ ((d.left_vectors.T @ np.asarray(v, dtype=float)) / d.singular_values)
+        v = np.asarray(v, dtype=float)
+        return d.right_vectors @ ((d.left_vectors.T @ v) / _rows(d.singular_values, v))
 
     def apply_pinv_transpose(self, w: np.ndarray) -> np.ndarray:
         """A (A^t A)^{-1} w = U diag(1/s) V^t w."""
         d = self.svd
-        return d.left_vectors @ ((d.right_vectors.T @ np.asarray(w, dtype=float)) / d.singular_values)
+        w = np.asarray(w, dtype=float)
+        return d.left_vectors @ ((d.right_vectors.T @ w) / _rows(d.singular_values, w))
 
     def apply_gram_inverse(self, w: np.ndarray) -> np.ndarray:
         """(A^t A)^{-1} w = V diag(1/s^2) V^t w."""
         d = self.svd
-        return d.right_vectors @ ((d.right_vectors.T @ np.asarray(w, dtype=float)) / d.singular_values**2)
+        w = np.asarray(w, dtype=float)
+        return d.right_vectors @ ((d.right_vectors.T @ w) / _rows(d.singular_values**2, w))
 
     def self_check(self) -> dict[str, float]:
         """Relative defect measures for the solve postconditions.
@@ -166,13 +160,28 @@ class LsCache:
         return {"orthogonality": ortho, "pythagoras": pythag, "idempotence": idem}
 
 
+def _rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """s shaped to scale the rows of v, a vector or a block of columns."""
+    return s.reshape((-1,) + (1,) * (v.ndim - 1))
+
+
 def solve_least_squares(problem: LsProblem) -> LsCache:
-    """Solve the problem via the SVD and cache the factorized state."""
+    """Solve the problem via the SVD and cache the factorized state and norms."""
     svd = spectral_data(problem.A)
     x = svd.right_vectors @ ((svd.left_vectors.T @ problem.b) / svd.singular_values)
     Ax = problem.A @ x
     r = problem.b - Ax
-    return LsCache(problem=problem, x=x, r=r, Ax=Ax, svd=svd)
+    return LsCache(
+        problem=problem,
+        x=x,
+        r=r,
+        Ax=Ax,
+        svd=svd,
+        norm_b=float(np.linalg.norm(problem.b)),
+        norm_r=float(np.linalg.norm(r)),
+        norm_Ax=float(np.linalg.norm(Ax)),
+        norm_x=float(np.linalg.norm(x)),
+    )
 
 
 @dataclass(frozen=True)
@@ -222,15 +231,17 @@ def geometry(cache: LsCache) -> Geometry:
     )
 
 
-def nuclear_norm(M: np.ndarray) -> float:
+def nuclear_norm(M: np.ndarray) -> float | np.ndarray:
     """Sum of the singular values of M, including multiplicities.
 
-    This is the dual of the spectral norm under the Frobenius pairing.
+    This is the dual of the spectral norm under the Frobenius pairing. A
+    (k, m, n) stack gives an array of k values, one per matrix.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
-    return float(np.linalg.svd(M, compute_uv=False).sum())
+    values = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    return float(values) if M.ndim == 2 else values
 
 
 def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:

@@ -114,14 +114,17 @@ class EnsembleSpec:
     def __post_init__(self):
         if not self.n >= 1 or not self.m >= self.n + 1:
             raise ParamOutOfRange(f"need m >= n + 1 >= 2, got m={self.m}, n={self.n}")
-        sv = np.asarray(self.singular_values, dtype=float)
-        if sv.shape != (self.n,) or not np.all(sv > 0.0) or not np.isfinite(sv).all():
+        try:
+            sv = tuple(float(s) for s in self.singular_values)
+        except (TypeError, ValueError):
+            sv = ()
+        if len(sv) != self.n or not all(0.0 < s < math.inf for s in sv):
             raise ParamOutOfRange(f"need {self.n} positive singular values")
         if not 0.0 < self.theta < math.pi / 2.0:
             raise ParamOutOfRange(f"theta must be in (0, pi/2), got {self.theta}")
         if not 0.0 <= self.mix <= 1.0:
             raise ParamOutOfRange(f"mix must be in [0, 1], got {self.mix}")
-        object.__setattr__(self, "singular_values", tuple(float(s) for s in sv))
+        object.__setattr__(self, "singular_values", sv)
 
 
 def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -159,6 +162,15 @@ def random_problem(spec: EnsembleSpec) -> LsProblem:
     return LsProblem(A, b)
 
 
+def _geometric(stop: float, n: int) -> tuple[float, ...]:
+    """n >= 2 values from 1 to stop in geometric progression, bitwise equal
+    to np.geomspace(1.0, stop, n) (the same arithmetic without its
+    general-purpose overhead)."""
+    sv = 10.0 ** (np.arange(n) * (float(np.log10(stop)) / (n - 1)))
+    sv[0], sv[-1] = 1.0, stop
+    return tuple(sv.tolist())
+
+
 def ensemble_specs(
     count: int,
     seed: int,
@@ -180,7 +192,7 @@ def ensemble_specs(
         if n == 1:
             sv: tuple[float, ...] = (1.0,)
         else:
-            sv = tuple(np.geomspace(1.0, 10.0 ** -rng.uniform(0.0, max_kappa_exp), n))
+            sv = _geometric(10.0 ** -rng.uniform(0.0, max_kappa_exp), n)
         specs.append(
             EnsembleSpec(
                 m=m,
@@ -368,8 +380,8 @@ def _spectral(M: np.ndarray) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def block_norm_case(A: np.ndarray, B: np.ndarray) -> BlockNormCase:
-    """Exact max ||A u + B v||_2 over max(||u||, ||v||) = 1.
+def block_norm_cases(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[BlockNormCase]:
+    """Exact max ||A u + B v||_2 over max(||u||, ||v||) = 1, for each pair (A, B).
 
     By duality the maximum is max over unit w of ||A^t w|| + ||B^t w||.
     Writing (alpha + beta)^2 = min over 0 < t < 1 of
@@ -382,34 +394,64 @@ def block_norm_case(A: np.ndarray, B: np.ndarray) -> BlockNormCase:
     gives an upper bound, and the objective is convex in t and unbounded at
     both ends, so a golden-section search brackets the minimizer to 1e-15.
     A zero block leaves the other block's norm.
+
+    The searches of all pairs run in lockstep, one stacked eigvalsh per
+    step: the Gram matrices are padded with zeros to a common size, which
+    leaves lambda_max unchanged, and a pair whose bracket is already
+    narrower than 1e-15 stops moving, so each pair takes the steps of its
+    own search.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[0] != B.shape[0]:
-        raise DimensionMismatch(f"row counts {A.shape[0]} and {B.shape[0]} differ")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("block entries must be finite")
-    norm_A, norm_B = _spectral(A), _spectral(B)
-    if norm_A == 0.0 or norm_B == 0.0:
-        return BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=max(norm_A, norm_B))
-    # Gram matrices of the blocks scaled to norm at most 1, clear of overflow
-    scale = max(norm_A, norm_B)
-    GA = (A / scale) @ (A / scale).T
-    GB = (B / scale) @ (B / scale).T
+    cases = []
+    searches = []  # (index into cases, scale, scaled Gram matrices of A and B)
+    for A, B in pairs:
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        if A.shape[0] != B.shape[0]:
+            raise DimensionMismatch(f"row counts {A.shape[0]} and {B.shape[0]} differ")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ValueError("block entries must be finite")
+        norm_A, norm_B = _spectral(A), _spectral(B)
+        cases.append(BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=max(norm_A, norm_B)))
+        if norm_A > 0.0 and norm_B > 0.0:
+            # blocks scaled to norm at most 1, so the Grams cannot overflow
+            scale = max(norm_A, norm_B)
+            searches.append((len(cases) - 1, scale, (A / scale) @ (A / scale).T, (B / scale) @ (B / scale).T))
+    if not searches:
+        return cases
+    size = max(ga.shape[0] for _, _, ga, _ in searches)
+    GA = np.zeros((len(searches), size, size))
+    GB = np.zeros_like(GA)
+    for k, (_, _, ga, gb) in enumerate(searches):
+        GA[k, : ga.shape[0], : ga.shape[0]] = ga
+        GB[k, : gb.shape[0], : gb.shape[0]] = gb
 
-    def dual(t: float) -> float:
-        return float(np.linalg.eigvalsh(GA / t + GB / (1.0 - t))[-1])
+    def dual(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        t = t[:, None, None]
+        return np.linalg.eigvalsh(GA[idx] / t + GB[idx] / (1.0 - t))[:, -1]
 
-    lo, hi = 0.0, 1.0
-    c, d = 1.0 - _INVPHI, _INVPHI
-    fc, fd = dual(c), dual(d)
-    while hi - lo > 1e-15:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = dual(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = dual(d)
-    return BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=scale * math.sqrt(min(fc, fd)))
+    every = np.arange(len(searches))
+    lo, hi = np.zeros(len(searches)), np.ones(len(searches))
+    c, d = np.full(len(searches), 1.0 - _INVPHI), np.full(len(searches), _INVPHI)
+    fc, fd = dual(c, every), dual(d, every)
+    while (on := hi - lo > 1e-15).any():
+        left = on & (fc <= fd)
+        right = on & ~left
+        # left: the minimizer lies in [lo, d]; d becomes hi and c becomes d
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
+        # right: the minimizer lies in [c, hi]; c becomes lo and d becomes c
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
+        idx = np.flatnonzero(on)
+        f = dual(np.where(left, c, d)[idx], idx)
+        fc[idx] = np.where(left[idx], f, fc[idx])
+        fd[idx] = np.where(left[idx], fd[idx], f)
+    for k, (i, scale, _, _) in enumerate(searches):
+        joint = scale * math.sqrt(min(fc[k], fd[k]))
+        cases[i] = BlockNormCase(norm_A=cases[i].norm_A, norm_B=cases[i].norm_B, norm_joint=joint)
+    return cases
+
+
+def block_norm_case(A: np.ndarray, B: np.ndarray) -> BlockNormCase:
+    """The exact joint norm of one pair; see block_norm_cases."""
+    return block_norm_cases([(A, B)])[0]

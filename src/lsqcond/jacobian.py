@@ -17,6 +17,10 @@ cos(theta_u - theta_v) >= 0 without changing L, U, or the attainable
 maximum. The maximum itself has a closed form (see worst_case_direction):
 it equals U's maximum when m >= n + 2 and is the largest singular value of
 an n x (n + 1) matrix when m = n + 1.
+
+The direction functions take one direction of length m or an (m, k) block
+whose columns are directions. A block gives one value per column, as an
+array; a single direction gives floats.
 """
 
 from __future__ import annotations
@@ -37,12 +41,15 @@ def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> tuple[np.ndarray,
 
     dr = -(I - P) dA x - A (A^t A)^{-1} dA^t r
     dx = -(A^t A)^{-1} A^t dA x + (A^t A)^{-1} dA^t r
+
+    A (k, m, n) stack of perturbations gives (m, k) and (n, k) blocks, one
+    column per perturbation.
     """
     dA = np.asarray(dA, dtype=float)
-    if dA.shape != cache.problem.A.shape:
+    if dA.ndim not in (2, 3) or dA.shape[-2:] != cache.problem.A.shape:
         raise DimensionMismatch(f"perturbation shape {dA.shape} != {cache.problem.A.shape}")
-    dAx = dA @ cache.x
-    dAtr = dA.T @ cache.r
+    dAx = (dA @ cache.x).T
+    dAtr = (np.swapaxes(dA, -1, -2) @ cache.r).T
     dr = -(dAx - cache.apply_proj(dAx)) - cache.apply_pinv_transpose(dAtr)
     dx = -cache.apply_pinv(dAx) + cache.apply_gram_inverse(dAtr)
     return dr, dx
@@ -64,18 +71,20 @@ class Rank2Adjoint:
     sign: float = -1.0
 
     def matrix(self) -> np.ndarray:
-        return np.outer(self.u1, self.v1) + np.outer(self.u2, self.v2)
+        """u1 v1^t + u2 v2^t; a (k, m, n) stack for a block of directions."""
+        return self.u1.T[..., :, None] * self.v1 + self.u2[:, None] * self.v2.T[..., None, :]
 
 
 def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
     """Adjoint factors for a residual-space direction.
 
     Satisfies <dr(dA), delta_r> = sign * <dA, u1 v1^t + u2 v2^t>_F for
-    every conformable dA.
+    every conformable dA. For an (m, k) block, u1 and v2 are blocks with
+    one column per direction, and v1 = x and u2 = r are shared.
     """
-    delta_r = np.asarray(delta_r, dtype=float).ravel()
-    if delta_r.shape != (cache.problem.m,):
-        raise DimensionMismatch(f"direction length {delta_r.size} != {cache.problem.m}")
+    delta_r = np.asarray(delta_r, dtype=float)
+    if delta_r.ndim not in (1, 2) or delta_r.shape[0] != cache.problem.m:
+        raise DimensionMismatch(f"direction shape {delta_r.shape} does not have {cache.problem.m} rows")
     return Rank2Adjoint(
         u1=delta_r - cache.apply_proj(delta_r),
         v1=cache.x,
@@ -84,49 +93,65 @@ def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
     )
 
 
-def _products_and_cosines(adj: Rank2Adjoint) -> tuple[float, float, float, float, float, float]:
-    """Norm products a = ||u1|| ||v1||, b = ||u2|| ||v2|| together with the
-    cosine and sine of theta_u = angle(u1, u2) and theta_v = angle(v1, v2).
+def _value(v) -> float | np.ndarray:
+    """A float for a single direction, the array for a block."""
+    return float(v) if np.ndim(v) == 0 else v
 
-    The sines come from orthogonal rejections rather than sqrt(1 - c^2), so
-    they stay accurate to machine precision when an angle is near 0 or pi
-    (which happens systematically, e.g. for m = n + 1 where the residual
-    complement is one-dimensional). A zero factor returns (1, 0) for its
-    angle; the corresponding cross term vanishes anyway.
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", X, X))
+
+
+def _cos_sin(p: np.ndarray, norm_p: np.ndarray, q: np.ndarray, norm_q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of the angle between each row p of a stack (or one
+    vector p) and the vector q, given their norms.
+
+    The sine is the norm of the rejection of q-hat from p-hat rather than
+    sqrt(1 - c^2), so it stays accurate to machine precision when the angle
+    is near 0 or pi. A zero factor gives (1, 0).
     """
-    nu1, nv1 = float(np.linalg.norm(adj.u1)), float(np.linalg.norm(adj.v1))
-    nu2, nv2 = float(np.linalg.norm(adj.u2)), float(np.linalg.norm(adj.v2))
-    a = nu1 * nv1
-    b = nu2 * nv2
-    cu, su = 1.0, 0.0
-    if nu1 > 0.0 and nu2 > 0.0:
-        u1h, u2h = adj.u1 / nu1, adj.u2 / nu2
-        cu = float(u1h @ u2h)
-        su = float(np.linalg.norm(u1h - cu * u2h))
-    cv, sv = 1.0, 0.0
-    if nv1 > 0.0 and nv2 > 0.0:
-        v1h, v2h = adj.v1 / nv1, adj.v2 / nv2
-        cv = float(v1h @ v2h)
-        sv = float(np.linalg.norm(v2h - cv * v1h))
-    return a, b, cu, su, cv, sv
+    ph = p / np.where(norm_p > 0.0, norm_p, 1.0)[..., None]
+    qh = q / (norm_q if norm_q > 0.0 else 1.0)
+    c = ph @ qh
+    s = _norms(ph - c[..., None] * qh)
+    both = (norm_p > 0.0) & (norm_q > 0.0)
+    return np.where(both, c, 1.0), np.where(both, s, 0.0)
 
 
-def g_objective(cache: LsCache, delta_r: np.ndarray) -> float:
+def _products_and_cosines(adj: Rank2Adjoint) -> tuple[np.ndarray, ...]:
+    """Norm products a = ||u1|| ||v1||, b = ||u2|| ||v2|| together with the
+    cosine and sine of theta_u = angle(u1, u2) and theta_v = angle(v1, v2),
+    one of each per direction.
+
+    The sines come from orthogonal rejections (see _cos_sin), which matters
+    because angles near 0 or pi occur systematically, e.g. for m = n + 1
+    where the residual complement is one-dimensional. A zero factor gives
+    (1, 0) for its angle; the corresponding cross term vanishes anyway.
+    """
+    # directions along the last axis; v1 = x and u2 = r are single vectors
+    u1, v2 = adj.u1.T, adj.v2.T
+    nu1, nv2 = _norms(u1), _norms(v2)
+    nv1, nu2 = float(_norms(adj.v1)), float(_norms(adj.u2))
+    cu, su = _cos_sin(u1, nu1, adj.u2, nu2)
+    cv, sv = _cos_sin(v2, nv2, adj.v1, nv1)
+    return nu1 * nv1, nu2 * nv2, cu, su, cv, sv
+
+
+def g_objective(cache: LsCache, delta_r: np.ndarray) -> float | np.ndarray:
     """Dual-norm objective: the nuclear norm of the rank-2 adjoint matrix.
 
     Evaluated via the closed form
     sqrt(a^2 + b^2 + 2 a b cos(theta_u - theta_v)) with the products and
     angles of the adjoint factors; agrees with an SVD of the rank-2 matrix.
-    Expects a unit direction (the objective is positively homogeneous).
+    Expects unit directions (the objective is positively homogeneous).
     """
     a, b, cu, su, cv, sv = _products_and_cosines(adjoint_rank2(cache, delta_r))
-    if a == 0.0 or b == 0.0:
-        return math.hypot(a, b)
-    cos_diff = cu * cv + su * sv
-    return math.sqrt(max(a * a + b * b + 2.0 * a * b * cos_diff, 0.0))
+    closed = np.sqrt(np.maximum(a * a + b * b + 2.0 * a * b * (cu * cv + su * sv), 0.0))
+    return _value(np.where((a == 0.0) | (b == 0.0), np.hypot(a, b), closed))
 
 
-def sandwich_bounds(cache: LsCache, delta_r: np.ndarray) -> tuple[float, float]:
+def sandwich_bounds(cache: LsCache, delta_r: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Two-sided bounds (L, U) on the objective at a direction:
 
     L = sqrt(a^2 + b^2) <= g <= a + b = U, with U <= sqrt(2) L whenever
@@ -134,39 +159,33 @@ def sandwich_bounds(cache: LsCache, delta_r: np.ndarray) -> tuple[float, float]:
     to be sign-canonical (see canonicalize_direction).
     """
     a, b, _, _, _, _ = _products_and_cosines(adjoint_rank2(cache, delta_r))
-    return math.hypot(a, b), a + b
+    return _value(np.hypot(a, b)), _value(a + b)
 
 
 def canonicalize_direction(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     """Flip the sign of the component of delta_r along r when that raises
-    the objective.
+    the objective; a block is canonicalized column by column.
 
     The flip maps theta_u to pi - theta_u and leaves L and U unchanged, so
     of the two sign choices the better one always has
     cos(theta_u - theta_v) >= 0, which makes L <= g hold pointwise. The
     maximum over the unit sphere is unaffected.
     """
-    delta_r = np.asarray(delta_r, dtype=float).ravel()
+    delta_r = np.asarray(delta_r, dtype=float)
     adj = adjoint_rank2(cache, delta_r)
     # same-quadrant test: flip iff cos(theta_u) * cos(theta_v) < 0
-    if (adj.u1 @ adj.u2) * (adj.v1 @ adj.v2) < 0.0:
-        rhat = cache.r / cache.norm_r
-        return delta_r - 2.0 * (rhat @ delta_r) * rhat
-    return delta_r
+    flip = (adj.u1.T @ adj.u2) * (adj.v2.T @ adj.v1) < 0.0
+    rhat = cache.r / cache.norm_r
+    D = delta_r.T
+    return np.where(flip[..., None], D - 2.0 * (D @ rhat)[..., None] * rhat, D).T
 
 
 @dataclass(frozen=True)
 class DirectionCandidate:
-    """A unit residual-space direction with its objective value and bounds.
-
-    Directions produced by this module are sign-canonical, so
-    L_value <= g_value <= U_value holds for every candidate.
-    """
+    """A unit residual-space direction with its objective value."""
 
     delta_r: np.ndarray
     g_value: float
-    L_value: float
-    U_value: float
 
 
 def _require_geometry(cache: LsCache) -> None:
@@ -230,8 +249,7 @@ def worst_case_direction(cache: LsCache) -> DirectionCandidate:
         _, sv, Wt = np.linalg.svd(M)
         d = Wt[0, 0] * rhat + svd.left_vectors @ Wt[0, 1:]
         value = float(sv[0])
-    L, U = sandwich_bounds(cache, d)
-    return DirectionCandidate(delta_r=d, g_value=value, L_value=L, U_value=U)
+    return DirectionCandidate(delta_r=d, g_value=value)
 
 
 def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
@@ -240,8 +258,11 @@ def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     With the thin SVD u1 v1^t + u2 v2^t = Uh Sh Vh^t, the matrix
     dA = -(Uh Vh^t) has ||dA||_2 = 1 and satisfies
     <apply_residual_jacobian(dA).dr, delta_r> = g(delta_r), which forces
-    ||dr|| >= g(delta_r) for a unit direction.
+    ||dr|| >= g(delta_r) for a unit direction. Takes one direction, not a
+    block.
     """
+    if np.ndim(delta_r) != 1:
+        raise DimensionMismatch(f"need one direction, got shape {np.shape(delta_r)}")
     adj = adjoint_rank2(cache, delta_r)
     M = adj.matrix()
     Uh, sh, Vht = np.linalg.svd(M, full_matrices=False)

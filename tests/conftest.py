@@ -171,3 +171,32 @@ def sampled_block_norm(A, B, samples=500, seed=0):
             u, v = pair_from_codomain(w / nw)
         best = max(best, objective(u, v))
     return best
+
+
+def golden_section_block_norm(A, B):
+    """One pair's golden-section search on the dual of the joint norm, one
+    scalar eigvalsh per step: the search that block_norm_cases runs for
+    every pair at once. For nonzero blocks only."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    scale = max(np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    GA = (A / scale) @ (A / scale).T
+    GB = (B / scale) @ (B / scale).T
+
+    def dual(t):
+        return float(np.linalg.eigvalsh(GA / t + GB / (1.0 - t))[-1])
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    c, d = 1.0 - invphi, invphi
+    fc, fd = dual(c), dual(d)
+    while hi - lo > 1e-15:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = dual(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = dual(d)
+    return scale * math.sqrt(min(fc, fd))

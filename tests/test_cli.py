@@ -85,6 +85,96 @@ def test_verify_adjoint_suite_passes_on_cancelling_seeds(seed):
     assert ok, detail
 
 
+def _record_calls(monkeypatch, name):
+    """Arguments of every call that cli makes to its function `name`."""
+    import lsqcond.cli as cli_mod
+
+    calls = []
+    real = getattr(cli_mod, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, name, recorded)
+    return calls
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def test_verify_block_draws_equal_per_iteration_draws(monkeypatch):
+    # a block draw takes the same stream in the same order as one draw per
+    # direction, so each --seed checks the directions, perturbations and
+    # pairs that the one-at-a-time loops checked
+    import lsqcond.cli as cli_mod
+
+    suites, seed = dict(cli_mod._SUITES), 7
+    adjoints = _record_calls(monkeypatch, "adjoint_rank2")
+    jacobians = _record_calls(monkeypatch, "apply_residual_jacobian")
+    assert suites["adjoint-identity"](seed, 200)[0]
+    assert len(adjoints) == len(jacobians) == 20
+    rng = np.random.default_rng(seed + 2)
+    for (cache, D), (_, dA) in zip(adjoints, jacobians):
+        m, n = cache.problem.m, cache.problem.n
+        assert D.shape == (m, 20) and dA.shape == (20, m, n)
+        for k in range(20):
+            assert np.array_equal(D[:, k], _unit(rng.standard_normal(m)))
+            assert np.array_equal(dA[k], rng.standard_normal((m, n)))
+
+    objectives = _record_calls(monkeypatch, "g_objective")
+    assert suites["dual-norm-identity"](seed, 200)[0]
+    assert len(objectives) == 40  # each block, then its canonical form
+    rng = np.random.default_rng(seed + 3)
+    for cache, D in objectives[::2]:
+        assert D.shape == (cache.problem.m, 25)
+        for k in range(25):
+            assert np.array_equal(D[:, k], _unit(rng.standard_normal(cache.problem.m)))
+
+    batches = _record_calls(monkeypatch, "block_norm_cases")
+    assert suites["block-norm-band"](seed, 200)[0]
+    ((pairs,),) = batches
+    assert len(pairs) == 100
+    rng = np.random.default_rng(seed + 9)
+    for A, B in pairs:
+        rows = int(rng.integers(1, 7))
+        assert np.array_equal(A, rng.standard_normal((rows, int(rng.integers(1, 5)))))
+        assert np.array_equal(B, rng.standard_normal((rows, int(rng.integers(1, 5)))))
+        rng.integers(0, 2**31)
+
+
+def test_verify_fails_on_a_perturbed_objective(monkeypatch, capsys):
+    import lsqcond.cli as cli_mod
+
+    real = cli_mod.g_objective
+    monkeypatch.setattr(cli_mod, "g_objective", lambda cache, D: real(cache, D) * (1.0 + 1e-9))
+    assert run_cli("verify", "--seed", "1") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] dual-norm-identity" in out and out.count("[FAIL]") == 1
+
+
+@pytest.mark.parametrize("push", ["above", "below"])
+def test_verify_fails_on_a_joint_norm_outside_its_band(monkeypatch, capsys, push):
+    import dataclasses
+
+    import lsqcond.cli as cli_mod
+
+    real = cli_mod.block_norm_cases
+
+    def pushed(pairs):
+        cases = real(pairs)
+        c = cases[37]
+        joint = c.norm_A + c.norm_B + 1e-5 if push == "above" else max(c.norm_A, c.norm_B) - 1e-5
+        cases[37] = dataclasses.replace(c, norm_joint=joint)
+        return cases
+
+    monkeypatch.setattr(cli_mod, "block_norm_cases", pushed)
+    assert run_cli("verify", "--seed", "1") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] block-norm-band: joint norm" in out and out.count("[FAIL]") == 1
+
+
 def test_compare_text_and_csv(gvl_case, capsys):
     assert run_cli("compare", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")) == 0
     text = capsys.readouterr().out

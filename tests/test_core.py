@@ -36,6 +36,27 @@ def test_solve_matches_normal_equations_oracle():
     assert abs(cache.norm_Ax**2 + cache.norm_r**2 - nb2) <= 1e-12 * nb2
 
 
+def test_cached_norms_are_the_norms_of_the_stored_vectors():
+    for cache, _ in solved_ensemble(10, 5):
+        assert cache.norm_b == float(np.linalg.norm(cache.problem.b))
+        assert cache.norm_r == float(np.linalg.norm(cache.r))
+        assert cache.norm_Ax == float(np.linalg.norm(cache.Ax))
+        assert cache.norm_x == float(np.linalg.norm(cache.x))
+
+
+def test_appliers_take_blocks_of_columns():
+    cache = next(solved_ensemble(1, 11))[0]
+    m, n = cache.problem.m, cache.problem.n
+    rng = np.random.default_rng(11)
+    V, W = rng.standard_normal((m, 3)), rng.standard_normal((n, 3))
+    for apply, X in ((cache.apply_proj, V), (cache.apply_pinv, V), (cache.apply_pinv_transpose, W),
+                     (cache.apply_gram_inverse, W)):  # fmt: skip
+        block = apply(X)
+        for j in range(3):
+            single = apply(X[:, j].copy())
+            assert block[:, j] == pytest.approx(single, rel=1e-12, abs=1e-12 * np.linalg.norm(single))
+
+
 def test_solve_invariants_on_ensemble():
     for cache, _ in solved_ensemble(50, 3, max_kappa_exp=3.0):
         defects = cache.self_check()
@@ -170,6 +191,17 @@ def test_nuclear_norm_bounds_spectral():
         spectral = np.linalg.norm(M, 2)
         rank = np.linalg.matrix_rank(M)
         assert spectral - 1e-12 <= lc.nuclear_norm(M) <= rank * spectral + 1e-12
+
+
+def test_nuclear_norm_of_a_stack():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((4, 5, 3))
+    values = lc.nuclear_norm(stack)
+    assert values.shape == (4,)
+    for M, value in zip(stack, values):
+        assert value == pytest.approx(lc.nuclear_norm(M), rel=1e-14)
+    with pytest.raises(ValueError):
+        lc.nuclear_norm(np.full((2, 2, 2), np.nan))
 
 
 # --- projector difference ----------------------------------------------------

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import sampled_block_norm
+from conftest import golden_section_block_norm, sampled_block_norm
+from lsqcond.generators import _geometric
 
 SQRT2 = math.sqrt(2.0)
 
@@ -118,6 +121,26 @@ def test_ensemble_spec_validation():
         lc.EnsembleSpec(5, 2, (1.0, 0.5), 0.0, 0.5, 1)
     with pytest.raises(lc.ParamOutOfRange):
         lc.EnsembleSpec(5, 2, (1.0, 0.5), 0.5, 1.5, 1)
+    for sv in ((1.0,), (1.0, 0.5, 0.25), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, "x"), 1.0):
+        with pytest.raises(lc.ParamOutOfRange):
+            lc.EnsembleSpec(5, 2, sv, 0.5, 0.5, 1)
+    spec = lc.EnsembleSpec(5, 2, [np.float64(1.0), "0.5"], 0.5, 0.5, 1)
+    assert spec.singular_values == (1.0, 0.5) and all(type(s) is float for s in spec.singular_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 12), exponent=st.floats(0.0, 12.0, exclude_min=True))
+def test_geometric_spectrum_is_bitwise_geomspace(n, exponent):
+    stop = 10.0**-exponent
+    assert _geometric(stop, n) == tuple(np.geomspace(1.0, stop, n).tolist())
+
+
+def test_ensemble_spectra_are_bitwise_geomspace():
+    for seed in range(3):
+        for spec in lc.ensemble_specs(200, seed, max_n=12, max_kappa_exp=12.0):
+            sv = spec.singular_values
+            if spec.n > 1:
+                assert sv == tuple(np.geomspace(1.0, sv[-1], spec.n).tolist())
 
 
 # --- Lanczos demo -----------------------------------------------------------------
@@ -300,3 +323,38 @@ def test_block_norm_single_columns_closed_form():
 def test_block_norm_rejects_mismatched_rows():
     with pytest.raises(lc.DimensionMismatch):
         lc.block_norm_case(np.ones((2, 2)), np.ones((3, 2)))
+    with pytest.raises(lc.DimensionMismatch):
+        lc.block_norm_cases([(np.ones((2, 2)), np.ones((2, 1))), (np.ones((2, 2)), np.ones((3, 2)))])
+
+
+def test_block_norm_cases_take_each_pair_through_its_own_search():
+    # without padding (one row count) the lockstep search must reproduce
+    # every pair's one-at-a-time search bit for bit, and so must a single pair
+    rng = np.random.default_rng(59)
+    pairs = [(rng.standard_normal((4, int(rng.integers(1, 5)))), rng.standard_normal((4, int(rng.integers(1, 5)))))
+             for _ in range(60)]  # fmt: skip
+    for (A, B), case in zip(pairs, lc.block_norm_cases(pairs)):
+        expected = golden_section_block_norm(A, B)
+        assert case.norm_joint == expected
+        assert lc.block_norm_case(A, B).norm_joint == expected
+
+
+def test_block_norm_cases_match_single_pairs():
+    # the lockstep search pads the Gram matrices to the largest row count;
+    # each pair must still get the value of its own search
+    rng = np.random.default_rng(53)
+    pairs = []
+    for k in range(150):
+        rows = int(rng.integers(1, 9))
+        A = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((rows, int(rng.integers(1, 5))))
+        B = rng.standard_normal((rows, int(rng.integers(1, 5))))
+        pairs.append((0.0 * A if k % 10 == 3 else A, 0.0 * B if k % 10 == 7 else B))
+    pairs.append((np.zeros((3, 2)), np.zeros((3, 1))))
+    cases = lc.block_norm_cases(pairs)
+    assert len(cases) == len(pairs)
+    for (A, B), case in zip(pairs, cases):
+        single = lc.block_norm_case(A, B)
+        assert (case.norm_A, case.norm_B) == (single.norm_A, single.norm_B)
+        assert abs(case.norm_joint - single.norm_joint) <= 1e-15 * single.norm_joint
+    assert cases[-1].norm_joint == 0.0
+    assert lc.block_norm_cases([]) == []

@@ -222,7 +222,8 @@ def test_canonicalize_preserves_bounds():
 
 def test_worst_case_e1(e1_cache):
     cand = lc.worst_case_direction(e1_cache)
-    assert cand.U_value == pytest.approx(SQRT2, rel=1e-12)
+    _, U = lc.sandwich_bounds(e1_cache, cand.delta_r)
+    assert U == pytest.approx(SQRT2, rel=1e-12)
     assert cand.g_value == pytest.approx(SQRT2, rel=1e-12)  # upper bound attained here
     assert abs(np.abs(cand.delta_r) @ np.ones(2) - SQRT2) < 1e-12  # components +-1/sqrt(2)
 
@@ -242,7 +243,8 @@ def test_worst_case_orthonormal_columns():
     spec = lc.EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
     cache = lc.solve_least_squares(lc.random_problem(spec))
     cand = lc.worst_case_direction(cache)
-    assert cand.U_value == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
+    _, U = lc.sandwich_bounds(cache, cand.delta_r)
+    assert U == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
 
 
 def _exact(cache, scales):
@@ -289,7 +291,8 @@ def test_empirical_deterministic(gvl_cache):
 def test_empirical_candidate_invariants(gvl_cache):
     cand = lc.worst_case_direction(gvl_cache)
     assert np.linalg.norm(cand.delta_r) == pytest.approx(1.0, abs=1e-12)
-    assert cand.L_value - 1e-10 <= cand.g_value <= cand.U_value + 1e-10
+    L, U = lc.sandwich_bounds(gvl_cache, cand.delta_r)
+    assert L - 1e-10 <= cand.g_value <= U + 1e-10
 
 
 def test_global_sandwich_of_sampled_maximum():
@@ -485,3 +488,80 @@ def test_finite_difference_rejects_rank_losing_step(e1_cache):
     scales = lc.ScaleFactors.relative(e1_cache)
     with pytest.raises(lc.NonFullRank):
         finite_difference_condition(e1_cache.problem, scales, delta=2.0, samples=1, seed=0)
+
+
+# --- blocks of directions ------------------------------------------------------------------------
+
+
+def _close(block, single, scale, rtol=1e-14):
+    assert np.linalg.norm(np.asarray(block) - np.asarray(single)) <= rtol * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(1, 4),
+    kappa_exp=st.floats(0.0, 6.0),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
+    # Each column of a block result equals the result for that column alone,
+    # to 1e-14 of the quantity's scale over unit inputs: the two differ only
+    # in how BLAS orders the sums. ||v2|| reaches 1 / sigma_min, so the
+    # adjoint's scale is top = ||x|| + ||r|| / sigma_min. The objective is
+    # compared through g^2, because its closed form takes a square root.
+    sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
+    cache = lc.solve_least_squares(lc.random_problem(lc.EnsembleSpec(n + extra, n, sv, 0.7, 0.5, seed)))
+    m, smin = cache.problem.m, cache.svd.sigma_min
+    top = cache.norm_x + cache.norm_r / smin
+    rng = np.random.default_rng([seed, 1])  # not the problem's own stream
+    D = rng.standard_normal((m, k))
+    D /= np.linalg.norm(D, axis=0)
+    W = rng.standard_normal((n, k))
+    dA = rng.standard_normal((k, m, n))
+
+    blocks = (
+        cache.apply_proj(D), cache.apply_pinv(D), cache.apply_pinv_transpose(W), cache.apply_gram_inverse(W),
+    )
+    adj = lc.adjoint_rank2(cache, D)
+    stack = adj.matrix()
+    g = lc.g_objective(cache, D)
+    L, U = lc.sandwich_bounds(cache, D)
+    canon = lc.canonicalize_direction(cache, D)
+    nuclear = lc.nuclear_norm(stack)
+    dr, dx = lc.apply_residual_jacobian(cache, dA)
+    assert stack.shape == (k, m, n) and nuclear.shape == g.shape == L.shape == U.shape == (k,)
+    assert adj.u1.shape == canon.shape == dr.shape == (m, k) and adj.v2.shape == dx.shape == (n, k)
+
+    for j in range(k):
+        d, w = D[:, j].copy(), W[:, j].copy()
+        singles = (cache.apply_proj(d), cache.apply_pinv(d), cache.apply_pinv_transpose(w), cache.apply_gram_inverse(w))
+        for block, single, scale in zip(blocks, singles, (1.0, 1.0 / smin, np.linalg.norm(w) / smin,
+                                                          np.linalg.norm(w) / smin**2)):  # fmt: skip
+            _close(block[:, j], single, scale)
+        one = lc.adjoint_rank2(cache, d)
+        L1, U1 = lc.sandwich_bounds(cache, d)
+        g1 = lc.g_objective(cache, d)
+        assert all(isinstance(v, float) for v in (g1, L1, U1, lc.nuclear_norm(one.matrix())))
+        _close(adj.u1[:, j], one.u1, 1.0)
+        _close(adj.v2[:, j], one.v2, 1.0 / smin)
+        _close(stack[j], one.matrix(), top)
+        _close(nuclear[j], lc.nuclear_norm(one.matrix()), top)
+        _close(L[j], L1, top)
+        _close(U[j], U1, top)
+        _close(g[j] ** 2, g1**2, top**2)
+        _close(canon[:, j], lc.canonicalize_direction(cache, d), 1.0)
+        dr1, dx1 = lc.apply_residual_jacobian(cache, dA[j])
+        size = np.linalg.norm(dA[j], 2) * top
+        _close(dr[:, j], dr1, size)
+        _close(dx[:, j], dx1, size / smin)
+
+
+def test_block_rejects_wrong_shapes(gvl_cache):
+    with pytest.raises(lc.DimensionMismatch):
+        lc.g_objective(gvl_cache, np.ones((4, 2)))
+    with pytest.raises(lc.DimensionMismatch):
+        lc.apply_residual_jacobian(gvl_cache, np.ones((2, 4, 2)))
+    with pytest.raises(lc.DimensionMismatch):
+        lc.attaining_perturbation(gvl_cache, np.eye(3)[:, :2])

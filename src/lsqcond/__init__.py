@@ -25,8 +25,6 @@ from .core import (
     projector_difference_norm,
     solve_least_squares,
     spectral_data,
-    vec_index,
-    vec_unflatten,
 )
 from .errors import (
     DegenerateDirection,
@@ -61,9 +59,6 @@ from .jacobian import (
     adjoint_rank2,
     apply_residual_jacobian,
     attaining_perturbation,
-    canonicalize_direction,
-    g_objective,
-    sandwich_bounds,
     worst_case_direction,
 )
 from .prior_bounds import (

@@ -1,5 +1,6 @@
-"""Command-line interface: analysis reports, verification suites, comparison
-tables, problem generation, parameter sweeps, and the Lanczos demo.
+"""Command-line interface: analysis reports, the verification suites of
+the verify module, comparison tables, problem generation, parameter
+sweeps, and the Lanczos demo.
 
 Every command is deterministic. The condition number with respect to the
 matrix is computed in closed form (jacobian.worst_case_direction), so a
@@ -28,41 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mmio
-from .conditioning import (
-    SCALE_PRESETS,
-    SQRT2,
-    ScaleFactors,
-    projection_condition_bounds,
-    residual_condition_bounds,
-    scale_preset,
-    table2_variants,
-)
-from .core import (
-    LsCache,
-    LsProblem,
-    geometry,
-    nuclear_norm,
-    solve_least_squares,
-)
+from . import mmio, verify
+from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds, scale_preset
+from .core import LsCache, LsProblem, geometry, solve_least_squares
 from .errors import LsqCondError, OutOfRange, ParamOutOfRange
-from .generators import (
-    EnsembleSpec,
-    block_norm_cases,
-    ensemble_specs,
-    gvl_example,
-    lanczos_demo,
-    random_problem,
-)
-from .jacobian import (
-    adjoint_rank2,
-    apply_residual_jacobian,
-    attaining_perturbation,
-    canonicalize_direction,
-    g_objective,
-    sandwich_bounds,
-    worst_case_direction,
-)
+from .generators import EnsembleSpec, gvl_example, lanczos_demo, random_problem
+from .jacobian import worst_case_direction
 from .prior_bounds import compare_table
 from .report import build_report, dump_json, write_csv
 
@@ -354,205 +326,25 @@ def _cmd_lanczos(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _solved(spec: EnsembleSpec):
-    cache = solve_least_squares(random_problem(spec))
-    return cache, geometry(cache)
-
-
-def _suite_solve_invariants(seed: int, problems: int) -> tuple[bool, str]:
-    # the 1e-12 orthogonality/Pythagoras budget needs eps * kappa below it,
-    # so this suite caps kappa at 1e3; the sandwich suite still goes to 1e6
-    worst = 0.0
-    for spec in ensemble_specs(min(problems, 100), seed, max_kappa_exp=3.0):
-        cache, geom = _solved(spec)
-        worst = max(worst, *cache.self_check().values())
-        if not (1.0 - 1e-9 <= geom.vds <= geom.kappa * (1.0 + 1e-9)):
-            return False, f"vds = {geom.vds} outside [1, kappa = {geom.kappa}]"
-    return worst <= 1e-12, f"worst solve defect {worst:.2e} (tol 1e-12)"
-
-
-def _suite_sandwich(seed: int, problems: int) -> tuple[bool, str]:
-    lo, hi, worst_norm, worst_cert = math.inf, 0.0, 0.0, 0.0
-    for spec in ensemble_specs(problems, seed + 1):
-        cache, _ = _solved(spec)
-        scales = ScaleFactors.relative(cache)
-        upper = residual_condition_bounds(cache, scales).chi_A_upper
-        cand = worst_case_direction(cache)
-        value = scales.scale_A / scales.scale_r * cand.g_value
-        lo, hi = min(lo, value / upper), max(hi, value / upper)
-        if not upper / SQRT2 * (1 - 1e-12) <= value <= upper * (1 + 1e-8):
-            return False, f"exact value {value} outside sandwich for seed {spec.seed}"
-        dA = attaining_perturbation(cache, cand.delta_r)
-        dr, _ = apply_residual_jacobian(cache, dA)
-        worst_norm = max(worst_norm, abs(float(np.linalg.norm(dA, 2)) - 1.0))
-        worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - cand.g_value) / cand.g_value)
-    ok = worst_norm <= 1e-12 and worst_cert <= 1e-10
-    return ok, (
-        f"exact/upper in [{lo:.6f}, {hi:.6f}], worst | ||dA||_2 - 1 | {worst_norm:.2e} (tol 1e-12), "
-        f"worst certificate defect {worst_cert:.2e} (tol 1e-10)"
-    )
-
-
-def _unit_columns(draws: np.ndarray) -> np.ndarray:
-    """The rows of draws, each scaled to unit 2-norm, as the columns of a
-    block; bitwise what dividing each row by np.linalg.norm gives."""
-    return (draws / np.sqrt(np.vecdot(draws, draws))[:, None]).T
-
-
-def _suite_adjoint(seed: int, problems: int) -> tuple[bool, str]:
-    # lhs sums two terms that can cancel, so defects are measured against
-    # the magnitudes of those terms, the scale at which rounding occurs
-    rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for spec in ensemble_specs(20, seed + 2, max_kappa_exp=3.0):
-        cache, _ = _solved(spec)
-        m, n = cache.problem.m, cache.problem.n
-        # row k: the k-th direction, then the k-th perturbation row by row
-        draws = rng.standard_normal((20, m + m * n))
-        D = _unit_columns(draws[:, :m])
-        dA = draws[:, m:].reshape(20, m, n)
-        dr, _ = apply_residual_jacobian(cache, dA)
-        adj = adjoint_rank2(cache, D)
-        lhs = np.einsum("ik,ik->k", dr, D)
-        rhs = adj.sign * np.einsum("kij,kij->k", dA, adj.matrix())
-        scale = np.abs(np.einsum("ik,kij,j->k", adj.u1, dA, adj.v1)) + np.abs(
-            np.einsum("i,kij,jk->k", adj.u2, dA, adj.v2)
-        )
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-30))))
-    return worst <= 1e-12, f"worst adjoint-identity defect {worst:.2e} (tol 1e-12)"
-
-
-def _suite_dual_norm(seed: int, problems: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed + 3)
-    worst_eq = 0.0
-    for spec in ensemble_specs(20, seed + 3, max_kappa_exp=3.0):
-        cache, _ = _solved(spec)
-        D = _unit_columns(rng.standard_normal((25, cache.problem.m)))
-        g = g_objective(cache, D)
-        nn = nuclear_norm(adjoint_rank2(cache, D).matrix())
-        worst_eq = max(worst_eq, float(np.max(np.abs(g - nn) / np.maximum(nn, 1e-30))))
-        Dc = canonicalize_direction(cache, D)
-        L, U = sandwich_bounds(cache, Dc)
-        gc = g_objective(cache, Dc)
-        outside = np.flatnonzero(~((L - 1e-10 <= gc) & (gc <= U + 1e-10)))
-        if outside.size:
-            k = outside[0]
-            return False, f"canonical sandwich violated: L={float(L[k])} g={float(gc[k])} U={float(U[k])}"
-    return worst_eq <= 1e-10, f"worst |g - nuclear|/nuclear = {worst_eq:.2e} (tol 1e-10)"
-
-
-def _suite_jacobian_remainder(seed: int, problems: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed + 4)
-    ratios = []
-    for spec in ensemble_specs(25, seed + 4, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, _ = _solved(spec)
-        problem = cache.problem
-        E = rng.standard_normal(problem.A.shape)
-        E /= np.linalg.svd(E, compute_uv=False)[0]
-        d0 = 1e-3 * cache.svd.sigma_min
-        rems = []
-        for d in (d0, d0 / 2.0):
-            perturbed = solve_least_squares(LsProblem(problem.A + d * E, problem.b))
-            dr, _ = apply_residual_jacobian(cache, d * E)
-            rems.append(float(np.linalg.norm(perturbed.r - cache.r - dr)))
-        ratios.append(rems[0] / rems[1])
-    ok = all(3.5 <= q <= 4.5 for q in ratios)
-    return ok, f"remainder halving ratios in [{min(ratios):.3f}, {max(ratios):.3f}] (band 3.5-4.5)"
-
-
-def _suite_chi_b_attainment(seed: int, problems: int) -> tuple[bool, str]:
-    worst = 0.0
-    for spec in ensemble_specs(50, seed + 5, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, geom = _solved(spec)
-        delta = 1e-2 * cache.norm_b
-        db = delta * cache.r / cache.norm_r
-        perturbed = solve_least_squares(LsProblem(cache.problem.A, cache.problem.b + db))
-        ratio = (np.linalg.norm(perturbed.r - cache.r) / cache.norm_r) / (delta / cache.norm_b)
-        worst = max(worst, abs(ratio - 1.0 / math.sin(geom.theta)) * math.sin(geom.theta))
-    return worst <= 1e-10, f"worst csc(theta) attainment defect {worst:.2e} (tol 1e-10)"
-
-
-def _suite_prior_dominance(seed: int, problems: int) -> tuple[bool, str]:
-    # the gvlh stated value can exceed kappa times the tight sum at small
-    # kappa; the provable pointwise bound is kappa + 1/2 (tight sum >= 2)
-    for spec in ensemble_specs(100, seed + 6):
-        cache, _ = _solved(spec)
-        for row in compare_table(cache):
-            cap = row.max_ratio + (0.5 if row.source == "gvlh" else 0.0)
-            if not 1.0 - 1e-12 <= row.ratio_to_tight <= cap + 1e-9:
-                return False, f"{row.source} ratio {row.ratio_to_tight} outside [1, {cap}]"
-    return True, "all published-estimate ratios inside their provable bands"
-
-
-def _suite_table2(seed: int, problems: int) -> tuple[bool, str]:
-    worst = 0.0
-    for spec in ensemble_specs(50, seed + 7, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, geom = _solved(spec)
-        row_r, row_b = table2_variants(cache)
-        worst = max(
-            worst,
-            abs(row_b.tight_estimate - row_r.tight_estimate * math.sin(geom.theta))
-            / row_r.tight_estimate,
-        )
-    return worst <= 1e-12, f"worst scaling-identity defect {worst:.2e} (tol 1e-12)"
-
-
-def _suite_projection(seed: int, problems: int) -> tuple[bool, str]:
-    worst = 0.0
-    for spec in ensemble_specs(50, seed + 8, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
-        cache, _ = _solved(spec)
-        scales = ScaleFactors.relative(cache)
-        res = residual_condition_bounds(cache, scales)
-        proj = projection_condition_bounds(cache, scales)
-        lhs = proj.chi_A_upper * cache.norm_Ax
-        rhs = res.chi_A_upper * cache.norm_r
-        worst = max(worst, abs(lhs - rhs) / rhs)
-        sec = cache.norm_b / cache.norm_Ax
-        worst = max(worst, abs(proj.chi_b - sec) / sec)
-    return worst <= 1e-12, f"worst projection-consistency defect {worst:.2e} (tol 1e-12)"
-
-
-def _suite_block_norm(seed: int, problems: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed + 9)
-    pairs = []
-    for _ in range(100):
-        rows = int(rng.integers(1, 7))
-        A = rng.standard_normal((rows, int(rng.integers(1, 5))))
-        B = rng.standard_normal((rows, int(rng.integers(1, 5))))
-        rng.integers(0, 2**31)  # discarded draw; it fixes which pairs each --seed checks
-        pairs.append((A, B))
-    for case in block_norm_cases(pairs):
-        hi = case.norm_A + case.norm_B
-        lo = max(case.norm_A, case.norm_B)
-        if not lo - 1e-6 <= case.norm_joint <= hi + 1e-6:
-            return False, f"joint norm {case.norm_joint} outside [{lo}, {hi}]"
-        if hi > 2.0 * case.norm_joint + 1e-6:
-            return False, f"sum {hi} exceeds twice the joint norm {case.norm_joint}"
-    return True, "joint norm inside the two-sided band on all cases"
-
-
+# name, suite, offset of the suite's seed from --seed, its count given --problems
 _SUITES = [
-    ("solve-invariants", _suite_solve_invariants),
-    ("sandwich-containment", _suite_sandwich),
-    ("adjoint-identity", _suite_adjoint),
-    ("dual-norm-identity", _suite_dual_norm),
-    ("jacobian-remainder", _suite_jacobian_remainder),
-    ("chi-b-attainment", _suite_chi_b_attainment),
-    ("prior-dominance", _suite_prior_dominance),
-    ("scaling-variants", _suite_table2),
-    ("projection-consistency", _suite_projection),
-    ("block-norm-band", _suite_block_norm),
+    ("solve-invariants", verify.solve_invariants, 0, lambda problems: min(problems, 100)),
+    ("sandwich-containment", verify.sandwich_containment, 1, lambda problems: problems),
+    ("adjoint-identity", verify.adjoint_identity, 2, lambda _: 20),
+    ("dual-norm-identity", verify.dual_norm_identity, 3, lambda _: 20),
+    ("jacobian-remainder", verify.jacobian_remainder, 4, lambda _: 25),
+    ("chi-b-attainment", verify.chi_b_attainment, 5, lambda _: 50),
+    ("prior-dominance", verify.prior_dominance, 6, lambda _: 100),
+    ("scaling-variants", verify.scaling_variants, 7, lambda _: 50),
+    ("projection-consistency", verify.projection_consistency, 8, lambda _: 50),
+    ("block-norm-band", verify.block_norm_band, 9, lambda _: 100),
 ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
-    for name, suite in _SUITES:
-        ok, detail = suite(args.seed, args.problems)
+    for name, suite, offset, count in _SUITES:
+        ok, detail = suite(args.seed + offset, count(args.problems))
         status = " ok " if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")
         failures += 0 if ok else 1

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFullRank,
-    OutOfRange,
-    ZeroResidual,
-    ZeroSolution,
-)
+from .errors import DimensionMismatch, NonFullRank, ZeroResidual, ZeroSolution
 
 
 RANK_TOL = 1e-12
@@ -77,9 +71,6 @@ class SpectralData:
     @property
     def sigma_min(self) -> float:
         return float(self.singular_values[-1])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
 
 
 def spectral_data(A: np.ndarray) -> SpectralData:
@@ -258,22 +249,3 @@ def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:
     Qb = spectral_data(B).left_vectors
     diff = Qa @ Qa.T - Qb @ Qb.T
     return min(float(np.linalg.norm(diff, 2)), 1.0)
-
-
-def vec_index(i: int, j: int, m: int, n: int | None = None) -> int:
-    """Column-stacking index of entry (i, j) of an m-row matrix: j*m + i.
-
-    Indices are zero-based; pass n to also range-check the column index.
-    """
-    if not 0 <= i < m:
-        raise OutOfRange(f"row index {i} outside [0, {m})")
-    if j < 0 or (n is not None and j >= n):
-        raise OutOfRange(f"column index {j} out of range")
-    return j * m + i
-
-
-def vec_unflatten(k: int, m: int) -> tuple[int, int]:
-    """Inverse of vec_index: linear index k of an m-row matrix back to (i, j)."""
-    if k < 0 or m <= 0:
-        raise OutOfRange(f"linear index {k} or row count {m} out of range")
-    return k % m, k // m

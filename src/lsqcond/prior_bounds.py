@@ -80,7 +80,7 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
             value=wedin,
             scale_convention="scale_A = scale_r = 1, db = 0",
             ratio_to_tight=wedin / tight_abs,
-            max_ratio=2.0,
+            max_ratio=SQRT2,
         ),
         PriorBoundRow(
             source="stewart",

@@ -1,0 +1,333 @@
+"""Verification suites: the paper's identities checked on seeded problems.
+
+Each suite is a function (seed, count) -> (ok, detail). The seed starts
+the suite's own random stream, which draws its problems and any directions
+or perturbations; count is the number of problems (of block pairs for
+block_norm_band). `lsqcond verify` runs the ten suites with seeds offset
+from --seed, and the acceptance criteria run them with their own seeds and
+counts, so each check has one implementation.
+
+The module also holds the kernels only these checks use: the dual-norm
+objective g in closed form, its two-sided bounds L <= g <= U, and the sign
+canonicalization that makes L <= g hold pointwise. Each takes one
+direction of length m, giving floats, or an (m, k) block of directions,
+giving one value per column.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .conditioning import (
+    SQRT2,
+    ScaleFactors,
+    projection_condition_bounds,
+    residual_condition_bounds,
+    table2_variants,
+)
+from .core import LsCache, LsProblem, geometry, nuclear_norm, solve_least_squares
+from .generators import EnsembleSpec, block_norm_cases, ensemble_specs, random_problem
+from .jacobian import (
+    Rank2Adjoint,
+    adjoint_rank2,
+    apply_residual_jacobian,
+    attaining_perturbation,
+    worst_case_direction,
+)
+from .prior_bounds import compare_table
+
+# ---------------------------------------------------------------------------
+# the dual-norm objective and its bounds
+
+
+def _value(v) -> float | np.ndarray:
+    """A float for a single direction, the array for a block."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", X, X))
+
+
+def _cos_sin(p: np.ndarray, norm_p: np.ndarray, q: np.ndarray, norm_q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of the angle between each row p of a stack (or one
+    vector p) and the vector q, given their norms.
+
+    The sine is the norm of the rejection of q-hat from p-hat rather than
+    sqrt(1 - c^2), so it stays accurate to machine precision when the angle
+    is near 0 or pi. A zero factor gives (1, 0).
+    """
+    ph = p / np.where(norm_p > 0.0, norm_p, 1.0)[..., None]
+    qh = q / (norm_q if norm_q > 0.0 else 1.0)
+    c = ph @ qh
+    s = _norms(ph - c[..., None] * qh)
+    both = (norm_p > 0.0) & (norm_q > 0.0)
+    return np.where(both, c, 1.0), np.where(both, s, 0.0)
+
+
+def _products_and_cosines(adj: Rank2Adjoint) -> tuple[np.ndarray, ...]:
+    """Norm products a = ||u1|| ||v1||, b = ||u2|| ||v2|| together with the
+    cosine and sine of theta_u = angle(u1, u2) and theta_v = angle(v1, v2),
+    one of each per direction.
+
+    The sines come from orthogonal rejections (see _cos_sin), which matters
+    because angles near 0 or pi occur systematically, e.g. for m = n + 1
+    where the residual complement is one-dimensional. A zero factor gives
+    (1, 0) for its angle; the corresponding cross term vanishes anyway.
+    """
+    # directions along the last axis; v1 = x and u2 = r are single vectors
+    u1, v2 = adj.u1.T, adj.v2.T
+    nu1, nv2 = _norms(u1), _norms(v2)
+    nv1, nu2 = float(_norms(adj.v1)), float(_norms(adj.u2))
+    cu, su = _cos_sin(u1, nu1, adj.u2, nu2)
+    cv, sv = _cos_sin(v2, nv2, adj.v1, nv1)
+    return nu1 * nv1, nu2 * nv2, cu, su, cv, sv
+
+
+def g_objective(cache: LsCache, delta_r: np.ndarray) -> float | np.ndarray:
+    """Dual-norm objective: the nuclear norm of the rank-2 adjoint matrix.
+
+    With the products and angles of the adjoint factors,
+    g^2 = a^2 + b^2 + 2 a b cos(theta_u - theta_v), evaluated as the sum
+    of squares (a - b)^2 + a b ((cu + cv)^2 + (su + sv)^2), which does not
+    cancel when the two rank-1 terms nearly cancel; it agrees with an SVD
+    of the rank-2 matrix to a few eps (a + b). Expects unit directions
+    (the objective is positively homogeneous).
+    """
+    a, b, cu, su, cv, sv = _products_and_cosines(adjoint_rank2(cache, delta_r))
+    return _value(np.sqrt((a - b) ** 2 + a * b * ((cu + cv) ** 2 + (su + sv) ** 2)))
+
+
+def sandwich_bounds(cache: LsCache, delta_r: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Two-sided bounds (L, U) on the objective at a direction:
+
+    L = sqrt(a^2 + b^2) <= g <= a + b = U, with U <= sqrt(2) L whenever
+    both products are nonzero. The lower inequality requires the direction
+    to be sign-canonical (see canonicalize_direction).
+    """
+    a, b, _, _, _, _ = _products_and_cosines(adjoint_rank2(cache, delta_r))
+    return _value(np.hypot(a, b)), _value(a + b)
+
+
+def canonicalize_direction(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
+    """Flip the sign of the component of delta_r along r when that raises
+    the objective; a block is canonicalized column by column.
+
+    The flip maps theta_u to pi - theta_u and leaves L and U unchanged, so
+    of the two sign choices the better one always has
+    cos(theta_u - theta_v) >= 0, which makes L <= g hold pointwise. The
+    maximum over the unit sphere is unaffected.
+    """
+    delta_r = np.asarray(delta_r, dtype=float)
+    adj = adjoint_rank2(cache, delta_r)
+    # same-quadrant test: flip iff cos(theta_u) * cos(theta_v) < 0
+    flip = (adj.u1.T @ adj.u2) * (adj.v2.T @ adj.v1) < 0.0
+    rhat = cache.r / cache.norm_r
+    D = delta_r.T
+    return np.where(flip[..., None], D - 2.0 * (D @ rhat)[..., None] * rhat, D).T
+
+
+# ---------------------------------------------------------------------------
+# the suites
+
+
+def _solved(spec: EnsembleSpec):
+    cache = solve_least_squares(random_problem(spec))
+    return cache, geometry(cache)
+
+
+def _unit_columns(draws: np.ndarray) -> np.ndarray:
+    """The rows of draws, each scaled to unit 2-norm, as the columns of a
+    block; bitwise what dividing each row by np.linalg.norm gives."""
+    return (draws / np.sqrt(np.vecdot(draws, draws))[:, None]).T
+
+
+def solve_invariants(seed: int, count: int) -> tuple[bool, str]:
+    """Solve postconditions to 1e-12 and vds inside [1, kappa]."""
+    # the 1e-12 orthogonality/Pythagoras budget needs eps * kappa below it,
+    # so this suite caps kappa at 1e3; the sandwich suite still goes to 1e6
+    worst = 0.0
+    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0):
+        cache, geom = _solved(spec)
+        worst = max(worst, *cache.self_check().values())
+        if not (1.0 - 1e-9 <= geom.vds <= geom.kappa * (1.0 + 1e-9)):
+            return False, f"vds = {geom.vds} outside [1, kappa = {geom.kappa}]"
+    return worst <= 1e-12, f"worst solve defect {worst:.2e} (tol 1e-12)"
+
+
+def sandwich_containment(seed: int, count: int) -> tuple[bool, str]:
+    """The exact value lies in [upper / sqrt(2), upper], and its attaining
+    perturbation has unit norm and attains it to first order."""
+    lo, hi, worst_norm, worst_cert = math.inf, 0.0, 0.0, 0.0
+    for spec in ensemble_specs(count, seed):
+        cache, _ = _solved(spec)
+        scales = ScaleFactors.relative(cache)
+        upper = residual_condition_bounds(cache, scales).chi_A_upper
+        cand = worst_case_direction(cache)
+        value = scales.scale_A / scales.scale_r * cand.g_value
+        lo, hi = min(lo, value / upper), max(hi, value / upper)
+        if not upper / SQRT2 * (1 - 1e-12) <= value <= upper * (1 + 1e-8):
+            return False, f"exact value {value} outside sandwich for seed {spec.seed}"
+        dA = attaining_perturbation(cache, cand.delta_r)
+        dr, _ = apply_residual_jacobian(cache, dA)
+        worst_norm = max(worst_norm, abs(float(np.linalg.norm(dA, 2)) - 1.0))
+        worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - cand.g_value) / cand.g_value)
+    ok = worst_norm <= 1e-12 and worst_cert <= 1e-10
+    return ok, (
+        f"exact/upper in [{lo:.6f}, {hi:.6f}], worst | ||dA||_2 - 1 | {worst_norm:.2e} (tol 1e-12), "
+        f"worst certificate defect {worst_cert:.2e} (tol 1e-10)"
+    )
+
+
+def adjoint_identity(seed: int, count: int) -> tuple[bool, str]:
+    """<dr(dA), d> = -<dA, u1 v1^t + u2 v2^t>_F for 20 random (d, dA) pairs
+    per problem."""
+    # lhs sums two terms that can cancel, so defects are measured against
+    # the magnitudes of those terms, the scale at which rounding occurs
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0):
+        cache, _ = _solved(spec)
+        m, n = cache.problem.m, cache.problem.n
+        # row k: the k-th direction, then the k-th perturbation row by row
+        draws = rng.standard_normal((20, m + m * n))
+        D = _unit_columns(draws[:, :m])
+        dA = draws[:, m:].reshape(20, m, n)
+        dr, _ = apply_residual_jacobian(cache, dA)
+        adj = adjoint_rank2(cache, D)
+        lhs = np.einsum("ik,ik->k", dr, D)
+        rhs = -np.einsum("kij,kij->k", dA, adj.matrix())
+        scale = np.abs(np.einsum("ik,kij,j->k", adj.u1, dA, adj.v1)) + np.abs(
+            np.einsum("i,kij,jk->k", adj.u2, dA, adj.v2)
+        )
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-30))))
+    return worst <= 1e-12, f"worst adjoint-identity defect {worst:.2e} (tol 1e-12)"
+
+
+def dual_norm_identity(seed: int, count: int) -> tuple[bool, str]:
+    """g equals the nuclear norm of the rank-2 adjoint to 1e-10, and
+    L <= g <= U at the canonical form of 25 random unit directions per
+    problem."""
+    rng = np.random.default_rng(seed)
+    worst_eq = 0.0
+    for spec in ensemble_specs(count, seed):
+        cache, _ = _solved(spec)
+        D = _unit_columns(rng.standard_normal((25, cache.problem.m)))
+        g = g_objective(cache, D)
+        nn = nuclear_norm(adjoint_rank2(cache, D).matrix())
+        worst_eq = max(worst_eq, float(np.max(np.abs(g - nn) / np.maximum(nn, 1e-30))))
+        Dc = canonicalize_direction(cache, D)
+        L, U = sandwich_bounds(cache, Dc)
+        gc = g_objective(cache, Dc)
+        outside = np.flatnonzero(~((L - 1e-10 <= gc) & (gc <= U + 1e-10)))
+        if outside.size:
+            k = outside[0]
+            return False, f"canonical sandwich violated: L={float(L[k])} g={float(gc[k])} U={float(U[k])}"
+    return worst_eq <= 1e-10, f"worst |g - nuclear|/nuclear = {worst_eq:.2e} (tol 1e-10)"
+
+
+def jacobian_remainder(seed: int, count: int) -> tuple[bool, str]:
+    """The first-order residual change leaves a quadratic remainder:
+    halving the step divides it by 3.5 to 4.5."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
+        cache, _ = _solved(spec)
+        problem = cache.problem
+        E = rng.standard_normal(problem.A.shape)
+        E /= np.linalg.svd(E, compute_uv=False)[0]
+        d0 = 1e-3 * cache.svd.sigma_min
+        rems = []
+        for d in (d0, d0 / 2.0):
+            perturbed = solve_least_squares(LsProblem(problem.A + d * E, problem.b))
+            dr, _ = apply_residual_jacobian(cache, d * E)
+            rems.append(float(np.linalg.norm(perturbed.r - cache.r - dr)))
+        if not math.isfinite(rems[0] / d0**2):
+            return False, f"remainder {rems[0]} over step^2 = {d0**2} is not finite"
+        ratios.append(rems[0] / rems[1])
+    ok = all(3.5 <= q <= 4.5 for q in ratios)
+    return ok, f"remainder halving ratios in [{min(ratios):.3f}, {max(ratios):.3f}] (band 3.5-4.5)"
+
+
+def chi_b_attainment(seed: int, count: int) -> tuple[bool, str]:
+    """Perturbing b along r changes the residual by csc(theta) times the
+    relative step, to 1e-10."""
+    worst = 0.0
+    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
+        cache, geom = _solved(spec)
+        delta = 1e-2 * cache.norm_b
+        db = delta * cache.r / cache.norm_r
+        perturbed = solve_least_squares(LsProblem(cache.problem.A, cache.problem.b + db))
+        ratio = (np.linalg.norm(perturbed.r - cache.r) / cache.norm_r) / (delta / cache.norm_b)
+        worst = max(worst, abs(ratio - 1.0 / math.sin(geom.theta)) * math.sin(geom.theta))
+    return worst <= 1e-10, f"worst csc(theta) attainment defect {worst:.2e} (tol 1e-10)"
+
+
+def prior_dominance(seed: int, count: int) -> tuple[bool, str]:
+    """Every published estimate lies between the tight value and its row's
+    max_ratio times it."""
+    # the gvlh stated value can exceed kappa times the tight sum at small
+    # kappa; the provable pointwise bound is kappa + 1/2 (tight sum >= 2)
+    for spec in ensemble_specs(count, seed):
+        cache, _ = _solved(spec)
+        for row in compare_table(cache):
+            cap = row.max_ratio + (0.5 if row.source == "gvlh" else 0.0)
+            if not 1.0 - 1e-12 <= row.ratio_to_tight <= cap + 1e-9:
+                return False, f"{row.source} ratio {row.ratio_to_tight} outside [1, {cap}]"
+    return True, "all published-estimate ratios inside their provable bands"
+
+
+def scaling_variants(seed: int, count: int) -> tuple[bool, str]:
+    """The b-scaled tight estimate is the r-scaled one times sin(theta)."""
+    worst = 0.0
+    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
+        cache, geom = _solved(spec)
+        row_r, row_b = table2_variants(cache)
+        worst = max(
+            worst,
+            abs(row_b.tight_estimate - row_r.tight_estimate * math.sin(geom.theta))
+            / row_r.tight_estimate,
+        )
+    return worst <= 1e-12, f"worst scaling-identity defect {worst:.2e} (tol 1e-12)"
+
+
+def projection_consistency(seed: int, count: int) -> tuple[bool, str]:
+    """chi_Ax(A) ||Ax|| = chi_r(A) ||r|| for scale_A = 1 and ||A||, and
+    chi_Ax(b) = ||b|| / ||Ax|| = sec(theta), each to 1e-12."""
+    worst = 0.0
+    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
+        cache, geom = _solved(spec)
+        for scale_A in (1.0, cache.svd.sigma_max):
+            scales = ScaleFactors(scale_A, cache.norm_b, cache.norm_r, cache.norm_Ax)
+            res = residual_condition_bounds(cache, scales)
+            proj = projection_condition_bounds(cache, scales)
+            lhs = proj.chi_A_upper * cache.norm_Ax
+            rhs = res.chi_A_upper * cache.norm_r
+            worst = max(worst, abs(lhs - rhs) / rhs)
+        for sec in (cache.norm_b / cache.norm_Ax, 1.0 / math.cos(geom.theta)):
+            worst = max(worst, abs(proj.chi_b - sec) / sec)
+    return worst <= 1e-12, f"worst projection-consistency defect {worst:.2e} (tol 1e-12)"
+
+
+def block_norm_band(seed: int, count: int) -> tuple[bool, str]:
+    """max(||A||, ||B||) <= ||[A B]|| <= ||A|| + ||B|| <= 2 ||[A B]|| on
+    count random pairs of blocks."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        rows = int(rng.integers(1, 7))
+        A = rng.standard_normal((rows, int(rng.integers(1, 5))))
+        B = rng.standard_normal((rows, int(rng.integers(1, 5))))
+        rng.integers(0, 2**31)  # discarded draw; it fixes which pairs each seed checks
+        pairs.append((A, B))
+    for case in block_norm_cases(pairs):
+        hi = case.norm_A + case.norm_B
+        lo = max(case.norm_A, case.norm_B)
+        if not lo - 1e-6 <= case.norm_joint <= hi + 1e-6:
+            return False, f"joint norm {case.norm_joint} outside [{lo}, {hi}]"
+        if hi > 2.0 * case.norm_joint + 1e-6:
+            return False, f"sum {hi} exceeds twice the joint norm {case.norm_joint}"
+    return True, "joint norm inside the two-sided band on all cases"

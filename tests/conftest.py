@@ -41,6 +41,30 @@ def solved_ensemble(count, seed, **kwargs):
         yield cache, lc.geometry(cache)
 
 
+def reconstruct(svd):
+    """U diag(s) V^t from a SpectralData."""
+    return (svd.left_vectors * svd.singular_values) @ svd.right_vectors.T
+
+
+def vec_index(i, j, m, n=None):
+    """Column-stacking index of entry (i, j) of an m-row matrix: j*m + i.
+
+    Indices are zero-based; pass n to also range-check the column index.
+    """
+    if not 0 <= i < m:
+        raise lc.OutOfRange(f"row index {i} outside [0, {m})")
+    if j < 0 or (n is not None and j >= n):
+        raise lc.OutOfRange(f"column index {j} out of range")
+    return j * m + i
+
+
+def vec_unflatten(k, m):
+    """Inverse of vec_index: linear index k of an m-row matrix back to (i, j)."""
+    if k < 0 or m <= 0:
+        raise lc.OutOfRange(f"linear index {k} or row count {m} out of range")
+    return k % m, k // m
+
+
 def _batch_objective(cache, D):
     """Sign-optimal objective g over the unit columns of D, vectorized.
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lsqcond import mmio
+from lsqcond import mmio, verify
 from lsqcond.cli import main
 
 
@@ -78,25 +78,22 @@ def test_verify_full_scale_within_budget(capsys):
 @pytest.mark.parametrize("seed", [57, 102])
 def test_verify_adjoint_suite_passes_on_cancelling_seeds(seed):
     # on these seeds the two terms of the identity nearly cancel; the suite
-    # measures the defect against their magnitudes, not against their sum
-    import lsqcond.cli as cli_mod
-
-    ok, detail = dict(cli_mod._SUITES)["adjoint-identity"](seed, 200)
+    # measures the defect against their magnitudes, not against their sum.
+    # verify --seed s runs this suite with seed s + 2 on 20 problems
+    ok, detail = verify.adjoint_identity(seed + 2, 20)
     assert ok, detail
 
 
 def _record_calls(monkeypatch, name):
-    """Arguments of every call that cli makes to its function `name`."""
-    import lsqcond.cli as cli_mod
-
+    """Arguments of every call that the suites make to their function `name`."""
     calls = []
-    real = getattr(cli_mod, name)
+    real = getattr(verify, name)
 
     def recorded(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli_mod, name, recorded)
+    monkeypatch.setattr(verify, name, recorded)
     return calls
 
 
@@ -108,14 +105,12 @@ def test_verify_block_draws_equal_per_iteration_draws(monkeypatch):
     # a block draw takes the same stream in the same order as one draw per
     # direction, so each --seed checks the directions, perturbations and
     # pairs that the one-at-a-time loops checked
-    import lsqcond.cli as cli_mod
-
-    suites, seed = dict(cli_mod._SUITES), 7
+    seed = 7
     adjoints = _record_calls(monkeypatch, "adjoint_rank2")
     jacobians = _record_calls(monkeypatch, "apply_residual_jacobian")
-    assert suites["adjoint-identity"](seed, 200)[0]
+    assert verify.adjoint_identity(seed, 20)[0]
     assert len(adjoints) == len(jacobians) == 20
-    rng = np.random.default_rng(seed + 2)
+    rng = np.random.default_rng(seed)
     for (cache, D), (_, dA) in zip(adjoints, jacobians):
         m, n = cache.problem.m, cache.problem.n
         assert D.shape == (m, 20) and dA.shape == (20, m, n)
@@ -124,19 +119,19 @@ def test_verify_block_draws_equal_per_iteration_draws(monkeypatch):
             assert np.array_equal(dA[k], rng.standard_normal((m, n)))
 
     objectives = _record_calls(monkeypatch, "g_objective")
-    assert suites["dual-norm-identity"](seed, 200)[0]
+    assert verify.dual_norm_identity(seed, 20)[0]
     assert len(objectives) == 40  # each block, then its canonical form
-    rng = np.random.default_rng(seed + 3)
+    rng = np.random.default_rng(seed)
     for cache, D in objectives[::2]:
         assert D.shape == (cache.problem.m, 25)
         for k in range(25):
             assert np.array_equal(D[:, k], _unit(rng.standard_normal(cache.problem.m)))
 
     batches = _record_calls(monkeypatch, "block_norm_cases")
-    assert suites["block-norm-band"](seed, 200)[0]
+    assert verify.block_norm_band(seed, 100)[0]
     ((pairs,),) = batches
     assert len(pairs) == 100
-    rng = np.random.default_rng(seed + 9)
+    rng = np.random.default_rng(seed)
     for A, B in pairs:
         rows = int(rng.integers(1, 7))
         assert np.array_equal(A, rng.standard_normal((rows, int(rng.integers(1, 5)))))
@@ -145,10 +140,8 @@ def test_verify_block_draws_equal_per_iteration_draws(monkeypatch):
 
 
 def test_verify_fails_on_a_perturbed_objective(monkeypatch, capsys):
-    import lsqcond.cli as cli_mod
-
-    real = cli_mod.g_objective
-    monkeypatch.setattr(cli_mod, "g_objective", lambda cache, D: real(cache, D) * (1.0 + 1e-9))
+    real = verify.g_objective
+    monkeypatch.setattr(verify, "g_objective", lambda cache, D: real(cache, D) * (1.0 + 1e-9))
     assert run_cli("verify", "--seed", "1") == 1
     out = capsys.readouterr().out
     assert "[FAIL] dual-norm-identity" in out and out.count("[FAIL]") == 1
@@ -158,9 +151,7 @@ def test_verify_fails_on_a_perturbed_objective(monkeypatch, capsys):
 def test_verify_fails_on_a_joint_norm_outside_its_band(monkeypatch, capsys, push):
     import dataclasses
 
-    import lsqcond.cli as cli_mod
-
-    real = cli_mod.block_norm_cases
+    real = verify.block_norm_cases
 
     def pushed(pairs):
         cases = real(pairs)
@@ -169,7 +160,7 @@ def test_verify_fails_on_a_joint_norm_outside_its_band(monkeypatch, capsys, push
         cases[37] = dataclasses.replace(c, norm_joint=joint)
         return cases
 
-    monkeypatch.setattr(cli_mod, "block_norm_cases", pushed)
+    monkeypatch.setattr(verify, "block_norm_cases", pushed)
     assert run_cli("verify", "--seed", "1") == 1
     out = capsys.readouterr().out
     assert "[FAIL] block-norm-band: joint norm" in out and out.count("[FAIL]") == 1
@@ -228,7 +219,7 @@ def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
     import lsqcond.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod, "_SUITES", [("always-fails", lambda seed, problems: (False, "boom"))]
+        cli_mod, "_SUITES", [("always-fails", lambda seed, count: (False, "boom"), 0, lambda problems: problems)]
     )
     assert run_cli("verify", "--problems", "1") == 1
     assert "[FAIL] always-fails" in capsys.readouterr().out

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import normal_equations_solve, solved_ensemble
+from conftest import normal_equations_solve, reconstruct, solved_ensemble, vec_index, vec_unflatten
 
 
 # --- solve_least_squares ---------------------------------------------------
@@ -96,7 +96,7 @@ def test_spectral_reconstruction():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((10, 4))
     svd = lc.spectral_data(A)
-    err = np.linalg.norm(A - svd.reconstruct(), 2)
+    err = np.linalg.norm(A - reconstruct(svd), 2)
     assert err <= 1e-13 * np.linalg.norm(A, 2)
     s = svd.singular_values
     assert np.all(s[:-1] >= s[1:]) and s[-1] > 0.0
@@ -240,29 +240,29 @@ def test_projector_difference_rejects_rank_deficient():
 
 
 def test_vec_index_values():
-    assert lc.vec_index(1, 0, 3) == 1
-    assert lc.vec_index(0, 1, 3) == 3
+    assert vec_index(1, 0, 3) == 1
+    assert vec_index(0, 1, 3) == 3
 
 
 def test_vec_index_round_trip():
     for i in range(4):
         for j in range(3):
-            assert lc.vec_unflatten(lc.vec_index(i, j, 4, n=3), 4) == (i, j)
+            assert vec_unflatten(vec_index(i, j, 4, n=3), 4) == (i, j)
 
 
 @given(st.integers(1, 50), st.integers(1, 50), st.data())
 def test_vec_index_bijection(m, n, data):
     i = data.draw(st.integers(0, m - 1))
     j = data.draw(st.integers(0, n - 1))
-    k = lc.vec_index(i, j, m, n=n)
+    k = vec_index(i, j, m, n=n)
     assert 0 <= k < m * n
-    assert lc.vec_unflatten(k, m) == (i, j)
+    assert vec_unflatten(k, m) == (i, j)
 
 
 def test_vec_index_out_of_range():
     with pytest.raises(lc.OutOfRange):
-        lc.vec_index(3, 0, 3)
+        vec_index(3, 0, 3)
     with pytest.raises(lc.OutOfRange):
-        lc.vec_index(0, 2, 3, n=2)
+        vec_index(0, 2, 3, n=2)
     with pytest.raises(lc.OutOfRange):
-        lc.vec_unflatten(-1, 3)
+        vec_unflatten(-1, 3)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import finite_difference_condition, sampled_condition_wrt_A, solved_ensemble
+from conftest import finite_difference_condition, sampled_condition_wrt_A, solved_ensemble, vec_index
+from lsqcond.verify import canonicalize_direction, g_objective, sandwich_bounds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,7 +73,7 @@ def test_explicit_jacobian_matrix_round_trip(gvl_cache):
             E = np.zeros((m, n))
             E[i, j] = 1.0
             dr, _ = lc.apply_residual_jacobian(gvl_cache, E)
-            J[:, lc.vec_index(i, j, m, n=n)] = dr
+            J[:, vec_index(i, j, m, n=n)] = dr
     rng = np.random.default_rng(131)
     for _ in range(5):
         dA = rng.standard_normal((m, n))
@@ -82,7 +83,7 @@ def test_explicit_jacobian_matrix_round_trip(gvl_cache):
         d = rng.standard_normal(m)
         adj = lc.adjoint_rank2(gvl_cache, d)
         np.testing.assert_allclose(
-            J.T @ d, adj.sign * adj.matrix().ravel(order="F"), atol=1e-13
+            J.T @ d, -adj.matrix().ravel(order="F"), atol=1e-13
         )
 
 
@@ -112,7 +113,10 @@ def test_adjoint_along_residual(e1_cache):
     adj = lc.adjoint_rank2(e1_cache, rhat)
     np.testing.assert_allclose(adj.u1, rhat, atol=1e-15)
     np.testing.assert_allclose(adj.v2, [0.0], atol=1e-15)
-    assert adj.sign == -1.0
+    # the adjoint image is minus the rank-2 matrix: <dr(dA), rhat> = -<dA, u1 x^t>
+    dA = np.array([[0.0], [1.0]])
+    dr, _ = lc.apply_residual_jacobian(e1_cache, dA)
+    assert dr @ rhat == pytest.approx(-np.sum(dA * adj.matrix()), rel=1e-14)
 
 
 def test_adjoint_inside_column_space(e1_cache):
@@ -131,7 +135,7 @@ def test_adjoint_identity_random_pairs():
             dr, _ = lc.apply_residual_jacobian(cache, dA)
             adj = lc.adjoint_rank2(cache, d)
             lhs = dr @ d
-            rhs = adj.sign * np.sum(dA * adj.matrix())
+            rhs = -np.sum(dA * adj.matrix())
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
@@ -152,19 +156,19 @@ def test_adjoint_factor_invariants():
 
 
 def test_g_e1_along_residual(e1_cache):
-    assert lc.g_objective(e1_cache, np.array([0.0, 1.0])) == pytest.approx(1.0, rel=1e-14)
+    assert g_objective(e1_cache, np.array([0.0, 1.0])) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_g_e1_diagonal_direction(e1_cache):
     d = np.array([1.0, 1.0]) / SQRT2
-    assert lc.g_objective(e1_cache, d) == pytest.approx(SQRT2, rel=1e-14)
+    assert g_objective(e1_cache, d) == pytest.approx(SQRT2, rel=1e-14)
 
 
 def test_g_degenerate_u1(e1_cache):
     # direction inside col(A): u1 = 0 so g collapses to ||u2|| ||v2||
     adj = lc.adjoint_rank2(e1_cache, np.array([1.0, 0.0]))
     expected = np.linalg.norm(adj.u2) * np.linalg.norm(adj.v2)
-    assert lc.g_objective(e1_cache, np.array([1.0, 0.0])) == pytest.approx(expected, rel=1e-14)
+    assert g_objective(e1_cache, np.array([1.0, 0.0])) == pytest.approx(expected, rel=1e-14)
 
 
 def test_g_equals_nuclear_norm():
@@ -173,9 +177,20 @@ def test_g_equals_nuclear_norm():
         for _ in range(20):
             d = rng.standard_normal(cache.problem.m)
             d /= np.linalg.norm(d)
-            g = lc.g_objective(cache, d)
+            g = g_objective(cache, d)
             nn = lc.nuclear_norm(lc.adjoint_rank2(cache, d).matrix())
             assert g == pytest.approx(nn, rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-8, 1e-10])
+def test_g_does_not_cancel_near_a_zero_objective(e1_cache, t):
+    # along (-1 + t, 1) the rank-1 terms u1 x^t and r v2^t nearly cancel:
+    # g = t / ||d||, while a + b is about sqrt(2)
+    d = np.array([-1.0 + t, 1.0])
+    d /= np.linalg.norm(d)
+    nn = lc.nuclear_norm(lc.adjoint_rank2(e1_cache, d).matrix())
+    _, U = sandwich_bounds(e1_cache, d)
+    assert abs(g_objective(e1_cache, d) - nn) <= 4.0 * np.finfo(float).eps * U
 
 
 @pytest.mark.parametrize(
@@ -187,7 +202,7 @@ def test_g_equals_nuclear_norm():
     ],
 )
 def test_sandwich_e1_values(e1_cache, direction, expected):
-    L, U = lc.sandwich_bounds(e1_cache, np.array(direction))
+    L, U = sandwich_bounds(e1_cache, np.array(direction))
     assert L == pytest.approx(expected[0], rel=1e-14)
     assert U == pytest.approx(expected[1], rel=1e-14)
 
@@ -198,10 +213,10 @@ def test_sandwich_pointwise_on_canonical_directions():
         for _ in range(20):
             d = rng.standard_normal(cache.problem.m)
             d /= np.linalg.norm(d)
-            dc = lc.canonicalize_direction(cache, d)
+            dc = canonicalize_direction(cache, d)
             assert np.linalg.norm(dc) == pytest.approx(1.0, abs=1e-12)
-            g = lc.g_objective(cache, dc)
-            L, U = lc.sandwich_bounds(cache, dc)
+            g = g_objective(cache, dc)
+            L, U = sandwich_bounds(cache, dc)
             assert L - 1e-10 <= g <= U + 1e-10
             if L > 0.0:
                 assert U <= SQRT2 * L * (1.0 + 1e-12)
@@ -212,9 +227,9 @@ def test_canonicalize_preserves_bounds():
     for cache, _ in solved_ensemble(5, 71):
         d = rng.standard_normal(cache.problem.m)
         d /= np.linalg.norm(d)
-        dc = lc.canonicalize_direction(cache, d)
-        assert lc.sandwich_bounds(cache, d) == pytest.approx(lc.sandwich_bounds(cache, dc))
-        assert lc.g_objective(cache, dc) >= lc.g_objective(cache, d) - 1e-12
+        dc = canonicalize_direction(cache, d)
+        assert sandwich_bounds(cache, d) == pytest.approx(sandwich_bounds(cache, dc))
+        assert g_objective(cache, dc) >= g_objective(cache, d) - 1e-12
 
 
 # --- worst-case direction (exact maximizer) -----------------------------------------------------------
@@ -222,7 +237,7 @@ def test_canonicalize_preserves_bounds():
 
 def test_worst_case_e1(e1_cache):
     cand = lc.worst_case_direction(e1_cache)
-    _, U = lc.sandwich_bounds(e1_cache, cand.delta_r)
+    _, U = sandwich_bounds(e1_cache, cand.delta_r)
     assert U == pytest.approx(SQRT2, rel=1e-12)
     assert cand.g_value == pytest.approx(SQRT2, rel=1e-12)  # upper bound attained here
     assert abs(np.abs(cand.delta_r) @ np.ones(2) - SQRT2) < 1e-12  # components +-1/sqrt(2)
@@ -236,14 +251,14 @@ def test_worst_case_parametric(gvl_cache):
     upper = lc.residual_condition_bounds(gvl_cache, scales).chi_A_upper
     assert upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
     assert cand.g_value == pytest.approx(math.sqrt(5.0), rel=1e-14)
-    assert lc.g_objective(gvl_cache, cand.delta_r) == pytest.approx(cand.g_value, rel=1e-12)
+    assert g_objective(gvl_cache, cand.delta_r) == pytest.approx(cand.g_value, rel=1e-12)
 
 
 def test_worst_case_orthonormal_columns():
     spec = lc.EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
     cache = lc.solve_least_squares(lc.random_problem(spec))
     cand = lc.worst_case_direction(cache)
-    _, U = lc.sandwich_bounds(cache, cand.delta_r)
+    _, U = sandwich_bounds(cache, cand.delta_r)
     assert U == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
 
 
@@ -291,7 +306,7 @@ def test_empirical_deterministic(gvl_cache):
 def test_empirical_candidate_invariants(gvl_cache):
     cand = lc.worst_case_direction(gvl_cache)
     assert np.linalg.norm(cand.delta_r) == pytest.approx(1.0, abs=1e-12)
-    L, U = lc.sandwich_bounds(gvl_cache, cand.delta_r)
+    L, U = sandwich_bounds(gvl_cache, cand.delta_r)
     assert L - 1e-10 <= cand.g_value <= U + 1e-10
 
 
@@ -410,7 +425,7 @@ def test_attaining_unit_norm_random_directions():
         dA = lc.attaining_perturbation(cache, d)
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         dr, _ = lc.apply_residual_jacobian(cache, dA)
-        g = lc.g_objective(cache, d)
+        g = g_objective(cache, d)
         assert dr @ d == pytest.approx(g, rel=1e-11)
         assert np.linalg.norm(dr) >= g * (1.0 - 1e-12)
 
@@ -430,7 +445,7 @@ def test_attaining_first_order_check(e1_cache):
 def test_attaining_degenerate_direction(e1_cache):
     # u1 v1^t and u2 v2^t cancel exactly along (-1, 1)/sqrt(2)
     d = np.array([-1.0, 1.0]) / SQRT2
-    assert lc.g_objective(e1_cache, d) == pytest.approx(0.0, abs=1e-14)
+    assert g_objective(e1_cache, d) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(lc.DegenerateDirection):
         lc.attaining_perturbation(e1_cache, d)
 
@@ -526,9 +541,9 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     )
     adj = lc.adjoint_rank2(cache, D)
     stack = adj.matrix()
-    g = lc.g_objective(cache, D)
-    L, U = lc.sandwich_bounds(cache, D)
-    canon = lc.canonicalize_direction(cache, D)
+    g = g_objective(cache, D)
+    L, U = sandwich_bounds(cache, D)
+    canon = canonicalize_direction(cache, D)
     nuclear = lc.nuclear_norm(stack)
     dr, dx = lc.apply_residual_jacobian(cache, dA)
     assert stack.shape == (k, m, n) and nuclear.shape == g.shape == L.shape == U.shape == (k,)
@@ -541,8 +556,8 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
                                                           np.linalg.norm(w) / smin**2)):  # fmt: skip
             _close(block[:, j], single, scale)
         one = lc.adjoint_rank2(cache, d)
-        L1, U1 = lc.sandwich_bounds(cache, d)
-        g1 = lc.g_objective(cache, d)
+        L1, U1 = sandwich_bounds(cache, d)
+        g1 = g_objective(cache, d)
         assert all(isinstance(v, float) for v in (g1, L1, U1, lc.nuclear_norm(one.matrix())))
         _close(adj.u1[:, j], one.u1, 1.0)
         _close(adj.v2[:, j], one.v2, 1.0 / smin)
@@ -551,7 +566,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
         _close(L[j], L1, top)
         _close(U[j], U1, top)
         _close(g[j] ** 2, g1**2, top**2)
-        _close(canon[:, j], lc.canonicalize_direction(cache, d), 1.0)
+        _close(canon[:, j], canonicalize_direction(cache, d), 1.0)
         dr1, dx1 = lc.apply_residual_jacobian(cache, dA[j])
         size = np.linalg.norm(dA[j], 2) * top
         _close(dr[:, j], dr1, size)
@@ -560,7 +575,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
 
 def test_block_rejects_wrong_shapes(gvl_cache):
     with pytest.raises(lc.DimensionMismatch):
-        lc.g_objective(gvl_cache, np.ones((4, 2)))
+        g_objective(gvl_cache, np.ones((4, 2)))
     with pytest.raises(lc.DimensionMismatch):
         lc.apply_residual_jacobian(gvl_cache, np.ones((2, 4, 2)))
     with pytest.raises(lc.DimensionMismatch):

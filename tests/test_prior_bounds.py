@@ -90,7 +90,7 @@ def test_compare_table_e1(e1_cache):
     assert set(rows) == {"wedin", "stewart", "gvlh"}
     assert rows["wedin"].ratio_to_tight == pytest.approx(SQRT2, rel=1e-13)
     assert rows["stewart"].ratio_to_tight == pytest.approx(1.0, rel=1e-13)
-    assert rows["wedin"].max_ratio == 2.0
+    assert rows["wedin"].max_ratio == SQRT2
     assert rows["stewart"].max_ratio == pytest.approx(SQRT2)
     assert rows["gvlh"].max_ratio == pytest.approx(1.0)
 

@@ -8,12 +8,12 @@ from .conditioning import (
     SCALE_PRESETS,
     ConditionEstimates,
     ScaleFactors,
-    Table2Row,
     error_bound_rhs,
+    exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
     scale_preset,
-    table2_variants,
+    worst_case_direction,
 )
 from .core import (
     Geometry,
@@ -29,9 +29,9 @@ from .core import (
 from .errors import (
     DegenerateDirection,
     DimensionMismatch,
+    InvalidGeometry,
     LsqCondError,
     NonFullRank,
-    OutOfRange,
     ParamOutOfRange,
     ZeroColumn,
     ZeroResidual,
@@ -54,12 +54,10 @@ from .generators import (
     random_problem,
 )
 from .jacobian import (
-    DirectionCandidate,
     Rank2Adjoint,
     adjoint_rank2,
     apply_residual_jacobian,
     attaining_perturbation,
-    worst_case_direction,
 )
 from .prior_bounds import (
     PriorBoundRow,

@@ -3,11 +3,13 @@ the verify module, comparison tables, problem generation, parameter
 sweeps, and the Lanczos demo.
 
 Every command is deterministic. The condition number with respect to the
-matrix is computed in closed form (jacobian.worst_case_direction), so a
-seed only ever chooses generated problems.
+matrix is computed in closed form (the chi_A field of
+conditioning.ConditionEstimates), so a seed only ever chooses generated
+problems.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O or parameter errors,
-3 numerical preconditions (the error name goes to stderr).
+3 failed numerical preconditions or invariants (the error name goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mmio, verify
-from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds, scale_preset
-from .core import LsCache, LsProblem, geometry, solve_least_squares
-from .errors import LsqCondError, OutOfRange, ParamOutOfRange
+from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds
+from .core import LsProblem, geometry, solve_least_squares
+from .errors import LsqCondError, ParamOutOfRange
 from .generators import EnsembleSpec, gvl_example, lanczos_demo, random_problem
-from .jacobian import worst_case_direction
 from .prior_bounds import compare_table
 from .report import build_report, dump_json, write_csv
 
@@ -128,27 +129,19 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _chi_A(cache: LsCache, scales: ScaleFactors) -> float:
-    """Exact scaled condition number of the residual wrt the matrix."""
-    return scales.scale_A / scales.scale_r * worst_case_direction(cache).g_value
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     problem = _load_problem(args.matrix, args.rhs)
     cache = solve_least_squares(problem)
     geom = geometry(cache)
     t1 = time.perf_counter()
-    chi_A = _chi_A(cache, scale_preset(args.scales, cache))
-    t2 = time.perf_counter()
     rows = compare_table(cache)
     timings = None
     if args.timings:
-        timings = {"solve_s": t1 - t0, "empirical_s": t2 - t1, "total_s": time.perf_counter() - t0}
+        timings = {"solve_s": t1 - t0, "total_s": time.perf_counter() - t0}
     rep = build_report(
         cache,
         geom,
-        chi_A,
         args.scales,
         rows,
         matrix_file=args.matrix,
@@ -284,11 +277,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         problem = _SWEEP_PROBLEMS[args.kind]({**vars(args), args.param: value})
         cache = solve_least_squares(problem)
         geom = geometry(cache)
-        scales = ScaleFactors.relative(cache)
-        est = residual_condition_bounds(cache, scales)
+        est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
         rows.append([
             args.param, value, problem.m, problem.n, geom.kappa, geom.theta, geom.vds, geom.sigma_min,
-            est.chi_b, est.chi_A_lower, est.chi_A_upper, _chi_A(cache, scales),
+            est.chi_b, est.chi_A_lower, est.chi_A_upper, est.chi_A,
         ])
     buf = io.StringIO()
     write_csv(buf, _SWEEP_HEADER, rows)
@@ -356,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParamOutOfRange, OutOfRange) as exc:
+    except ParamOutOfRange as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except LsqCondError as exc:

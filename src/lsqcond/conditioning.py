@@ -1,12 +1,15 @@
-"""Condition numbers and tight two-sided estimates for residual and projection.
+"""Condition numbers of the residual and the projection: the closed form.
 
-The estimate for the condition number with respect to the matrix is a
-sandwich: the true value lies between upper/sqrt(2) and upper, where
+The condition number with respect to the matrix is computed exactly. It
+lies in a sandwich between upper/sqrt(2) and upper, where
 
     upper = (scale_A / scale_r) * sqrt((||r|| / sigma_min)^2 + ||x||^2).
 
-The true value is attained at upper when m >= n + 2; the jacobian module
-computes it exactly in both cases.
+When m >= n + 2 the exact value is upper itself. When m = n + 1 it is the
+largest singular value of the n x (n + 1) matrix [V^t x | ||r|| Sigma^{-1}],
+scaled the same way. worst_case_direction returns the residual-space
+direction that attains it; jacobian.attaining_perturbation turns that
+direction into a matrix perturbation.
 
 The condition number with respect to the right-hand side is exactly
 scale_b / scale_r. Scale factors are free; three named presets cover the
@@ -18,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LsCache
+import numpy as np
+
+from .core import LsCache, geometry
 from .errors import ZeroSolution
 
 SQRT2 = math.sqrt(2.0)
@@ -73,22 +78,21 @@ def scale_preset(name: str, cache: LsCache) -> ScaleFactors:
 
 @dataclass(frozen=True)
 class ConditionEstimates:
-    """Two-sided condition estimate with respect to the matrix, plus the
-    exact condition number with respect to the right-hand side.
+    """Condition numbers of one target ("residual" or "projection").
 
-    The interval is the paper's sqrt(2)-wide sandwich, so only its upper
-    end is stored. The exact value
-    inside it is (scale_A / scale_r) * jacobian.worst_case_direction(cache)
-    .g_value: it equals chi_A_upper when m >= n + 2, and for m = n + 1 it is
-    the largest singular value of [V^t x | ||r|| Sigma^{-1}], scaled.
+    chi_A is the exact condition number with respect to the matrix and
+    chi_A_upper the upper end of the paper's sqrt(2)-wide sandwich around
+    it; the two are equal when m >= n + 2. chi_b is the exact condition
+    number with respect to the right-hand side.
     """
 
     chi_b: float
+    chi_A: float
     chi_A_upper: float
     target: str  # "residual" or "projection"
 
     def __post_init__(self):
-        for name in ("chi_b", "chi_A_upper"):
+        for name in ("chi_b", "chi_A", "chi_A_upper"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -100,26 +104,44 @@ class ConditionEstimates:
         return self.chi_A_upper / SQRT2
 
 
-def _tight_numerator(cache: LsCache) -> float:
+def _upper_value(cache: LsCache) -> float:
     return math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
 
 
-def residual_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
-    """Sandwich for chi_r(A) plus chi_r(b) = scale_b / scale_r.
+def exact_value(cache: LsCache) -> float:
+    """The unscaled exact condition number wrt the matrix, the maximum of g
+    that worst_case_direction attains.
 
-    With fully relative scales the upper value equals
-    kappa * sqrt(1 + (cot(theta) / vds)^2) and chi_b equals csc(theta).
+    It is the upper value when m >= n + 2 and sigma_max(M) when m = n + 1;
+    M is factorized once per cache (LsCache.bordered_svd).
     """
-    upper = scales.scale_A / scales.scale_r * _tight_numerator(cache)
+    if cache.problem.m >= cache.problem.n + 2:
+        return _upper_value(cache)
+    return float(cache.bordered_svd[1][0])
+
+
+def _estimates(cache: LsCache, scales: ScaleFactors, scale_out: float, target: str) -> ConditionEstimates:
+    """Scale the unscaled upper and exact values by scale_A / scale_out."""
     return ConditionEstimates(
-        chi_b=scales.scale_b / scales.scale_r,
-        chi_A_upper=upper,
-        target="residual",
+        chi_b=scales.scale_b / scale_out,
+        chi_A=scales.scale_A / scale_out * exact_value(cache),
+        chi_A_upper=scales.scale_A / scale_out * _upper_value(cache),
+        target=target,
     )
 
 
+def residual_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
+    """chi_r(A), its sandwich, and chi_r(b) = scale_b / scale_r.
+
+    With fully relative scales the upper value equals
+    kappa * sqrt(1 + (cot(theta) / vds)^2) and chi_b equals csc(theta).
+    Under absolute scales chi_A is exact_value(cache).
+    """
+    return _estimates(cache, scales, scales.scale_r, "residual")
+
+
 def projection_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
-    """Sandwich for chi_Ax(A) plus chi_Ax(b) = scale_b / scale_p.
+    """chi_Ax(A), its sandwich, and chi_Ax(b) = scale_b / scale_p.
 
     With scale_p = ||Ax|| the upper value equals
     kappa * sqrt(tan(theta)^2 + 1/vds^2) and chi_b equals sec(theta).
@@ -128,39 +150,62 @@ def projection_condition_bounds(cache: LsCache, scales: ScaleFactors) -> Conditi
     """
     if cache.norm_Ax == 0.0:
         raise ZeroSolution("projection Ax is exactly zero")
-    upper = scales.scale_A / scales.scale_p * _tight_numerator(cache)
-    return ConditionEstimates(
-        chi_b=scales.scale_b / scales.scale_p,
-        chi_A_upper=upper,
-        target="projection",
-    )
+    return _estimates(cache, scales, scales.scale_p, "projection")
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    """One residual-scaling variant: the tight upper estimate and chi_b."""
+def _complement_direction(cache: LsCache, rhat: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to col(A) and to r, for m >= n + 2.
 
-    scale_choice: str
-    tight_estimate: float
-    chi_b: float
-
-
-def table2_variants(cache: LsCache) -> list[Table2Row]:
-    """The two standard residual scalings side by side.
-
-    Measuring changes to r against ||r|| gives (kappa sqrt(1 + (cot/vds)^2),
-    csc theta); measuring against ||b|| masks theta and gives
-    (kappa sqrt(sin^2 + (cos/vds)^2), 1). The second row equals the first
-    times sin(theta).
+    Starts from the coordinate vector whose row of [U | rhat] is shortest.
+    The squared row norms sum to n + 1, so its rejection has squared norm
+    at least 1 - (n + 1) / m > 0; a second pass restores orthogonality to
+    rounding.
     """
-    rows = []
-    for name, scales in (
-        ("r-relative", ScaleFactors.relative(cache)),
-        ("b-relative", ScaleFactors.b_relative(cache)),
-    ):
-        est = residual_condition_bounds(cache, scales)
-        rows.append(Table2Row(name, est.chi_A_upper, est.chi_b))
-    return rows
+    U = cache.svd.left_vectors
+    w = np.zeros(cache.problem.m)
+    w[int(np.argmin(np.einsum("ij,ij->i", U, U) + rhat * rhat))] = 1.0
+    for _ in range(2):
+        w -= U @ (U.T @ w) + (rhat @ w) * rhat
+    return w / np.linalg.norm(w)
+
+
+def worst_case_direction(cache: LsCache) -> np.ndarray:
+    """Unit residual-space direction at which the dual-norm objective g
+    attains its maximum, the unscaled exact value chi_A.
+
+    Split a unit direction into u orthogonal to col(A) and p inside it.
+    Then a = ||x|| ||u|| and b = ||r|| ||Sigma^{-1} U^t p|| <= ||r|| ||p|| / sigma_min,
+    so g <= a + b <= sqrt((||r|| / sigma_min)^2 + ||x||^2). The maximizer
+    depends on the dimension m - n of the complement of col(A):
+
+    * m >= n + 2: with a = ||x||, b = ||r|| / sigma_min,
+      c = v_min^t x / ||x||, s = sqrt(1 - c^2) and a unit w orthogonal to
+      r and col(A), the direction d = (a (c rhat + s w) + b a'') / hypot(a, b)
+      gives theta_u = theta_v = arccos(c) and maximal a + b, so the upper
+      estimate is attained.
+    * m = n + 1: the complement is spanned by rhat, so d = alpha rhat + U c
+      and the adjoint collapses to rhat (alpha x + ||r|| V Sigma^{-1} c)^t.
+      Its nuclear norm is ||M (alpha, c)|| with M = [V^t x | ||r|| Sigma^{-1}],
+      maximized by the top right singular vector of the n x (n + 1) matrix M.
+
+    Raises what geometry raises: ZeroResidual when r is zero to the
+    residual tolerance and ZeroSolution when x = 0.
+    """
+    geometry(cache)
+    svd = cache.svd
+    rhat = cache.r / cache.norm_r
+    if cache.problem.m >= cache.problem.n + 2:
+        a = cache.norm_x
+        b = cache.norm_r / svd.sigma_min
+        vmin = svd.right_vectors[:, -1]
+        xv = float(vmin @ cache.x)
+        c = xv / a
+        # rejection-based sine, accurate when x is nearly parallel to v_min
+        s = float(np.linalg.norm(cache.x - xv * vmin)) / a
+        u = c * rhat + s * _complement_direction(cache, rhat)
+        return (a * u + b * svd.left_vectors[:, -1]) / math.hypot(a, b)
+    Wt = cache.bordered_svd[2]
+    return Wt[0, 0] * rhat + svd.left_vectors @ Wt[0, 1:]
 
 
 def error_bound_rhs(

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFullRank, ZeroResidual, ZeroSolution
+from .errors import DimensionMismatch, InvalidGeometry, NonFullRank, ZeroResidual, ZeroSolution
 
 
 RANK_TOL = 1e-12
@@ -96,7 +97,8 @@ class LsCache:
 
     Immutable after construction and safe for concurrent readers. All
     applier methods go through the stored SVD; the 2-norms of b, r, Ax and
-    x are computed once, when the problem is solved.
+    x are computed once, when the problem is solved, and bordered_svd once,
+    on first use.
     """
 
     problem: LsProblem
@@ -108,6 +110,17 @@ class LsCache:
     norm_r: float
     norm_Ax: float
     norm_x: float
+
+    @cached_property
+    def bordered_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """np.linalg.svd of the n x (n + 1) matrix M = [V^t x | ||r|| Sigma^{-1}].
+
+        Its top singular pair gives the exact condition number wrt the
+        matrix, and the direction attaining it, when m = n + 1.
+        """
+        d = self.svd
+        M = np.column_stack([d.right_vectors.T @ self.x, np.diag(self.norm_r / d.singular_values)])
+        return np.linalg.svd(M)
 
     # each applier takes a vector or a block whose columns are vectors
 
@@ -193,11 +206,11 @@ class Geometry:
     def __post_init__(self):
         slack = 1e-9
         if not self.kappa >= 1.0 - slack:
-            raise ValueError(f"kappa = {self.kappa} < 1")
+            raise InvalidGeometry(f"kappa = {self.kappa} < 1")
         if not 0.0 < self.theta <= math.pi / 2 + slack:
-            raise ValueError(f"theta = {self.theta} outside (0, pi/2]")
+            raise InvalidGeometry(f"theta = {self.theta} outside (0, pi/2]")
         if not (1.0 - slack) <= self.vds <= self.kappa * (1.0 + slack):
-            raise ValueError(f"vds = {self.vds} outside [1, kappa]")
+            raise InvalidGeometry(f"vds = {self.vds} outside [1, kappa]")
 
 
 def geometry(cache: LsCache) -> Geometry:

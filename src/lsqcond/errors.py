@@ -13,6 +13,11 @@ class DimensionMismatch(LsqCondError):
     """Array shapes are inconsistent with each other or with the problem."""
 
 
+class InvalidGeometry(LsqCondError):
+    """Computed geometry violates kappa >= 1, theta in (0, pi/2] or
+    1 <= vds <= kappa: a numerical failure, e.g. under- or overflow."""
+
+
 class NonFullRank(LsqCondError):
     """Matrix has (numerically) deficient column rank."""
 
@@ -23,10 +28,6 @@ class ZeroResidual(LsqCondError):
 
 class ZeroSolution(LsqCondError):
     """Least squares solution is zero; condition numbers undefined."""
-
-
-class OutOfRange(LsqCondError):
-    """Index outside its valid range."""
 
 
 class ParamOutOfRange(LsqCondError):

@@ -171,24 +171,26 @@ def _geometric(stop: float, n: int) -> tuple[float, ...]:
     return tuple(sv.tolist())
 
 
+ENSEMBLE_MAX_M = 30
+
+
 def ensemble_specs(
     count: int,
     seed: int,
-    max_m: int = 30,
     max_n: int = 10,
     max_kappa_exp: float = 6.0,
     theta_range: tuple[float, float] = (0.05, math.pi / 2.0 - 0.05),
 ) -> list[EnsembleSpec]:
     """Seeded stream of problem recipes covering sizes, conditioning, and angles.
 
-    Condition numbers range up to 10**max_kappa_exp via geometrically
-    spaced singular values.
+    Sizes n <= max_n and n < m <= ENSEMBLE_MAX_M; condition numbers range
+    up to 10**max_kappa_exp via geometrically spaced singular values.
     """
     rng = np.random.default_rng(seed)
     specs = []
     for _ in range(count):
         n = int(rng.integers(1, max_n + 1))
-        m = int(rng.integers(n + 1, max_m + 1))
+        m = int(rng.integers(n + 1, ENSEMBLE_MAX_M + 1))
         if n == 1:
             sv: tuple[float, ...] = (1.0,)
         else:

@@ -1,4 +1,5 @@
-"""Residual Jacobian machinery and the exact condition number wrt the matrix.
+"""Residual Jacobian machinery: the Jacobian, its rank-2 adjoint, and the
+perturbation that attains the condition number wrt the matrix.
 
 The derivative of the residual with respect to the matrix acts on a
 perturbation dA as
@@ -9,10 +10,10 @@ Its adjoint maps a residual-space direction dr to minus the rank-2
 matrix u1 v1^t + u2 v2^t with u1 = (I - P) dr, v1 = x, u2 = r,
 v2 = (A^t A)^{-1} A^t dr. The induced condition number is therefore the
 maximum over unit directions of the nuclear norm g of that matrix. The
-maximum has a closed form (see worst_case_direction): it equals the
-upper estimate when m >= n + 2 and is the largest singular value of an
-n x (n + 1) matrix when m = n + 1. The verify module evaluates g and its
-two-sided bounds at given directions.
+conditioning module holds that maximum in closed form and the direction
+attaining it (worst_case_direction); attaining_perturbation turns the
+direction into a unit-norm matrix perturbation. The verify module
+evaluates g and its two-sided bounds at given directions.
 
 The adjoint takes one direction of length m or an (m, k) block whose
 columns are directions.
@@ -20,14 +21,12 @@ columns are directions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import _tight_numerator
 from .core import LsCache
-from .errors import DegenerateDirection, DimensionMismatch, ZeroResidual, ZeroSolution
+from .errors import DegenerateDirection, DimensionMismatch
 
 
 def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,78 +80,6 @@ def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
         u2=cache.r,
         v2=cache.apply_pinv(delta_r),
     )
-
-
-@dataclass(frozen=True)
-class DirectionCandidate:
-    """A unit residual-space direction with its objective value."""
-
-    delta_r: np.ndarray
-    g_value: float
-
-
-def _require_geometry(cache: LsCache) -> None:
-    if cache.norm_r == 0.0:
-        raise ZeroResidual("residual is zero; no worst-case direction exists")
-    if cache.norm_x == 0.0:
-        raise ZeroSolution("solution is zero; no worst-case direction exists")
-
-
-def _complement_direction(cache: LsCache, rhat: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to col(A) and to r, for m >= n + 2.
-
-    Starts from the coordinate vector whose row of [U | rhat] is shortest.
-    The squared row norms sum to n + 1, so its rejection has squared norm
-    at least 1 - (n + 1) / m > 0; a second pass restores orthogonality to
-    rounding.
-    """
-    U = cache.svd.left_vectors
-    w = np.zeros(cache.problem.m)
-    w[int(np.argmin(np.einsum("ij,ij->i", U, U) + rhat * rhat))] = 1.0
-    for _ in range(2):
-        w -= U @ (U.T @ w) + (rhat @ w) * rhat
-    return w / np.linalg.norm(w)
-
-
-def worst_case_direction(cache: LsCache) -> DirectionCandidate:
-    """Exact maximizer of the objective over the unit sphere.
-
-    Its g_value is the unscaled condition number wrt the matrix. Split a
-    unit direction into u orthogonal to col(A) and p inside it. Then
-    a = ||x|| ||u|| and b = ||r|| ||Sigma^{-1} U^t p|| <= ||r|| ||p|| / sigma_min,
-    so g <= a + b <= sqrt((||r|| / sigma_min)^2 + ||x||^2). The maximizer
-    depends on the dimension m - n of the complement of col(A):
-
-    * m >= n + 2: with a = ||x||, b = ||r|| / sigma_min,
-      c = v_min^t x / ||x||, s = sqrt(1 - c^2) and a unit w orthogonal to
-      r and col(A), the direction d = (a (c rhat + s w) + b a'') / hypot(a, b)
-      gives theta_u = theta_v = arccos(c) and maximal a + b, so the upper
-      estimate is attained.
-    * m = n + 1: the complement is spanned by rhat, so d = alpha rhat + U c
-      and the adjoint collapses to rhat (alpha x + ||r|| V Sigma^{-1} c)^t.
-      Its nuclear norm is ||M (alpha, c)|| with M = [V^t x | ||r|| Sigma^{-1}],
-      maximized by the top right singular vector of the n x (n + 1) matrix M.
-    """
-    _require_geometry(cache)
-    svd = cache.svd
-    rhat = cache.r / cache.norm_r
-    if cache.problem.m >= cache.problem.n + 2:
-        a = cache.norm_x
-        b = cache.norm_r / svd.sigma_min
-        vmin = svd.right_vectors[:, -1]
-        xv = float(vmin @ cache.x)
-        c = xv / a
-        # rejection-based sine, accurate when x is nearly parallel to v_min
-        s = float(np.linalg.norm(cache.x - xv * vmin)) / a
-        u = c * rhat + s * _complement_direction(cache, rhat)
-        d = (a * u + b * svd.left_vectors[:, -1]) / math.hypot(a, b)
-        value = _tight_numerator(cache)
-    else:
-        M = np.column_stack([svd.right_vectors.T @ cache.x, np.diag(cache.norm_r / svd.singular_values)])
-        _, sv, Wt = np.linalg.svd(M)
-        d = Wt[0, 0] * rhat + svd.left_vectors @ Wt[0, 1:]
-        value = float(sv[0])
-    return DirectionCandidate(delta_r=d, g_value=value)
 
 
 def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:

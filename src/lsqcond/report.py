@@ -27,6 +27,7 @@ from .core import Geometry, LsCache
 from .prior_bounds import PriorBoundRow
 
 SCHEMA = "lsq-cond/2"
+INDENT = 2
 
 
 def file_sha256(path: str | Path) -> str:
@@ -36,7 +37,6 @@ def file_sha256(path: str | Path) -> str:
 def build_report(
     cache: LsCache,
     geom: Geometry,
-    chi_A: float,
     empirical_scales_name: str,
     prior_rows: list[PriorBoundRow],
     matrix_file: str | None = None,
@@ -45,10 +45,10 @@ def build_report(
 ) -> dict[str, Any]:
     """Assemble the full analysis record as a plain nested dict.
 
-    chi_A is the exact condition number wrt the matrix under the preset
-    named by empirical_scales_name; the record keeps it in the "empirical"
-    block. Raises if it escapes that preset's sandwich, so a report can
-    never assert an inconsistent value.
+    The "empirical" block holds the exact condition number wrt the matrix
+    under the preset named by empirical_scales_name. Raises if it escapes
+    that preset's sandwich, so a report can never assert an inconsistent
+    value.
     """
     problem = cache.problem
     estimates: dict[str, Any] = {}
@@ -63,9 +63,9 @@ def build_report(
 
     emp_scales = scale_preset(empirical_scales_name, cache)
     emp_bounds = residual_condition_bounds(cache, emp_scales)
-    if not emp_bounds.chi_A_lower <= chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
+    if not emp_bounds.chi_A_lower <= emp_bounds.chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
         raise RuntimeError(
-            f"exact value {chi_A} outside "
+            f"exact value {emp_bounds.chi_A} outside "
             f"[{emp_bounds.chi_A_lower}, {emp_bounds.chi_A_upper}]"
         )
 
@@ -102,7 +102,7 @@ def build_report(
         },
         "empirical": {
             "scales": empirical_scales_name,
-            "value": chi_A,
+            "value": emp_bounds.chi_A,
             "lower": emp_bounds.chi_A_lower,
             "upper": emp_bounds.chi_A_upper,
         },
@@ -132,17 +132,18 @@ def format_number(x: Any) -> str:
     return format(value, ".17g")
 
 
-def dump_json(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats."""
+def dump_json(obj: Any) -> str:
+    """Deterministic JSON text: insertion-ordered keys, 17-digit floats,
+    INDENT spaces per level."""
     pieces: list[str] = []
-    _emit(obj, pieces, 0, indent)
+    _emit(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _emit(obj: Any, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
+def _emit(obj: Any, out: list[str], level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    end_pad = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, str):
@@ -156,7 +157,7 @@ def _emit(obj: Any, out: list[str], level: int, indent: int) -> None:
         out.append("{\n")
         for k, (key, value) in enumerate(obj.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(value, out, level + 1, indent)
+            _emit(value, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(end_pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -167,7 +168,7 @@ def _emit(obj: Any, out: list[str], level: int, indent: int) -> None:
         out.append("[\n")
         for k, value in enumerate(seq):
             out.append(pad)
-            _emit(value, out, level + 1, indent)
+            _emit(value, out, level + 1)
             out.append(",\n" if k < len(seq) - 1 else "\n")
         out.append(end_pad + "]")
     else:

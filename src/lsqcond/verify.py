@@ -23,19 +23,14 @@ import numpy as np
 from .conditioning import (
     SQRT2,
     ScaleFactors,
+    exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
-    table2_variants,
+    worst_case_direction,
 )
 from .core import LsCache, LsProblem, geometry, nuclear_norm, solve_least_squares
 from .generators import EnsembleSpec, block_norm_cases, ensemble_specs, random_problem
-from .jacobian import (
-    Rank2Adjoint,
-    adjoint_rank2,
-    apply_residual_jacobian,
-    attaining_perturbation,
-    worst_case_direction,
-)
+from .jacobian import Rank2Adjoint, adjoint_rank2, apply_residual_jacobian, attaining_perturbation
 from .prior_bounds import compare_table
 
 # ---------------------------------------------------------------------------
@@ -164,17 +159,17 @@ def sandwich_containment(seed: int, count: int) -> tuple[bool, str]:
     lo, hi, worst_norm, worst_cert = math.inf, 0.0, 0.0, 0.0
     for spec in ensemble_specs(count, seed):
         cache, _ = _solved(spec)
-        scales = ScaleFactors.relative(cache)
-        upper = residual_condition_bounds(cache, scales).chi_A_upper
-        cand = worst_case_direction(cache)
-        value = scales.scale_A / scales.scale_r * cand.g_value
+        est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
+        upper, value = est.chi_A_upper, est.chi_A
         lo, hi = min(lo, value / upper), max(hi, value / upper)
         if not upper / SQRT2 * (1 - 1e-12) <= value <= upper * (1 + 1e-8):
             return False, f"exact value {value} outside sandwich for seed {spec.seed}"
-        dA = attaining_perturbation(cache, cand.delta_r)
+        # the first-order change attains the unscaled value
+        g = exact_value(cache)
+        dA = attaining_perturbation(cache, worst_case_direction(cache))
         dr, _ = apply_residual_jacobian(cache, dA)
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(dA, 2)) - 1.0))
-        worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - cand.g_value) / cand.g_value)
+        worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - g) / g)
     ok = worst_norm <= 1e-12 and worst_cert <= 1e-10
     return ok, (
         f"exact/upper in [{lo:.6f}, {hi:.6f}], worst | ||dA||_2 - 1 | {worst_norm:.2e} (tol 1e-12), "
@@ -285,12 +280,9 @@ def scaling_variants(seed: int, count: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
         cache, geom = _solved(spec)
-        row_r, row_b = table2_variants(cache)
-        worst = max(
-            worst,
-            abs(row_b.tight_estimate - row_r.tight_estimate * math.sin(geom.theta))
-            / row_r.tight_estimate,
-        )
+        by_r = residual_condition_bounds(cache, ScaleFactors.relative(cache)).chi_A_upper
+        by_b = residual_condition_bounds(cache, ScaleFactors.b_relative(cache)).chi_A_upper
+        worst = max(worst, abs(by_b - by_r * math.sin(geom.theta)) / by_r)
     return worst <= 1e-12, f"worst scaling-identity defect {worst:.2e} (tol 1e-12)"
 
 

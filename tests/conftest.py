@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,14 @@ def solved_ensemble(count, seed, **kwargs):
         yield cache, lc.geometry(cache)
 
 
+def both_branches(count, seed, **kwargs):
+    """Solved ensemble problems and, for each, the same recipe with m = n + 1,
+    so both branches of the closed form are exercised."""
+    for spec in lc.ensemble_specs(count, seed, **kwargs):
+        for s in (spec, dataclasses.replace(spec, m=spec.n + 1)):
+            yield lc.solve_least_squares(lc.random_problem(s))
+
+
 def reconstruct(svd):
     """U diag(s) V^t from a SpectralData."""
     return (svd.left_vectors * svd.singular_values) @ svd.right_vectors.T
@@ -52,16 +61,16 @@ def vec_index(i, j, m, n=None):
     Indices are zero-based; pass n to also range-check the column index.
     """
     if not 0 <= i < m:
-        raise lc.OutOfRange(f"row index {i} outside [0, {m})")
+        raise IndexError(f"row index {i} outside [0, {m})")
     if j < 0 or (n is not None and j >= n):
-        raise lc.OutOfRange(f"column index {j} out of range")
+        raise IndexError(f"column index {j} out of range")
     return j * m + i
 
 
 def vec_unflatten(k, m):
     """Inverse of vec_index: linear index k of an m-row matrix back to (i, j)."""
     if k < 0 or m <= 0:
-        raise lc.OutOfRange(f"linear index {k} or row count {m} out of range")
+        raise IndexError(f"linear index {k} or row count {m} out of range")
     return k % m, k // m
 
 
@@ -132,7 +141,7 @@ def finite_difference_condition(problem, scales, delta=None, samples=200, seed=0
     m, n = problem.m, problem.n
     shapes = []
     try:
-        shapes.append(lc.attaining_perturbation(cache, lc.worst_case_direction(cache).delta_r))
+        shapes.append(lc.attaining_perturbation(cache, lc.worst_case_direction(cache)))
     except (lc.ZeroResidual, lc.ZeroSolution, lc.DegenerateDirection):
         pass
     for i in range(samples):

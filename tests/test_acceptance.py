@@ -77,10 +77,9 @@ def test_criterion_04_dual_norm_identity_and_pointwise_sandwich():
 def test_criterion_05_attainment_at_e1():
     with criterion(5, "E1: exact value equals sqrt(2) to 1e-9; attaining dA realizes it to 1e-5"):
         cache = lc.solve_least_squares(lc.LsProblem([[1.0], [0.0]], [1.0, 1.0]))
-        scales = lc.ScaleFactors.relative(cache)
-        exact = scales.scale_A / scales.scale_r * lc.worst_case_direction(cache).g_value
+        exact = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache)).chi_A
         assert exact == pytest.approx(SQRT2, rel=1e-9)
-        dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache).delta_r)
+        dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         eps = 1e-7
         perturbed = lc.solve_least_squares(lc.LsProblem(cache.problem.A + eps * dA, cache.problem.b))

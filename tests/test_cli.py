@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from lsqcond import mmio, verify
+from lsqcond import cli, mmio, verify
 from lsqcond.cli import main
+from lsqcond.errors import InvalidGeometry
 
 
 def run_cli(*args):
@@ -245,6 +246,17 @@ def test_zero_residual_exits_3(tmp_path, capsys):
     code = run_cli("analyze", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt"))
     assert code == 3
     assert "ZeroResidual" in capsys.readouterr().err
+
+
+def test_broken_geometry_exits_3(gvl_case, monkeypatch, capsys):
+    # a numerical failure, not an I/O or parameter error
+    def broken(cache):
+        raise InvalidGeometry("vds = 0.0 outside [1, kappa]")
+
+    monkeypatch.setattr(cli, "geometry", broken)
+    code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
+    assert code == 3
+    assert "InvalidGeometry" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import solved_ensemble
+from conftest import both_branches, solved_ensemble
 
 SQRT2 = math.sqrt(2.0)
 
@@ -119,25 +119,35 @@ def test_projection_bounds_parametric(gvl_cache):
 
 
 def test_projection_residual_consistency():
-    # chi_Ax(A) ||Ax|| = chi_r(A) ||r|| when each uses its natural codomain scale
-    for cache, geom in solved_ensemble(50, 31, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
+    # chi_Ax(A) ||Ax|| = chi_r(A) ||r|| when each uses its natural codomain
+    # scale, for the upper and the exact values, with m >= n + 2 and m = n + 1
+    for cache in both_branches(50, 31, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
         scales = lc.ScaleFactors.relative(cache)
         res = lc.residual_condition_bounds(cache, scales)
         proj = lc.projection_condition_bounds(cache, scales)
         assert proj.chi_A_upper * cache.norm_Ax == pytest.approx(
             res.chi_A_upper * cache.norm_r, rel=1e-12
         )
-        assert proj.chi_b == pytest.approx(1.0 / math.cos(geom.theta), rel=1e-12)
+        assert proj.chi_A * cache.norm_Ax == pytest.approx(res.chi_A * cache.norm_r, rel=1e-12)
+        assert proj.chi_b == pytest.approx(1.0 / math.cos(lc.geometry(cache).theta), rel=1e-12)
 
 
 # --- scaling variants -----------------------------------------------------------
 
 
+def _by_r_and_by_b(cache):
+    """Residual estimates with changes measured against ||r||, then ||b||."""
+    return (
+        lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache)),
+        lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache)),
+    )
+
+
 def test_table2_parametric_rows(gvl_cache):
-    row_r, row_b = lc.table2_variants(gvl_cache)
-    assert row_r.tight_estimate == pytest.approx(2.0 * SQRT2, rel=1e-12)
+    row_r, row_b = _by_r_and_by_b(gvl_cache)
+    assert row_r.chi_A_upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
     assert row_r.chi_b == pytest.approx(math.sqrt(5.0), rel=1e-12)
-    assert row_b.tight_estimate == pytest.approx(2.0 * SQRT2 / math.sqrt(5.0), rel=1e-12)
+    assert row_b.chi_A_upper == pytest.approx(2.0 * SQRT2 / math.sqrt(5.0), rel=1e-12)
     assert row_b.chi_b == pytest.approx(1.0, rel=1e-14)
 
 
@@ -145,17 +155,15 @@ def test_table2_near_orthogonal_limit():
     # b almost orthogonal to col(A) with orthonormal columns: both rows -> (1, 1)
     spec = lc.EnsembleSpec(6, 2, (1.0, 1.0), math.pi / 2 - 1e-6, 0.5, 41)
     cache = lc.solve_least_squares(lc.random_problem(spec))
-    for row in lc.table2_variants(cache):
-        assert row.tight_estimate == pytest.approx(1.0, abs=1e-5)
+    for row in _by_r_and_by_b(cache):
+        assert row.chi_A_upper == pytest.approx(1.0, abs=1e-5)
         assert row.chi_b == pytest.approx(1.0, abs=1e-5)
 
 
 def test_table2_rows_differ_by_sin_theta():
     for cache, geom in solved_ensemble(50, 37, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        row_r, row_b = lc.table2_variants(cache)
-        assert row_b.tight_estimate == pytest.approx(
-            row_r.tight_estimate * math.sin(geom.theta), rel=1e-12
-        )
+        row_r, row_b = _by_r_and_by_b(cache)
+        assert row_b.chi_A_upper == pytest.approx(row_r.chi_A_upper * math.sin(geom.theta), rel=1e-12)
 
 
 def test_sum_property_under_b_relative():

@@ -152,6 +152,17 @@ def test_geometry_zero_solution():
         lc.geometry(cache)
 
 
+@pytest.mark.parametrize(
+    "kappa, theta, vds",
+    [(0.5, 0.7, 1.0), (2.0, 0.0, 1.5), (2.0, 2.0, 1.5), (2.0, 0.7, 0.0), (2.0, 0.7, 3.0)],
+)
+def test_geometry_out_of_range_raises_invalid_geometry(kappa, theta, vds):
+    # a numerical failure, not a parameter error: LsqCondError, not ValueError
+    with pytest.raises(lc.InvalidGeometry):
+        lc.Geometry(kappa=kappa, theta=theta, cot_theta=math.inf, vds=vds, sigma_min=1.0)
+    assert not issubclass(lc.InvalidGeometry, ValueError)
+
+
 def test_vds_between_one_and_kappa():
     for _, geom in solved_ensemble(60, 9):
         assert 1.0 - 1e-12 <= geom.vds <= geom.kappa * (1.0 + 1e-12)
@@ -260,9 +271,9 @@ def test_vec_index_bijection(m, n, data):
 
 
 def test_vec_index_out_of_range():
-    with pytest.raises(lc.OutOfRange):
+    with pytest.raises(IndexError):
         vec_index(3, 0, 3)
-    with pytest.raises(lc.OutOfRange):
+    with pytest.raises(IndexError):
         vec_index(0, 2, 3, n=2)
-    with pytest.raises(lc.OutOfRange):
+    with pytest.raises(IndexError):
         vec_unflatten(-1, 3)

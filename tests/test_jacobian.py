@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqcond as lc
-from conftest import finite_difference_condition, sampled_condition_wrt_A, solved_ensemble, vec_index
+from conftest import (
+    both_branches,
+    finite_difference_condition,
+    sampled_condition_wrt_A,
+    solved_ensemble,
+    vec_index,
+)
+from lsqcond.conditioning import exact_value
 from lsqcond.verify import canonicalize_direction, g_objective, sandwich_bounds
 
 SQRT2 = math.sqrt(2.0)
@@ -236,55 +242,58 @@ def test_canonicalize_preserves_bounds():
 
 
 def test_worst_case_e1(e1_cache):
-    cand = lc.worst_case_direction(e1_cache)
-    _, U = sandwich_bounds(e1_cache, cand.delta_r)
+    d = lc.worst_case_direction(e1_cache)
+    _, U = sandwich_bounds(e1_cache, d)
     assert U == pytest.approx(SQRT2, rel=1e-12)
-    assert cand.g_value == pytest.approx(SQRT2, rel=1e-12)  # upper bound attained here
-    assert abs(np.abs(cand.delta_r) @ np.ones(2) - SQRT2) < 1e-12  # components +-1/sqrt(2)
+    assert exact_value(e1_cache) == pytest.approx(SQRT2, rel=1e-12)  # upper bound attained here
+    assert abs(np.abs(d) @ np.ones(2) - SQRT2) < 1e-12  # components +-1/sqrt(2)
 
 
 def test_worst_case_parametric(gvl_cache):
-    cand = lc.worst_case_direction(gvl_cache)
+    d = lc.worst_case_direction(gvl_cache)
     # ||r||/sigma_min = 2 and ||x|| = 2 give upper = 2 sqrt(2); m = n + 1, and
     # [V^t x | ||r|| Sigma^{-1}] = [[2, 1, 0], [0, 0, 2]] has sigma_max = sqrt(5)
     scales = lc.ScaleFactors.absolute()
     upper = lc.residual_condition_bounds(gvl_cache, scales).chi_A_upper
     assert upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
-    assert cand.g_value == pytest.approx(math.sqrt(5.0), rel=1e-14)
-    assert g_objective(gvl_cache, cand.delta_r) == pytest.approx(cand.g_value, rel=1e-12)
+    exact = exact_value(gvl_cache)
+    assert exact == pytest.approx(math.sqrt(5.0), rel=1e-14)
+    assert g_objective(gvl_cache, d) == pytest.approx(exact, rel=1e-12)
+
+
+def test_worst_case_rejects_zero_residual():
+    # b inside col(A)
+    cache = lc.solve_least_squares(lc.LsProblem([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 2.0, 0.0]))
+    with pytest.raises(lc.ZeroResidual):
+        lc.worst_case_direction(cache)
+
+
+def test_worst_case_rejects_zero_solution():
+    # b orthogonal to col(A)
+    cache = lc.solve_least_squares(lc.LsProblem([[1.0], [0.0], [0.0]], [0.0, 1.0, 1.0]))
+    with pytest.raises(lc.ZeroSolution):
+        lc.worst_case_direction(cache)
 
 
 def test_worst_case_orthonormal_columns():
     spec = lc.EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
     cache = lc.solve_least_squares(lc.random_problem(spec))
-    cand = lc.worst_case_direction(cache)
-    _, U = sandwich_bounds(cache, cand.delta_r)
+    _, U = sandwich_bounds(cache, lc.worst_case_direction(cache))
     assert U == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
-
-
-def _exact(cache, scales):
-    return scales.scale_A / scales.scale_r * lc.worst_case_direction(cache).g_value
-
-
-def _both_branches(count, seed, **kwargs):
-    """Ensemble problems and, for each, the same recipe with m = n + 1."""
-    for spec in lc.ensemble_specs(count, seed, **kwargs):
-        for s in (spec, dataclasses.replace(spec, m=spec.n + 1)):
-            yield lc.solve_least_squares(lc.random_problem(s))
 
 
 # --- exact value against the sampling oracle -------------------------------------------
 
 
 def test_empirical_e1_attains_upper(e1_cache):
-    scales = lc.ScaleFactors.relative(e1_cache)
-    assert _exact(e1_cache, scales) == pytest.approx(SQRT2, rel=1e-14)
+    chi_A = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A
+    assert chi_A == pytest.approx(SQRT2, rel=1e-14)
     assert sampled_condition_wrt_A(e1_cache, n_samples=100, seed=2) <= SQRT2 * (1.0 + 1e-10)
 
 
 def test_empirical_parametric_inside_sandwich(gvl_cache):
-    scales = lc.ScaleFactors.relative(gvl_cache)
-    assert 2.0 - 1e-12 <= _exact(gvl_cache, scales) <= 2.0 * SQRT2 * (1.0 + 1e-12)
+    chi_A = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.relative(gvl_cache)).chi_A
+    assert 2.0 - 1e-12 <= chi_A <= 2.0 * SQRT2 * (1.0 + 1e-12)
 
 
 def test_empirical_constructed_only_reaches_lower_bound():
@@ -293,21 +302,19 @@ def test_empirical_constructed_only_reaches_lower_bound():
         bounds = lc.residual_condition_bounds(cache, scales)
         constructed = scales.scale_A / scales.scale_r * sampled_condition_wrt_A(cache, n_samples=0)
         assert constructed >= bounds.chi_A_upper / SQRT2 * (1.0 - 1e-12)
-        assert constructed <= _exact(cache, scales) * (1.0 + 1e-10)
+        assert constructed <= bounds.chi_A * (1.0 + 1e-10)
 
 
 def test_empirical_deterministic(gvl_cache):
-    first = lc.worst_case_direction(gvl_cache)
-    second = lc.worst_case_direction(gvl_cache)
-    assert first.g_value == second.g_value
-    np.testing.assert_array_equal(first.delta_r, second.delta_r)
+    assert exact_value(gvl_cache) == exact_value(gvl_cache)
+    np.testing.assert_array_equal(lc.worst_case_direction(gvl_cache), lc.worst_case_direction(gvl_cache))
 
 
 def test_empirical_candidate_invariants(gvl_cache):
-    cand = lc.worst_case_direction(gvl_cache)
-    assert np.linalg.norm(cand.delta_r) == pytest.approx(1.0, abs=1e-12)
-    L, U = sandwich_bounds(gvl_cache, cand.delta_r)
-    assert L - 1e-10 <= cand.g_value <= U + 1e-10
+    d = lc.worst_case_direction(gvl_cache)
+    assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+    L, U = sandwich_bounds(gvl_cache, d)
+    assert L - 1e-10 <= exact_value(gvl_cache) <= U + 1e-10
 
 
 def test_global_sandwich_of_sampled_maximum():
@@ -319,18 +326,17 @@ def test_global_sandwich_of_sampled_maximum():
 
 
 def test_oracle_never_exceeds_exact():
-    for cache in _both_branches(200, 113):
-        exact = lc.worst_case_direction(cache).g_value
+    for cache in both_branches(200, 113):
+        exact = exact_value(cache)
         assert sampled_condition_wrt_A(cache, n_samples=1000, seed=cache.problem.m) <= exact * (1.0 + 1e-10)
 
 
 def test_certificate_attains_exact():
-    for cache in _both_branches(200, 127):
-        cand = lc.worst_case_direction(cache)
-        dA = lc.attaining_perturbation(cache, cand.delta_r)
+    for cache in both_branches(200, 127):
+        dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         dr, _ = lc.apply_residual_jacobian(cache, dA)
-        assert np.linalg.norm(dr) == pytest.approx(cand.g_value, rel=1e-10)
+        assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -345,15 +351,15 @@ def test_certificate_attains_exact():
 def test_exact_value_property(n, extra, kappa_exp, theta, mix, seed):
     sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
     cache = lc.solve_least_squares(lc.random_problem(lc.EnsembleSpec(n + extra, n, sv, theta, mix, seed)))
-    cand = lc.worst_case_direction(cache)
+    exact = exact_value(cache)
     upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
-    assert upper / SQRT2 * (1.0 - 1e-12) <= cand.g_value <= upper * (1.0 + 1e-12)
+    assert upper / SQRT2 * (1.0 - 1e-12) <= exact <= upper * (1.0 + 1e-12)
     if extra >= 2:
-        assert cand.g_value == upper  # a direction orthogonal to r and col(A) attains upper
-    dA = lc.attaining_perturbation(cache, cand.delta_r)
+        assert exact == upper  # a direction orthogonal to r and col(A) attains upper
+    dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
     dr, _ = lc.apply_residual_jacobian(cache, dA)
-    assert np.linalg.norm(dr) == pytest.approx(cand.g_value, rel=1e-10)
-    assert sampled_condition_wrt_A(cache, n_samples=200, seed=seed) <= cand.g_value * (1.0 + 1e-10)
+    assert np.linalg.norm(dr) == pytest.approx(exact, rel=1e-10)
+    assert sampled_condition_wrt_A(cache, n_samples=200, seed=seed) <= exact * (1.0 + 1e-10)
 
 
 def test_gvl_exact_matches_eigenvalue_closed_form():
@@ -367,8 +373,8 @@ def test_gvl_exact_matches_eigenvalue_closed_form():
                 x1, x2 = beta * math.cos(phi), beta * math.sin(phi) / alpha
                 p, q, r = x1 * x1 + 1.0, x2 * x2 + 1.0 / alpha**2, x1 * x2
                 lam = (p + q) / 2.0 + math.hypot((p - q) / 2.0, r)
-                scales = lc.ScaleFactors.relative(cache)
-                assert _exact(cache, scales) == pytest.approx(math.sqrt(lam), rel=1e-14)
+                chi_A = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache)).chi_A
+                assert chi_A == pytest.approx(math.sqrt(lam), rel=1e-14)
 
 
 def test_empirical_matches_exhaustive_circle_in_2d(e1_cache):
@@ -381,7 +387,7 @@ def test_empirical_matches_exhaustive_circle_in_2d(e1_cache):
         block = directions[:, k : k + 5000]
         for d in block.T:
             best = max(best, lc.nuclear_norm(lc.adjoint_rank2(e1_cache, d).matrix()))
-    exact = lc.worst_case_direction(e1_cache).g_value
+    exact = exact_value(e1_cache)
     assert best <= exact * (1.0 + 1e-12)
     assert exact == pytest.approx(best, rel=1e-8)
 
@@ -398,7 +404,7 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
     grid_best = 0.0
     for d in grid.T:
         grid_best = max(grid_best, lc.nuclear_norm(lc.adjoint_rank2(cache, d).matrix()))
-    exact = lc.worst_case_direction(cache).g_value
+    exact = exact_value(cache)
     upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
     assert grid_best <= exact * (1.0 + 1e-12)
     assert exact == pytest.approx(grid_best, rel=1e-3)
@@ -410,8 +416,7 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
 
 
 def test_attaining_e1(e1_cache):
-    cand = lc.worst_case_direction(e1_cache)
-    dA = lc.attaining_perturbation(e1_cache, cand.delta_r)
+    dA = lc.attaining_perturbation(e1_cache, lc.worst_case_direction(e1_cache))
     assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
     dr, _ = lc.apply_residual_jacobian(e1_cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(SQRT2, rel=1e-12)
@@ -431,8 +436,7 @@ def test_attaining_unit_norm_random_directions():
 
 
 def test_attaining_first_order_check(e1_cache):
-    cand = lc.worst_case_direction(e1_cache)
-    dA = lc.attaining_perturbation(e1_cache, cand.delta_r)
+    dA = lc.attaining_perturbation(e1_cache, lc.worst_case_direction(e1_cache))
     dr, _ = lc.apply_residual_jacobian(e1_cache, dA)
     eps = 1e-7
     perturbed = lc.solve_least_squares(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import pytest
 
 import lsqcond as lc
+from lsqcond import report
 from lsqcond.report import build_report, dump_json, format_number, write_csv
 
 
@@ -41,9 +43,7 @@ def test_write_csv_quotes_commas():
 
 def test_build_report_structure(e1_cache):
     geom = lc.geometry(e1_cache)
-    scales = lc.ScaleFactors.relative(e1_cache)
-    chi_A = scales.scale_A / scales.scale_r * lc.worst_case_direction(e1_cache).g_value
-    rep = build_report(e1_cache, geom, chi_A, "relative", lc.compare_table(e1_cache))
+    rep = build_report(e1_cache, geom, "relative", lc.compare_table(e1_cache))
     assert rep["schema"] == "lsq-cond/2"
     assert rep["problem"]["m"] == 2 and rep["problem"]["n"] == 1
     assert set(rep["estimates"]) == {"relative", "b-relative", "absolute"}
@@ -56,9 +56,14 @@ def test_build_report_structure(e1_cache):
     assert dump_json(rep) == dump_json(rep)
 
 
-def test_build_report_rejects_value_outside_sandwich(e1_cache):
+def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
     geom = lc.geometry(e1_cache)
     upper = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
     for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
+
+        def escaped(cache, scales, value=value):
+            return dataclasses.replace(lc.residual_condition_bounds(cache, scales), chi_A=value)
+
+        monkeypatch.setattr(report, "residual_condition_bounds", escaped)
         with pytest.raises(RuntimeError):
-            build_report(e1_cache, geom, value, "relative", lc.compare_table(e1_cache))
+            build_report(e1_cache, geom, "relative", lc.compare_table(e1_cache))

@@ -19,7 +19,6 @@ from .core import (
     Geometry,
     LsCache,
     LsProblem,
-    SpectralData,
     geometry,
     nuclear_norm,
     projector_difference_norm,
@@ -38,23 +37,16 @@ from .errors import (
     ZeroSolution,
 )
 from .generators import (
-    BlockNormCase,
     EnsembleSpec,
-    EquilibrationResult,
     GvlExample,
-    GvlExpected,
-    LanczosStep,
-    block_norm_case,
     block_norm_cases,
     ensemble_specs,
     equilibrate_columns,
-    equilibration_experiment,
     gvl_example,
     lanczos_demo,
     random_problem,
 )
 from .jacobian import (
-    Rank2Adjoint,
     adjoint_rank2,
     apply_residual_jacobian,
     attaining_perturbation,

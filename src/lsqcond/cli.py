@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mmio, verify
+from . import mmio
 from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
 from .errors import LsqCondError, ParamOutOfRange
@@ -318,24 +318,13 @@ def _cmd_lanczos(args: argparse.Namespace) -> int:
     return 0
 
 
-# name, suite, offset of the suite's seed from --seed, its count given --problems
-_SUITES = [
-    ("solve-invariants", verify.solve_invariants, 0, lambda problems: min(problems, 100)),
-    ("sandwich-containment", verify.sandwich_containment, 1, lambda problems: problems),
-    ("adjoint-identity", verify.adjoint_identity, 2, lambda _: 20),
-    ("dual-norm-identity", verify.dual_norm_identity, 3, lambda _: 20),
-    ("jacobian-remainder", verify.jacobian_remainder, 4, lambda _: 25),
-    ("chi-b-attainment", verify.chi_b_attainment, 5, lambda _: 50),
-    ("prior-dominance", verify.prior_dominance, 6, lambda _: 100),
-    ("scaling-variants", verify.scaling_variants, 7, lambda _: 50),
-    ("projection-consistency", verify.projection_consistency, 8, lambda _: 50),
-    ("block-norm-band", verify.block_norm_band, 9, lambda _: 100),
-]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.problems < 1:
+        raise ParamOutOfRange(f"--problems must be at least 1, got {args.problems}")
+    from . import verify  # imported here so that the other commands never load it
+
     failures = 0
-    for name, suite, offset, count in _SUITES:
+    for name, suite, offset, count in verify.SUITES:
         ok, detail = suite(args.seed + offset, count(args.problems))
         status = " ok " if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")

@@ -10,6 +10,7 @@ RANK_TOL against sigma_max and RESID_TOL against ||b||.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -169,6 +170,24 @@ def _rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return s.reshape((-1,) + (1,) * (v.ndim - 1))
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a vector that neither overflows nor underflows when the
+    norm itself is representable.
+
+    The plain sum of squares, bitwise what np.linalg.norm gives, is used
+    whenever it is a finite normal number. Otherwise the vector is scaled
+    by 2^-e, where e is the binary exponent of its largest entry, which is
+    exact, and the norm is scaled back. np.vdot, unlike matmul, does not
+    warn when the plain sum overflows.
+    """
+    squares = float(np.vdot(v, v))
+    if sys.float_info.min <= squares < math.inf:
+        return math.sqrt(squares)
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    scaled = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(float(np.vdot(scaled, scaled))), e))
+
+
 def solve_least_squares(problem: LsProblem) -> LsCache:
     """Solve the problem via the SVD and cache the factorized state and norms."""
     svd = spectral_data(problem.A)
@@ -181,10 +200,10 @@ def solve_least_squares(problem: LsProblem) -> LsCache:
         r=r,
         Ax=Ax,
         svd=svd,
-        norm_b=float(np.linalg.norm(problem.b)),
-        norm_r=float(np.linalg.norm(r)),
-        norm_Ax=float(np.linalg.norm(Ax)),
-        norm_x=float(np.linalg.norm(x)),
+        norm_b=_norm(problem.b),
+        norm_r=_norm(r),
+        norm_Ax=_norm(Ax),
+        norm_x=_norm(x),
     )
 
 

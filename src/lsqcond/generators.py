@@ -5,7 +5,10 @@ conditioning, angle, and alignment, after the classic Golub & Van Loan
 textbook example), seeded random ensembles with prescribed singular values
 and angle, a Lanczos projection demo, column equilibration, and the exact
 two-block joint norm behind the joint-versus-separate condition number
-inequalities.
+inequalities (block_norm_cases).
+
+The module builds problems and solves them; it computes no condition
+number, so it imports only core and errors.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import ScaleFactors, residual_condition_bounds
-from .core import LsCache, LsProblem, geometry, solve_least_squares
+from .core import LsProblem, geometry, solve_least_squares
 from .errors import (
     DimensionMismatch,
     NonFullRank,
@@ -317,41 +319,6 @@ def equilibrate_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class EquilibrationResult:
-    """Condition numbers before and after column equilibration.
-
-    The direction of the change in chi_A_upper is deliberately unasserted:
-    scaling lowers the matrix condition number on badly scaled columns but
-    also moves the alignment ratio, so the net effect can go either way.
-    """
-
-    d: np.ndarray
-    kappa_before: float
-    kappa_after: float
-    chi_A_upper_before: float
-    chi_A_upper_after: float
-
-
-def equilibration_experiment(problem: LsProblem) -> EquilibrationResult:
-    """Solve the problem before and after column equilibration and compare."""
-    d, AD = equilibrate_columns(problem.A)
-    before = solve_least_squares(problem)
-    after = solve_least_squares(LsProblem(AD, problem.b))
-
-    def chi_upper(cache: LsCache) -> float:
-        geometry(cache)  # raises on a zero residual or solution
-        return residual_condition_bounds(cache, ScaleFactors.relative(cache)).chi_A_upper
-
-    return EquilibrationResult(
-        d=d,
-        kappa_before=before.svd.sigma_max / before.svd.sigma_min,
-        kappa_after=after.svd.sigma_max / after.svd.sigma_min,
-        chi_A_upper_before=chi_upper(before),
-        chi_A_upper_after=chi_upper(after),
-    )
-
-
-@dataclass(frozen=True)
 class BlockNormCase:
     """The norm of [A B] induced by the max-of-norms domain norm, with its
     components.
@@ -363,16 +330,6 @@ class BlockNormCase:
     norm_A: float
     norm_B: float
     norm_joint: float
-
-    @property
-    def ratios(self) -> dict[str, float]:
-        joint = self.norm_joint
-        if joint == 0.0:
-            return {"max_over_joint": 1.0, "sum_over_joint": 1.0}
-        return {
-            "max_over_joint": max(self.norm_A, self.norm_B) / joint,
-            "sum_over_joint": (self.norm_A + self.norm_B) / joint,
-        }
 
 
 def _spectral(M: np.ndarray) -> float:
@@ -452,8 +409,3 @@ def block_norm_cases(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[BlockNo
         joint = scale * math.sqrt(min(fc[k], fd[k]))
         cases[i] = BlockNormCase(norm_A=cases[i].norm_A, norm_B=cases[i].norm_B, norm_joint=joint)
     return cases
-
-
-def block_norm_case(A: np.ndarray, B: np.ndarray) -> BlockNormCase:
-    """The exact joint norm of one pair; see block_norm_cases."""
-    return block_norm_cases([(A, B)])[0]

@@ -5,7 +5,8 @@ the suite's own random stream, which draws its problems and any directions
 or perturbations; count is the number of problems (of block pairs for
 block_norm_band). `lsqcond verify` runs the ten suites with seeds offset
 from --seed, and the acceptance criteria run them with their own seeds and
-counts, so each check has one implementation.
+counts, so each check has one implementation. SUITES lists the ten with
+the seed offset and problem count `lsqcond verify` gives each.
 
 The module also holds the kernels only these checks use: the dual-norm
 objective g in closed form, its two-sided bounds L <= g <= U, and the sign
@@ -323,3 +324,19 @@ def block_norm_band(seed: int, count: int) -> tuple[bool, str]:
         if hi > 2.0 * case.norm_joint + 1e-6:
             return False, f"sum {hi} exceeds twice the joint norm {case.norm_joint}"
     return True, "joint norm inside the two-sided band on all cases"
+
+
+# name, suite, offset of the suite's seed from `lsqcond verify --seed`, and
+# its count given --problems
+SUITES = [
+    ("solve-invariants", solve_invariants, 0, lambda problems: min(problems, 100)),
+    ("sandwich-containment", sandwich_containment, 1, lambda problems: problems),
+    ("adjoint-identity", adjoint_identity, 2, lambda _: 20),
+    ("dual-norm-identity", dual_norm_identity, 3, lambda _: 20),
+    ("jacobian-remainder", jacobian_remainder, 4, lambda _: 25),
+    ("chi-b-attainment", chi_b_attainment, 5, lambda _: 50),
+    ("prior-dominance", prior_dominance, 6, lambda _: 100),
+    ("scaling-variants", scaling_variants, 7, lambda _: 50),
+    ("projection-consistency", projection_consistency, 8, lambda _: 50),
+    ("block-norm-band", block_norm_band, 9, lambda _: 100),
+]

@@ -124,7 +124,7 @@ def test_criterion_08_block_norm_band():
             A = rng.standard_normal((rows, int(rng.integers(1, 5))))
             B = rng.standard_normal((rows, int(rng.integers(1, 5))))
             sampled = sampled_block_norm(A, B, samples=200, seed=int(rng.integers(1 << 31)))
-            assert lc.block_norm_case(A, B).norm_joint >= sampled * (1.0 - 1e-12)
+            assert lc.block_norm_cases([(A, B)])[0].norm_joint >= sampled * (1.0 - 1e-12)
 
 
 def test_criterion_09_projection_consistency():

@@ -217,13 +217,27 @@ def test_lanczos_csv(tmp_path):
 
 
 def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
-    import lsqcond.cli as cli_mod
-
     monkeypatch.setattr(
-        cli_mod, "_SUITES", [("always-fails", lambda seed, count: (False, "boom"), 0, lambda problems: problems)]
+        verify, "SUITES", [("always-fails", lambda seed, count: (False, "boom"), 0, lambda problems: problems)]
     )
     assert run_cli("verify", "--problems", "1") == 1
     assert "[FAIL] always-fails" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problems", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_problem(problems, capsys):
+    # with no problems the sandwich suite would pass while checking nothing
+    assert run_cli("verify", "--problems", problems) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ParamOutOfRange" in captured.err and "--problems" in captured.err
+
+
+def test_cli_import_does_not_load_verify():
+    # analyze and compare never run a suite, so they must not pay its import
+    code = "import sys, lsqcond.cli; sys.exit('lsqcond.verify' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("preset", ["relative", "b-relative", "absolute"])
@@ -237,6 +251,52 @@ def test_analyze_all_scale_presets(gvl_case, tmp_path, preset):
     emp = report["empirical"]
     assert emp["scales"] == preset
     assert emp["lower"] <= emp["value"] <= emp["upper"] * (1.0 + 1e-8)
+
+
+def _scale_invariant_fields(report):
+    """Every report number that scaling A or b leaves unchanged: all but
+    the norms, sigma_min, the absolute estimates and the unscaled
+    published values."""
+    fields = {f"geometry.{k}": v for k, v in report["geometry"].items() if k != "sigma_min"}
+    for preset in ("relative", "b-relative"):
+        fields.update({f"{preset}.{k}": v for k, v in report["estimates"][preset].items()})
+    fields.update({f"projection.{k}": v for k, v in report["projection"].items()})
+    fields.update({f"empirical.{k}": report["empirical"][k] for k in ("value", "lower", "upper")})
+    for row in report["prior_bounds"]:
+        fields[f"{row['source']}.ratio_to_tight"] = row["ratio_to_tight"]
+        fields[f"{row['source']}.max_ratio"] = row["max_ratio"]
+    fields["gvlh.value"] = report["prior_bounds"][2]["value"]
+    return fields
+
+
+@pytest.mark.parametrize(
+    "scale_A, scale_b",
+    [(1e-160, 1.0), (1e160, 1e160), (1e300, 1e300), (1.0, 1e300), (1e-170, 1e-170), (1.0, 1e-300),
+     (1e160, 1.0), (2.0**300, 2.0**-300)],
+    ids=["A*1e-160", "Ab*1e160", "Ab*1e300", "b*1e300", "Ab*1e-170", "b*1e-300", "A*1e160", "A*2^300,b*2^-300"],
+)
+def test_analyze_is_scale_invariant_across_the_double_range(tmp_path, capsys, scale_A, scale_b):
+    # the sums of squares behind ||b||, ||r||, ||Ax|| and ||x|| overflow or
+    # underflow at these scales although the norms themselves do not
+    base = tmp_path / "base"
+    assert run_cli(
+        "generate", "ensemble", "--m", "12", "--n", "4", "--sigmas", "1,0.1,0.01,0.001",
+        "--theta", "0.7", "--mix", "0.3", "--seed", "9", "--out-dir", str(base),
+    ) == 0
+    mmio.write_matrix(tmp_path / "A.mtx", scale_A * mmio.read_matrix(base / "A.mtx"))
+    mmio.write_vector(tmp_path / "b.txt", scale_b * mmio.read_vector(base / "b.txt"))
+    reports = []
+    for case in (base, tmp_path):
+        out = case / "report.json"
+        code = run_cli("analyze", "--matrix", str(case / "A.mtx"), "--rhs", str(case / "b.txt"), "--out", str(out))
+        assert code == 0, capsys.readouterr().err
+        reports.append(_scale_invariant_fields(json.loads(out.read_text())))
+    expected, got = reports
+    if math.log2(scale_A).is_integer() and math.log2(scale_b).is_integer():
+        assert got == expected  # a power-of-two scaling is exact
+    for key, value in expected.items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+    assert capsys.readouterr().err == ""
 
 
 def test_zero_residual_exits_3(tmp_path, capsys):

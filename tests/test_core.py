@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lsqcond as lc
+from lsqcond.core import _norm
 from conftest import normal_equations_solve, reconstruct, solved_ensemble, vec_index, vec_unflatten
 
 
@@ -42,6 +43,19 @@ def test_cached_norms_are_the_norms_of_the_stored_vectors():
         assert cache.norm_r == float(np.linalg.norm(cache.r))
         assert cache.norm_Ax == float(np.linalg.norm(cache.Ax))
         assert cache.norm_x == float(np.linalg.norm(cache.x))
+
+
+def test_norms_scale_exactly_by_powers_of_two():
+    # at 2^+-540 and beyond the plain sums of squares overflow or underflow
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 7, 40):
+        v = rng.standard_normal(n)
+        v[0] = -50.0  # the largest entry is negative
+        for scale in (2.0**-600, 2.0**-540, 1.0, 2.0**540, 2.0**600):
+            assert _norm(scale * v) == scale * float(np.linalg.norm(v))
+    # the scaling follows the largest magnitude, not the largest value
+    assert _norm(np.array([-(2.0**600), 1.0])) == 2.0**600
+    assert _norm(np.array([0.0, 0.0])) == 0.0
 
 
 def test_appliers_take_blocks_of_columns():

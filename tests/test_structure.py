@@ -1,6 +1,7 @@
 """Module boundaries inside the package, checked on the source text."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import lsqcond
@@ -28,3 +29,54 @@ def test_no_private_name_crosses_a_module_boundary():
 
 def test_jacobian_does_not_import_conditioning():
     assert [module for importer, module, _ in _relative_imports() if importer == "jacobian"] == ["core", "errors"]
+
+
+def test_generators_does_not_import_conditioning():
+    assert [module for importer, module, _ in _relative_imports() if importer == "generators"] == ["core", "errors"]
+
+
+# public names that wait for the ROADMAP item that gives them a consumer
+AWAITING_CONSUMER = {
+    "error_bound_rhs",  # item 5, `lsqcond perturb`
+    "projector_difference_norm",  # item 5, `lsqcond perturb`
+    "equilibrate_columns",  # item 6, the componentwise condition numbers
+}
+
+
+def _public_definitions(tree):
+    """(name, node, kinds) for each public module-level function or class,
+    and each public method or property of a public class; kinds are the
+    node types that can read the name (a method only as an attribute)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, (ast.Name, ast.Attribute)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield item.name, item, (ast.Attribute,)
+
+
+def _references(node):
+    """How often each (node type, name) is read inside node, for Name and
+    Attribute nodes."""
+    return Counter(
+        (ast.Name, ref.id) if isinstance(ref, ast.Name) else (ast.Attribute, ref.attr)
+        for ref in ast.walk(node)
+        if isinstance(ref, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_name_has_a_consumer():
+    # a consumer is code in the package outside the name's own definition;
+    # the re-export in __init__ is an import, not a use
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]  # fmt: skip
+    everywhere = sum((_references(tree) for tree in trees), Counter())
+    unused = sorted(
+        name
+        for tree in trees
+        for name, node, kinds in _public_definitions(tree)
+        if all(everywhere[kind, name] == _references(node)[kind, name] for kind in kinds)
+    )
+    assert [name for name in unused if name not in AWAITING_CONSUMER] == []
+    assert sorted(AWAITING_CONSUMER - set(unused)) == []  # a consumer came: drop the entry

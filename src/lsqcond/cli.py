@@ -23,6 +23,7 @@ if "LSQCOND_THREADS" in os.environ:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import dataclasses
 import io
 import math
 import sys
@@ -57,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites; exit 0 iff all pass")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--problems", type=int, default=200)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compare", help="published condition estimates vs. the tight one")
@@ -131,23 +131,11 @@ def _write_text(out: str | None, text: str) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    problem = _load_problem(args.matrix, args.rhs)
-    cache = solve_least_squares(problem)
-    geom = geometry(cache)
-    t1 = time.perf_counter()
-    rows = compare_table(cache)
-    timings = None
+    cache = solve_least_squares(_load_problem(args.matrix, args.rhs))
+    solve_s = time.perf_counter() - t0
+    rep = build_report(cache, args.scales, matrix_file=args.matrix, rhs_file=args.rhs)
     if args.timings:
-        timings = {"solve_s": t1 - t0, "total_s": time.perf_counter() - t0}
-    rep = build_report(
-        cache,
-        geom,
-        args.scales,
-        rows,
-        matrix_file=args.matrix,
-        rhs_file=args.rhs,
-        timings=timings,
-    )
+        rep["timings"] = {"solve_s": solve_s, "total_s": time.perf_counter() - t0}
     _write_text(args.out, dump_json(rep))
     return 0
 
@@ -176,18 +164,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _expected_block(ex) -> dict:
-    return {
-        "x": list(ex.expected.x),
-        "r": list(ex.expected.r),
-        "kappa": ex.expected.kappa,
-        "vds": ex.expected.vds,
-        "cot_theta": ex.expected.cot_theta,
-        "chi_A_upper": ex.expected.chi_A_upper,
-        "dr_rel_first_order": ex.expected.dr_rel_first_order,
-    }
-
-
 def _cmd_generate_gvl(args: argparse.Namespace) -> int:
     ex = gvl_example(args.alpha, args.beta, args.phi, args.eps)
     out = Path(args.out_dir)
@@ -202,7 +178,7 @@ def _cmd_generate_gvl(args: argparse.Namespace) -> int:
         "schema": "lsq-cond/expected/1",
         "kind": "gvl",
         "parameters": {"alpha": args.alpha, "beta": args.beta, "phi": args.phi, "epsilon": args.eps},
-        "expected": _expected_block(ex),
+        "expected": dataclasses.asdict(ex.expected),
         "files": files,
     }
     (out / "expected.json").write_text(dump_json(record), encoding="ascii")
@@ -319,13 +295,11 @@ def _cmd_lanczos(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.problems < 1:
-        raise ParamOutOfRange(f"--problems must be at least 1, got {args.problems}")
     from . import verify  # imported here so that the other commands never load it
 
     failures = 0
     for name, suite, offset, count in verify.SUITES:
-        ok, detail = suite(args.seed + offset, count(args.problems))
+        ok, detail = suite(args.seed + offset, count)
         status = " ok " if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")
         failures += 0 if ok else 1

@@ -78,7 +78,8 @@ def scale_preset(name: str, cache: LsCache) -> ScaleFactors:
 
 @dataclass(frozen=True)
 class ConditionEstimates:
-    """Condition numbers of one target ("residual" or "projection").
+    """Condition numbers of the residual or of the projection, whichever
+    function built them.
 
     chi_A is the exact condition number with respect to the matrix and
     chi_A_upper the upper end of the paper's sqrt(2)-wide sandwich around
@@ -89,15 +90,12 @@ class ConditionEstimates:
     chi_b: float
     chi_A: float
     chi_A_upper: float
-    target: str  # "residual" or "projection"
 
     def __post_init__(self):
         for name in ("chi_b", "chi_A", "chi_A_upper"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.target not in ("residual", "projection"):
-            raise ValueError(f"unknown target {self.target!r}")
 
     @property
     def chi_A_lower(self) -> float:
@@ -120,13 +118,12 @@ def exact_value(cache: LsCache) -> float:
     return float(cache.bordered_svd[1][0])
 
 
-def _estimates(cache: LsCache, scales: ScaleFactors, scale_out: float, target: str) -> ConditionEstimates:
+def _estimates(cache: LsCache, scales: ScaleFactors, scale_out: float) -> ConditionEstimates:
     """Scale the unscaled upper and exact values by scale_A / scale_out."""
     return ConditionEstimates(
         chi_b=scales.scale_b / scale_out,
         chi_A=scales.scale_A / scale_out * exact_value(cache),
         chi_A_upper=scales.scale_A / scale_out * _upper_value(cache),
-        target=target,
     )
 
 
@@ -137,7 +134,7 @@ def residual_condition_bounds(cache: LsCache, scales: ScaleFactors) -> Condition
     kappa * sqrt(1 + (cot(theta) / vds)^2) and chi_b equals csc(theta).
     Under absolute scales chi_A is exact_value(cache).
     """
-    return _estimates(cache, scales, scales.scale_r, "residual")
+    return _estimates(cache, scales, scales.scale_r)
 
 
 def projection_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
@@ -150,7 +147,7 @@ def projection_condition_bounds(cache: LsCache, scales: ScaleFactors) -> Conditi
     """
     if cache.norm_Ax == 0.0:
         raise ZeroSolution("projection Ax is exactly zero")
-    return _estimates(cache, scales, scales.scale_p, "projection")
+    return _estimates(cache, scales, scales.scale_p)
 
 
 def _complement_direction(cache: LsCache, rhat: np.ndarray) -> np.ndarray:

@@ -105,7 +105,6 @@ class LsCache:
     problem: LsProblem
     x: np.ndarray
     r: np.ndarray
-    Ax: np.ndarray
     svd: SpectralData
     norm_b: float
     norm_r: float
@@ -142,12 +141,6 @@ class LsCache:
         w = np.asarray(w, dtype=float)
         return d.left_vectors @ ((d.right_vectors.T @ w) / _rows(d.singular_values, w))
 
-    def apply_gram_inverse(self, w: np.ndarray) -> np.ndarray:
-        """(A^t A)^{-1} w = V diag(1/s^2) V^t w."""
-        d = self.svd
-        w = np.asarray(w, dtype=float)
-        return d.right_vectors @ ((d.right_vectors.T @ w) / _rows(d.singular_values**2, w))
-
     def self_check(self) -> dict[str, float]:
         """Relative defect measures for the solve postconditions.
 
@@ -170,22 +163,27 @@ def _rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return s.reshape((-1,) + (1,) * (v.ndim - 1))
 
 
-def _norm(v: np.ndarray) -> float:
-    """2-norm of a vector that neither overflows nor underflows when the
-    norm itself is representable.
+def _norm(v: np.ndarray, name: str) -> float:
+    """2-norm of the vector called name that neither overflows nor
+    underflows when the norm itself is representable.
 
     The plain sum of squares, bitwise what np.linalg.norm gives, is used
     whenever it is a finite normal number. Otherwise the vector is scaled
     by 2^-e, where e is the binary exponent of its largest entry, which is
     exact, and the norm is scaled back. np.vdot, unlike matmul, does not
-    warn when the plain sum overflows.
+    warn when the plain sum overflows. Raises InvalidGeometry when the
+    norm exceeds the largest double, which only the scaling back can find.
     """
     squares = float(np.vdot(v, v))
     if sys.float_info.min <= squares < math.inf:
         return math.sqrt(squares)
     e = math.frexp(float(np.max(np.abs(v))))[1]
     scaled = np.ldexp(v, -e)
-    return float(np.ldexp(math.sqrt(float(np.vdot(scaled, scaled))), e))
+    scaled_norm = math.sqrt(float(np.vdot(scaled, scaled)))
+    try:
+        return math.ldexp(scaled_norm, e)
+    except OverflowError:
+        raise InvalidGeometry(f"||{name}|| exceeds the largest double {sys.float_info.max:.3e}") from None
 
 
 def solve_least_squares(problem: LsProblem) -> LsCache:
@@ -198,12 +196,11 @@ def solve_least_squares(problem: LsProblem) -> LsCache:
         problem=problem,
         x=x,
         r=r,
-        Ax=Ax,
         svd=svd,
-        norm_b=_norm(problem.b),
-        norm_r=_norm(r),
-        norm_Ax=_norm(Ax),
-        norm_x=_norm(x),
+        norm_b=_norm(problem.b, "b"),
+        norm_r=_norm(r, "r"),
+        norm_Ax=_norm(Ax, "Ax"),
+        norm_x=_norm(x, "x"),
     )
 
 

@@ -49,13 +49,10 @@ class GvlExample:
     A = [[1, 0], [0, alpha], [0, 0]], b = (beta cos phi, beta sin phi, 1),
     delta_A puts (-eps, -eps) in the last row. kappa = 1/alpha,
     cot(theta) = beta, and phi steers the alignment ratio between 1 and
-    kappa.
+    kappa. The parameters themselves are not stored; they are the
+    arguments of gvl_example.
     """
 
-    alpha: float
-    beta: float
-    phi: float
-    epsilon: float
     problem: LsProblem
     delta_A: np.ndarray
     expected: GvlExpected
@@ -94,7 +91,7 @@ def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> 
         * math.sqrt(1.0 + alpha**2 + (alpha * beta * cos_phi + beta * sin_phi) ** 2)
         * epsilon,
     )
-    return GvlExample(alpha, beta, phi, epsilon, LsProblem(A, b), dA, expected)
+    return GvlExample(LsProblem(A, b), dA, expected)
 
 
 @dataclass(frozen=True)
@@ -174,24 +171,25 @@ def _geometric(stop: float, n: int) -> tuple[float, ...]:
 
 
 ENSEMBLE_MAX_M = 30
+ENSEMBLE_MAX_N = 10
 
 
 def ensemble_specs(
     count: int,
     seed: int,
-    max_n: int = 10,
     max_kappa_exp: float = 6.0,
     theta_range: tuple[float, float] = (0.05, math.pi / 2.0 - 0.05),
 ) -> list[EnsembleSpec]:
     """Seeded stream of problem recipes covering sizes, conditioning, and angles.
 
-    Sizes n <= max_n and n < m <= ENSEMBLE_MAX_M; condition numbers range
-    up to 10**max_kappa_exp via geometrically spaced singular values.
+    Sizes n <= ENSEMBLE_MAX_N and n < m <= ENSEMBLE_MAX_M; condition
+    numbers range up to 10**max_kappa_exp via geometrically spaced singular
+    values.
     """
     rng = np.random.default_rng(seed)
     specs = []
     for _ in range(count):
-        n = int(rng.integers(1, max_n + 1))
+        n = int(rng.integers(1, ENSEMBLE_MAX_N + 1))
         m = int(rng.integers(n + 1, ENSEMBLE_MAX_M + 1))
         if n == 1:
             sv: tuple[float, ...] = (1.0,)

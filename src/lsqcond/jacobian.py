@@ -15,8 +15,9 @@ attaining it (worst_case_direction); attaining_perturbation turns the
 direction into a unit-norm matrix perturbation. The verify module
 evaluates g and its two-sided bounds at given directions.
 
-The adjoint takes one direction of length m or an (m, k) block whose
-columns are directions.
+apply_residual_jacobian evaluates dr for one perturbation or a (k, m, n)
+stack of them. The adjoint takes one direction of length m or an (m, k)
+block whose columns are directions.
 """
 
 from __future__ import annotations
@@ -29,24 +30,21 @@ from .core import LsCache
 from .errors import DegenerateDirection, DimensionMismatch
 
 
-def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-order changes (dr, dx) of residual and solution for a matrix
-    perturbation dA, both linear in dA.
+def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> np.ndarray:
+    """First-order change dr of the residual for a matrix perturbation dA,
+    linear in dA:
 
     dr = -(I - P) dA x - A (A^t A)^{-1} dA^t r
-    dx = -(A^t A)^{-1} A^t dA x + (A^t A)^{-1} dA^t r
 
-    A (k, m, n) stack of perturbations gives (m, k) and (n, k) blocks, one
-    column per perturbation.
+    A (k, m, n) stack of perturbations gives an (m, k) block, one column
+    per perturbation.
     """
     dA = np.asarray(dA, dtype=float)
     if dA.ndim not in (2, 3) or dA.shape[-2:] != cache.problem.A.shape:
         raise DimensionMismatch(f"perturbation shape {dA.shape} != {cache.problem.A.shape}")
     dAx = (dA @ cache.x).T
     dAtr = (np.swapaxes(dA, -1, -2) @ cache.r).T
-    dr = -(dAx - cache.apply_proj(dAx)) - cache.apply_pinv_transpose(dAtr)
-    dx = -cache.apply_pinv(dAx) + cache.apply_gram_inverse(dAtr)
-    return dr, dx
+    return -(dAx - cache.apply_proj(dAx)) - cache.apply_pinv_transpose(dAtr)
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
 
     With the thin SVD u1 v1^t + u2 v2^t = Uh Sh Vh^t, the matrix
     dA = -(Uh Vh^t) has ||dA||_2 = 1 and satisfies
-    <apply_residual_jacobian(dA).dr, delta_r> = g(delta_r), which forces
+    <apply_residual_jacobian(dA), delta_r> = g(delta_r), which forces
     ||dr|| >= g(delta_r) for a unit direction. Takes one direction, not a
     block.
     """

@@ -48,14 +48,14 @@ def stewart_estimate(cache: LsCache) -> float:
     return cache.norm_b / cache.svd.sigma_min
 
 
-def gvlh_estimate(geom: Geometry) -> tuple[float, float]:
-    """The stated textbook value 2 kappa + 1 and the sharper sum bound kappa + 1.
+def gvlh_estimate(geom: Geometry) -> float:
+    """The stated textbook value 2 kappa + 1.
 
-    Both measure perturbations to A and b by a single quantity and the
+    It measures perturbations to A and b by a single quantity and the
     residual against ||b||; the sum of the two condition numbers under that
-    convention never exceeds kappa + 1.
+    convention never exceeds the sharper kappa + 1.
     """
-    return 2.0 * geom.kappa + 1.0, geom.kappa + 1.0
+    return 2.0 * geom.kappa + 1.0
 
 
 def compare_table(cache: LsCache) -> list[PriorBoundRow]:
@@ -73,7 +73,7 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
 
     wedin = wedin_estimate(cache)
     stewart = stewart_estimate(cache)
-    stated, _ = gvlh_estimate(geom)
+    stated = gvlh_estimate(geom)
     return [
         PriorBoundRow(
             source="wedin",

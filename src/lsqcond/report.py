@@ -3,7 +3,7 @@
 Reports must be byte-identical for identical inputs, so floats
 are always written with 17 significant digits (enough to round-trip a
 double exactly) and key order is fixed by construction. Timings are only
-included when explicitly requested, since they would break reproducibility.
+filled in when explicitly requested, since they would break reproducibility.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .conditioning import (
     residual_condition_bounds,
     scale_preset,
 )
-from .core import Geometry, LsCache
-from .prior_bounds import PriorBoundRow
+from .core import LsCache, geometry
+from .prior_bounds import compare_table
 
 SCHEMA = "lsq-cond/2"
 INDENT = 2
@@ -36,33 +36,23 @@ def file_sha256(path: str | Path) -> str:
 
 def build_report(
     cache: LsCache,
-    geom: Geometry,
     empirical_scales_name: str,
-    prior_rows: list[PriorBoundRow],
     matrix_file: str | None = None,
     rhs_file: str | None = None,
-    timings: dict[str, float] | None = None,
 ) -> dict[str, Any]:
     """Assemble the full analysis record as a plain nested dict.
 
-    The "empirical" block holds the exact condition number wrt the matrix
-    under the preset named by empirical_scales_name. Raises if it escapes
-    that preset's sandwich, so a report can never assert an inconsistent
-    value.
+    The geometry, the estimates and the published-bounds table all come
+    from the solved cache. The "empirical" block holds the exact condition
+    number wrt the matrix under the preset named by empirical_scales_name.
+    Raises if it escapes that preset's sandwich, so a report can never
+    assert an inconsistent value. "timings" is None; the caller fills it in
+    when asked to, since it breaks reproducibility.
     """
     problem = cache.problem
-    estimates: dict[str, Any] = {}
-    for name in SCALE_PRESETS:
-        scales = scale_preset(name, cache)
-        est = residual_condition_bounds(cache, scales)
-        estimates[name] = {
-            "chi_A_lower": est.chi_A_lower,
-            "chi_A_upper": est.chi_A_upper,
-            "chi_b": est.chi_b,
-        }
-
-    emp_scales = scale_preset(empirical_scales_name, cache)
-    emp_bounds = residual_condition_bounds(cache, emp_scales)
+    geom = geometry(cache)
+    bounds = {name: residual_condition_bounds(cache, scale_preset(name, cache)) for name in SCALE_PRESETS}
+    emp_bounds = bounds[empirical_scales_name]
     if not emp_bounds.chi_A_lower <= emp_bounds.chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
         raise RuntimeError(
             f"exact value {emp_bounds.chi_A} outside "
@@ -94,7 +84,10 @@ def build_report(
             "Ax": cache.norm_Ax,
             "x": cache.norm_x,
         },
-        "estimates": estimates,
+        "estimates": {
+            name: {"chi_A_lower": est.chi_A_lower, "chi_A_upper": est.chi_A_upper, "chi_b": est.chi_b}
+            for name, est in bounds.items()
+        },
         "projection": {
             "chi_Ax_lower": proj.chi_A_lower,
             "chi_Ax_upper": proj.chi_A_upper,
@@ -114,9 +107,9 @@ def build_report(
                 "ratio_to_tight": row.ratio_to_tight,
                 "max_ratio": row.max_ratio,
             }
-            for row in prior_rows
+            for row in compare_table(cache)
         ],
-        "timings": timings,
+        "timings": None,
     }
 
 

@@ -6,7 +6,7 @@ or perturbations; count is the number of problems (of block pairs for
 block_norm_band). `lsqcond verify` runs the ten suites with seeds offset
 from --seed, and the acceptance criteria run them with their own seeds and
 counts, so each check has one implementation. SUITES lists the ten with
-the seed offset and problem count `lsqcond verify` gives each.
+the seed offset and the fixed count `lsqcond verify` gives each.
 
 The module also holds the kernels only these checks use: the dual-norm
 objective g in closed form, its two-sided bounds L <= g <= U, and the sign
@@ -168,7 +168,7 @@ def sandwich_containment(seed: int, count: int) -> tuple[bool, str]:
         # the first-order change attains the unscaled value
         g = exact_value(cache)
         dA = attaining_perturbation(cache, worst_case_direction(cache))
-        dr, _ = apply_residual_jacobian(cache, dA)
+        dr = apply_residual_jacobian(cache, dA)
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(dA, 2)) - 1.0))
         worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - g) / g)
     ok = worst_norm <= 1e-12 and worst_cert <= 1e-10
@@ -192,7 +192,7 @@ def adjoint_identity(seed: int, count: int) -> tuple[bool, str]:
         draws = rng.standard_normal((20, m + m * n))
         D = _unit_columns(draws[:, :m])
         dA = draws[:, m:].reshape(20, m, n)
-        dr, _ = apply_residual_jacobian(cache, dA)
+        dr = apply_residual_jacobian(cache, dA)
         adj = adjoint_rank2(cache, D)
         lhs = np.einsum("ik,ik->k", dr, D)
         rhs = -np.einsum("kij,kij->k", dA, adj.matrix())
@@ -239,7 +239,7 @@ def jacobian_remainder(seed: int, count: int) -> tuple[bool, str]:
         rems = []
         for d in (d0, d0 / 2.0):
             perturbed = solve_least_squares(LsProblem(problem.A + d * E, problem.b))
-            dr, _ = apply_residual_jacobian(cache, d * E)
+            dr = apply_residual_jacobian(cache, d * E)
             rems.append(float(np.linalg.norm(perturbed.r - cache.r - dr)))
         if not math.isfinite(rems[0] / d0**2):
             return False, f"remainder {rems[0]} over step^2 = {d0**2} is not finite"
@@ -327,16 +327,16 @@ def block_norm_band(seed: int, count: int) -> tuple[bool, str]:
 
 
 # name, suite, offset of the suite's seed from `lsqcond verify --seed`, and
-# its count given --problems
+# its count
 SUITES = [
-    ("solve-invariants", solve_invariants, 0, lambda problems: min(problems, 100)),
-    ("sandwich-containment", sandwich_containment, 1, lambda problems: problems),
-    ("adjoint-identity", adjoint_identity, 2, lambda _: 20),
-    ("dual-norm-identity", dual_norm_identity, 3, lambda _: 20),
-    ("jacobian-remainder", jacobian_remainder, 4, lambda _: 25),
-    ("chi-b-attainment", chi_b_attainment, 5, lambda _: 50),
-    ("prior-dominance", prior_dominance, 6, lambda _: 100),
-    ("scaling-variants", scaling_variants, 7, lambda _: 50),
-    ("projection-consistency", projection_consistency, 8, lambda _: 50),
-    ("block-norm-band", block_norm_band, 9, lambda _: 100),
+    ("solve-invariants", solve_invariants, 0, 100),
+    ("sandwich-containment", sandwich_containment, 1, 200),
+    ("adjoint-identity", adjoint_identity, 2, 20),
+    ("dual-norm-identity", dual_norm_identity, 3, 20),
+    ("jacobian-remainder", jacobian_remainder, 4, 25),
+    ("chi-b-attainment", chi_b_attainment, 5, 50),
+    ("prior-dominance", prior_dominance, 6, 100),
+    ("scaling-variants", scaling_variants, 7, 50),
+    ("projection-consistency", projection_consistency, 8, 50),
+    ("block-norm-band", block_norm_band, 9, 100),
 ]

@@ -107,7 +107,7 @@ def test_criterion_07_prior_bound_dominance_and_worst_cases():
         tight_abs = math.hypot(cache.norm_r / geom.sigma_min, cache.norm_x)
         stewart_ratio = lc.stewart_estimate(cache) / tight_abs
         assert abs(stewart_ratio - kappa) / kappa < 0.05
-        stated, _ = lc.gvlh_estimate(geom)
+        stated = lc.gvlh_estimate(geom)
         est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
         gvlh_ratio = stated / (est.chi_A_upper + est.chi_b)
         assert abs(gvlh_ratio - kappa) / kappa < 0.05

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lsqcond import cli, mmio, verify
+from lsqcond import mmio, report, verify
 from lsqcond.cli import main
 from lsqcond.errors import InvalidGeometry
 
@@ -60,8 +60,11 @@ def test_analyze_deterministic_bytes(gvl_case, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_verify_small_run_passes(capsys):
-    assert run_cli("verify", "--seed", "1", "--problems", "10") == 0
+def test_verify_small_run_passes(monkeypatch, capsys):
+    # every suite at no more than 10 problems: a quick smoke run of all ten
+    small = [(name, suite, offset, min(count, 10)) for name, suite, offset, count in verify.SUITES]
+    monkeypatch.setattr(verify, "SUITES", small)
+    assert run_cli("verify", "--seed", "1") == 0
     out = capsys.readouterr().out
     assert out.count("[ ok ]") == 10
     assert "[FAIL]" not in out
@@ -71,9 +74,11 @@ def test_verify_full_scale_within_budget(capsys):
     import time
 
     start = time.perf_counter()
-    assert run_cli("verify", "--seed", "1", "--problems", "200") == 0
+    assert run_cli("verify", "--seed", "1") == 0
     assert time.perf_counter() - start < 60.0
-    assert "[FAIL]" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.count("[ ok ]") == 10
+    assert "[FAIL]" not in out
 
 
 @pytest.mark.parametrize("seed", [57, 102])
@@ -217,20 +222,9 @@ def test_lanczos_csv(tmp_path):
 
 
 def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(
-        verify, "SUITES", [("always-fails", lambda seed, count: (False, "boom"), 0, lambda problems: problems)]
-    )
-    assert run_cli("verify", "--problems", "1") == 1
+    monkeypatch.setattr(verify, "SUITES", [("always-fails", lambda seed, count: (False, "boom"), 0, 1)])
+    assert run_cli("verify") == 1
     assert "[FAIL] always-fails" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("problems", ["0", "-3"])
-def test_verify_rejects_fewer_than_one_problem(problems, capsys):
-    # with no problems the sandwich suite would pass while checking nothing
-    assert run_cli("verify", "--problems", problems) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "ParamOutOfRange" in captured.err and "--problems" in captured.err
 
 
 def test_cli_import_does_not_load_verify():
@@ -238,6 +232,24 @@ def test_cli_import_does_not_load_verify():
     code = "import sys, lsqcond.cli; sys.exit('lsqcond.verify' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_analyze_timings_leave_the_rest_of_the_report_unchanged(gvl_case, tmp_path):
+    reports = []
+    for flags in ([], ["--timings"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        assert run_cli(
+            "analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"),
+            "--out", str(out), *flags,
+        ) == 0
+        reports.append(json.loads(out.read_text()))
+    plain, timed = reports
+    timings = timed.pop("timings")
+    assert plain.pop("timings") is None
+    assert timed == plain
+    assert set(timings) == {"solve_s", "total_s"}
+    assert all(math.isfinite(t) for t in timings.values())
+    assert 0.0 <= timings["solve_s"] <= timings["total_s"]
 
 
 @pytest.mark.parametrize("preset", ["relative", "b-relative", "absolute"])
@@ -308,12 +320,26 @@ def test_zero_residual_exits_3(tmp_path, capsys):
     assert "ZeroResidual" in capsys.readouterr().err
 
 
+def test_unrepresentable_norm_exits_3(tmp_path):
+    # ||b|| = 2.6e308 overflows although every entry is finite
+    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", np.full(3, 1.5e308))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", "analyze",
+         "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("InvalidGeometry: ||b||")
+    assert "RuntimeWarning" not in result.stderr and result.stdout == ""
+
+
 def test_broken_geometry_exits_3(gvl_case, monkeypatch, capsys):
     # a numerical failure, not an I/O or parameter error
     def broken(cache):
         raise InvalidGeometry("vds = 0.0 outside [1, kappa]")
 
-    monkeypatch.setattr(cli, "geometry", broken)
+    monkeypatch.setattr(report, "geometry", broken)
     code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
     assert code == 3
     assert "InvalidGeometry" in capsys.readouterr().err

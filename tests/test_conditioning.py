@@ -106,7 +106,6 @@ def test_projection_bounds_e1(e1_cache):
     est = lc.projection_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache))
     assert est.chi_b == pytest.approx(SQRT2, rel=1e-14)
     assert est.chi_A_upper == pytest.approx(SQRT2, rel=1e-14)
-    assert est.target == "projection"
 
 
 def test_projection_bounds_parametric(gvl_cache):

@@ -16,7 +16,7 @@ from conftest import normal_equations_solve, reconstruct, solved_ensemble, vec_i
 def test_solve_coordinate_aligned(e1_cache):
     np.testing.assert_allclose(e1_cache.x, [1.0], atol=1e-15)
     np.testing.assert_allclose(e1_cache.r, [0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(e1_cache.Ax, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(e1_cache.problem.A @ e1_cache.x, [1.0, 0.0], atol=1e-15)
 
 
 def test_solve_parametric_instance(gvl_cache):
@@ -41,7 +41,7 @@ def test_cached_norms_are_the_norms_of_the_stored_vectors():
     for cache, _ in solved_ensemble(10, 5):
         assert cache.norm_b == float(np.linalg.norm(cache.problem.b))
         assert cache.norm_r == float(np.linalg.norm(cache.r))
-        assert cache.norm_Ax == float(np.linalg.norm(cache.Ax))
+        assert cache.norm_Ax == float(np.linalg.norm(cache.problem.A @ cache.x))
         assert cache.norm_x == float(np.linalg.norm(cache.x))
 
 
@@ -52,10 +52,10 @@ def test_norms_scale_exactly_by_powers_of_two():
         v = rng.standard_normal(n)
         v[0] = -50.0  # the largest entry is negative
         for scale in (2.0**-600, 2.0**-540, 1.0, 2.0**540, 2.0**600):
-            assert _norm(scale * v) == scale * float(np.linalg.norm(v))
+            assert _norm(scale * v, "v") == scale * float(np.linalg.norm(v))
     # the scaling follows the largest magnitude, not the largest value
-    assert _norm(np.array([-(2.0**600), 1.0])) == 2.0**600
-    assert _norm(np.array([0.0, 0.0])) == 0.0
+    assert _norm(np.array([-(2.0**600), 1.0]), "v") == 2.0**600
+    assert _norm(np.array([0.0, 0.0]), "v") == 0.0
 
 
 def test_appliers_take_blocks_of_columns():
@@ -63,8 +63,7 @@ def test_appliers_take_blocks_of_columns():
     m, n = cache.problem.m, cache.problem.n
     rng = np.random.default_rng(11)
     V, W = rng.standard_normal((m, 3)), rng.standard_normal((n, 3))
-    for apply, X in ((cache.apply_proj, V), (cache.apply_pinv, V), (cache.apply_pinv_transpose, W),
-                     (cache.apply_gram_inverse, W)):  # fmt: skip
+    for apply, X in ((cache.apply_proj, V), (cache.apply_pinv, V), (cache.apply_pinv_transpose, W)):
         block = apply(X)
         for j in range(3):
             single = apply(X[:, j].copy())

@@ -137,7 +137,7 @@ def test_geometric_spectrum_is_bitwise_geomspace(n, exponent):
 
 def test_ensemble_spectra_are_bitwise_geomspace():
     for seed in range(3):
-        for spec in lc.ensemble_specs(200, seed, max_n=12, max_kappa_exp=12.0):
+        for spec in lc.ensemble_specs(200, seed, max_kappa_exp=12.0):
             sv = spec.singular_values
             if spec.n > 1:
                 assert sv == tuple(np.geomspace(1.0, sv[-1], spec.n).tolist())

@@ -24,13 +24,13 @@ SQRT2 = math.sqrt(2.0)
 
 def test_apply_e1_closed_form(e1_cache):
     delta = 1e-3
-    dr, _ = lc.apply_residual_jacobian(e1_cache, np.array([[0.0], [delta]]))
+    dr = lc.apply_residual_jacobian(e1_cache, np.array([[0.0], [delta]]))
     np.testing.assert_allclose(dr, [-delta, -delta], atol=1e-18)
 
 
 def test_apply_zero_perturbation(e1_cache):
-    dr, dx = lc.apply_residual_jacobian(e1_cache, np.zeros((2, 1)))
-    assert np.all(dr == 0.0) and np.all(dx == 0.0)
+    dr = lc.apply_residual_jacobian(e1_cache, np.zeros((2, 1)))
+    assert np.all(dr == 0.0)
 
 
 def test_apply_linearity():
@@ -39,13 +39,11 @@ def test_apply_linearity():
         shape = cache.problem.A.shape
         d1, d2 = rng.standard_normal(shape), rng.standard_normal(shape)
         c1, c2 = rng.standard_normal(2)
-        dr_sum, dx_sum = lc.apply_residual_jacobian(cache, c1 * d1 + c2 * d2)
-        dr1, dx1 = lc.apply_residual_jacobian(cache, d1)
-        dr2, dx2 = lc.apply_residual_jacobian(cache, d2)
+        dr_sum = lc.apply_residual_jacobian(cache, c1 * d1 + c2 * d2)
+        dr1 = lc.apply_residual_jacobian(cache, d1)
+        dr2 = lc.apply_residual_jacobian(cache, d2)
         scale = np.linalg.norm(dr_sum) + 1e-300
         assert np.linalg.norm(dr_sum - c1 * dr1 - c2 * dr2) <= 1e-12 * scale
-        scale = np.linalg.norm(dx_sum) + 1e-300
-        assert np.linalg.norm(dx_sum - c1 * dx1 - c2 * dx2) <= 1e-12 * scale
 
 
 def test_apply_rejects_wrong_shape(e1_cache):
@@ -63,7 +61,7 @@ def test_remainder_decays_quadratically():
     remainders = []
     for delta in (1e-3, 5e-4, 2.5e-4):
         perturbed = lc.solve_least_squares(lc.LsProblem(A + delta * E, b))
-        dr, _ = lc.apply_residual_jacobian(cache, delta * E)
+        dr = lc.apply_residual_jacobian(cache, delta * E)
         remainders.append(np.linalg.norm(perturbed.r - cache.r - dr))
     assert 3.5 <= remainders[0] / remainders[1] <= 4.5
     assert 3.5 <= remainders[1] / remainders[2] <= 4.5
@@ -78,12 +76,12 @@ def test_explicit_jacobian_matrix_round_trip(gvl_cache):
         for j in range(n):
             E = np.zeros((m, n))
             E[i, j] = 1.0
-            dr, _ = lc.apply_residual_jacobian(gvl_cache, E)
+            dr = lc.apply_residual_jacobian(gvl_cache, E)
             J[:, vec_index(i, j, m, n=n)] = dr
     rng = np.random.default_rng(131)
     for _ in range(5):
         dA = rng.standard_normal((m, n))
-        dr, _ = lc.apply_residual_jacobian(gvl_cache, dA)
+        dr = lc.apply_residual_jacobian(gvl_cache, dA)
         np.testing.assert_allclose(J @ dA.ravel(order="F"), dr, atol=1e-13)
     for _ in range(5):
         d = rng.standard_normal(m)
@@ -91,24 +89,6 @@ def test_explicit_jacobian_matrix_round_trip(gvl_cache):
         np.testing.assert_allclose(
             J.T @ d, -adj.matrix().ravel(order="F"), atol=1e-13
         )
-
-
-def test_dx_block_has_quadratic_remainder():
-    # cross-check of the solution block of the Jacobian: the first-order
-    # prediction leaves only an O(delta^2) remainder in x
-    for cache, _ in solved_ensemble(8, 47, max_kappa_exp=2.0):
-        rng = np.random.default_rng(cache.problem.m)
-        E = rng.standard_normal(cache.problem.A.shape)
-        E /= np.linalg.svd(E, compute_uv=False)[0]
-        delta0 = 1e-3 * cache.svd.sigma_min
-        remainders = []
-        for delta in (delta0, delta0 / 2.0):
-            perturbed = lc.solve_least_squares(
-                lc.LsProblem(cache.problem.A + delta * E, cache.problem.b)
-            )
-            _, dx = lc.apply_residual_jacobian(cache, delta * E)
-            remainders.append(np.linalg.norm(perturbed.x - cache.x - dx))
-        assert 3.5 <= remainders[0] / remainders[1] <= 4.5
 
 
 # --- adjoint -------------------------------------------------------------------
@@ -121,7 +101,7 @@ def test_adjoint_along_residual(e1_cache):
     np.testing.assert_allclose(adj.v2, [0.0], atol=1e-15)
     # the adjoint image is minus the rank-2 matrix: <dr(dA), rhat> = -<dA, u1 x^t>
     dA = np.array([[0.0], [1.0]])
-    dr, _ = lc.apply_residual_jacobian(e1_cache, dA)
+    dr = lc.apply_residual_jacobian(e1_cache, dA)
     assert dr @ rhat == pytest.approx(-np.sum(dA * adj.matrix()), rel=1e-14)
 
 
@@ -138,7 +118,7 @@ def test_adjoint_identity_random_pairs():
             d = rng.standard_normal(m)
             d /= np.linalg.norm(d)
             dA = rng.standard_normal((m, n))
-            dr, _ = lc.apply_residual_jacobian(cache, dA)
+            dr = lc.apply_residual_jacobian(cache, dA)
             adj = lc.adjoint_rank2(cache, d)
             lhs = dr @ d
             rhs = -np.sum(dA * adj.matrix())
@@ -335,7 +315,7 @@ def test_certificate_attains_exact():
     for cache in both_branches(200, 127):
         dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
-        dr, _ = lc.apply_residual_jacobian(cache, dA)
+        dr = lc.apply_residual_jacobian(cache, dA)
         assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
 
 
@@ -357,7 +337,7 @@ def test_exact_value_property(n, extra, kappa_exp, theta, mix, seed):
     if extra >= 2:
         assert exact == upper  # a direction orthogonal to r and col(A) attains upper
     dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
-    dr, _ = lc.apply_residual_jacobian(cache, dA)
+    dr = lc.apply_residual_jacobian(cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(exact, rel=1e-10)
     assert sampled_condition_wrt_A(cache, n_samples=200, seed=seed) <= exact * (1.0 + 1e-10)
 
@@ -418,7 +398,7 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
 def test_attaining_e1(e1_cache):
     dA = lc.attaining_perturbation(e1_cache, lc.worst_case_direction(e1_cache))
     assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
-    dr, _ = lc.apply_residual_jacobian(e1_cache, dA)
+    dr = lc.apply_residual_jacobian(e1_cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(SQRT2, rel=1e-12)
 
 
@@ -429,7 +409,7 @@ def test_attaining_unit_norm_random_directions():
         d /= np.linalg.norm(d)
         dA = lc.attaining_perturbation(cache, d)
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
-        dr, _ = lc.apply_residual_jacobian(cache, dA)
+        dr = lc.apply_residual_jacobian(cache, dA)
         g = g_objective(cache, d)
         assert dr @ d == pytest.approx(g, rel=1e-11)
         assert np.linalg.norm(dr) >= g * (1.0 - 1e-12)
@@ -437,7 +417,7 @@ def test_attaining_unit_norm_random_directions():
 
 def test_attaining_first_order_check(e1_cache):
     dA = lc.attaining_perturbation(e1_cache, lc.worst_case_direction(e1_cache))
-    dr, _ = lc.apply_residual_jacobian(e1_cache, dA)
+    dr = lc.apply_residual_jacobian(e1_cache, dA)
     eps = 1e-7
     perturbed = lc.solve_least_squares(
         lc.LsProblem(e1_cache.problem.A + eps * dA, e1_cache.problem.b)
@@ -475,7 +455,7 @@ def test_finite_difference_deviation_first_order_in_step():
     rng = np.random.default_rng(101)
     E = rng.standard_normal((10, 4))
     E /= np.linalg.svd(E, compute_uv=False)[0]
-    dr, _ = lc.apply_residual_jacobian(cache, E)
+    dr = lc.apply_residual_jacobian(cache, E)
     linear = (np.linalg.norm(dr) / scales.scale_r) / (1.0 / scales.scale_A)
     deviations = []
     for delta in (1e-4, 5e-5):
@@ -541,7 +521,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     dA = rng.standard_normal((k, m, n))
 
     blocks = (
-        cache.apply_proj(D), cache.apply_pinv(D), cache.apply_pinv_transpose(W), cache.apply_gram_inverse(W),
+        cache.apply_proj(D), cache.apply_pinv(D), cache.apply_pinv_transpose(W),
     )
     adj = lc.adjoint_rank2(cache, D)
     stack = adj.matrix()
@@ -549,15 +529,14 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     L, U = sandwich_bounds(cache, D)
     canon = canonicalize_direction(cache, D)
     nuclear = lc.nuclear_norm(stack)
-    dr, dx = lc.apply_residual_jacobian(cache, dA)
+    dr = lc.apply_residual_jacobian(cache, dA)
     assert stack.shape == (k, m, n) and nuclear.shape == g.shape == L.shape == U.shape == (k,)
-    assert adj.u1.shape == canon.shape == dr.shape == (m, k) and adj.v2.shape == dx.shape == (n, k)
+    assert adj.u1.shape == canon.shape == dr.shape == (m, k) and adj.v2.shape == (n, k)
 
     for j in range(k):
         d, w = D[:, j].copy(), W[:, j].copy()
-        singles = (cache.apply_proj(d), cache.apply_pinv(d), cache.apply_pinv_transpose(w), cache.apply_gram_inverse(w))
-        for block, single, scale in zip(blocks, singles, (1.0, 1.0 / smin, np.linalg.norm(w) / smin,
-                                                          np.linalg.norm(w) / smin**2)):  # fmt: skip
+        singles = (cache.apply_proj(d), cache.apply_pinv(d), cache.apply_pinv_transpose(w))
+        for block, single, scale in zip(blocks, singles, (1.0, 1.0 / smin, np.linalg.norm(w) / smin)):
             _close(block[:, j], single, scale)
         one = lc.adjoint_rank2(cache, d)
         L1, U1 = sandwich_bounds(cache, d)
@@ -571,10 +550,8 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
         _close(U[j], U1, top)
         _close(g[j] ** 2, g1**2, top**2)
         _close(canon[:, j], canonicalize_direction(cache, d), 1.0)
-        dr1, dx1 = lc.apply_residual_jacobian(cache, dA[j])
-        size = np.linalg.norm(dA[j], 2) * top
-        _close(dr[:, j], dr1, size)
-        _close(dx[:, j], dx1, size / smin)
+        dr1 = lc.apply_residual_jacobian(cache, dA[j])
+        _close(dr[:, j], dr1, np.linalg.norm(dA[j], 2) * top)
 
 
 def test_block_rejects_wrong_shapes(gvl_cache):

@@ -54,14 +54,15 @@ def test_stewart_worst_case_ratio():
 
 
 def test_gvlh_orthonormal(e1_cache):
-    stated, sum_bound = lc.gvlh_estimate(lc.geometry(e1_cache))
+    geom = lc.geometry(e1_cache)
+    stated, sum_bound = lc.gvlh_estimate(geom), geom.kappa + 1.0
     assert stated == pytest.approx(3.0)
     assert sum_bound == pytest.approx(2.0)
 
 
 def test_gvlh_parametric(gvl_cache):
     geom = lc.geometry(gvl_cache)
-    stated, sum_bound = lc.gvlh_estimate(geom)
+    stated, sum_bound = lc.gvlh_estimate(geom), geom.kappa + 1.0
     assert stated == pytest.approx(5.0)
     est = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.b_relative(gvl_cache))
     actual_sum = est.chi_A_upper + est.chi_b
@@ -72,7 +73,7 @@ def test_gvlh_parametric(gvl_cache):
 def test_gvlh_worst_case_ratio():
     cache = lc.solve_least_squares(lc.gvl_example(0.01, 1000.0, 0.0).problem)
     geom = lc.geometry(cache)
-    stated, _ = lc.gvlh_estimate(geom)
+    stated = lc.gvlh_estimate(geom)
     est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
     ratio = stated / (est.chi_A_upper + est.chi_b)
     assert abs(ratio - geom.kappa) / geom.kappa < 0.05

@@ -42,8 +42,7 @@ def test_write_csv_quotes_commas():
 
 
 def test_build_report_structure(e1_cache):
-    geom = lc.geometry(e1_cache)
-    rep = build_report(e1_cache, geom, "relative", lc.compare_table(e1_cache))
+    rep = build_report(e1_cache, "relative")
     assert rep["schema"] == "lsq-cond/2"
     assert rep["problem"]["m"] == 2 and rep["problem"]["n"] == 1
     assert set(rep["estimates"]) == {"relative", "b-relative", "absolute"}
@@ -57,7 +56,6 @@ def test_build_report_structure(e1_cache):
 
 
 def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
-    geom = lc.geometry(e1_cache)
     upper = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
     for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
 
@@ -66,4 +64,4 @@ def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
 
         monkeypatch.setattr(report, "residual_condition_bounds", escaped)
         with pytest.raises(RuntimeError):
-            build_report(e1_cache, geom, "relative", lc.compare_table(e1_cache))
+            build_report(e1_cache, "relative")

@@ -80,3 +80,42 @@ def test_every_public_name_has_a_consumer():
     )
     assert [name for name in unused if name not in AWAITING_CONSUMER] == []
     assert sorted(AWAITING_CONSUMER - set(unused)) == []  # a consumer came: drop the entry
+
+
+# dataclasses whose instances are written out whole by dataclasses.asdict,
+# which reads every field without naming it
+WRITTEN_WHOLE = {"GvlExpected"}  # cli, `generate gvl` writes expected.json
+
+
+def _dataclass_fields(tree):
+    """(class name, class node, field name) for each annotated field of each
+    dataclass defined at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, node, item.target.id
+
+
+def _attribute_reads(node):
+    return Counter(
+        ref.attr for ref in ast.walk(node) if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load)
+    )
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    # a field nothing reads is still built and documented by every caller;
+    # like the name guard, a field sharing its name with another attribute
+    # that is read passes unnoticed
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    everywhere = sum((_attribute_reads(tree) for tree in trees), Counter())
+    unread = sorted(
+        f"{cls}.{field}"
+        for tree in trees
+        for cls, node, field in _dataclass_fields(tree)
+        if cls not in WRITTEN_WHOLE and everywhere[field] == _attribute_reads(node)[field]
+    )
+    assert unread == []
+    assert "asdict" in everywhere  # WRITTEN_WHOLE still has its writer

@@ -36,16 +36,6 @@ from .errors import (
     ZeroResidual,
     ZeroSolution,
 )
-from .generators import (
-    EnsembleSpec,
-    GvlExample,
-    block_norm_cases,
-    ensemble_specs,
-    equilibrate_columns,
-    gvl_example,
-    lanczos_demo,
-    random_problem,
-)
 from .jacobian import (
     adjoint_rank2,
     apply_residual_jacobian,
@@ -54,9 +44,6 @@ from .jacobian import (
 from .prior_bounds import (
     PriorBoundRow,
     compare_table,
-    gvlh_estimate,
-    stewart_estimate,
-    wedin_estimate,
 )
 
 __version__ = "0.1.0"

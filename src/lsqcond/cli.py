@@ -7,6 +7,11 @@ matrix is computed in closed form (the chi_A field of
 conditioning.ConditionEstimates), so a seed only ever chooses generated
 problems.
 
+Loading this module loads only what `analyze` and `compare` use. The
+commands `generate`, `sweep` and `lanczos` import the generators module,
+and `verify` the verify module, inside the command, so that the analysis
+commands never load either.
+
 Exit codes: 0 success, 1 verification failure, 2 I/O or parameter errors,
 3 failed numerical preconditions or invariants (the error name goes to
 stderr).
@@ -36,8 +41,7 @@ from . import mmio
 from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
 from .errors import LsqCondError, ParamOutOfRange
-from .generators import EnsembleSpec, gvl_example, lanczos_demo, random_problem
-from .prior_bounds import compare_table
+from .prior_bounds import PriorBoundRow, compare_table
 from .report import build_report, dump_json, write_csv
 
 
@@ -145,11 +149,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = compare_table(cache)
     if args.format == "csv":
         buf = io.StringIO()
-        write_csv(
-            buf,
-            ["source", "value", "scale_convention", "ratio_to_tight", "max_ratio"],
-            [[r.source, r.value, r.scale_convention, r.ratio_to_tight, r.max_ratio] for r in rows],
-        )
+        header = [field.name for field in dataclasses.fields(PriorBoundRow)]
+        write_csv(buf, header, [dataclasses.astuple(r) for r in rows])
         _write_text(args.out, buf.getvalue())
         return 0
     lines = [
@@ -165,7 +166,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_gvl(args: argparse.Namespace) -> int:
-    ex = gvl_example(args.alpha, args.beta, args.phi, args.eps)
+    from . import generators
+
+    ex = generators.gvl_example(args.alpha, args.beta, args.phi, args.eps)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mmio.write_matrix(out / "A.mtx", ex.problem.A)
@@ -186,9 +189,11 @@ def _cmd_generate_gvl(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_ensemble(args: argparse.Namespace) -> int:
+    from . import generators
+
     sigmas = tuple(float(v) for v in args.sigmas.split(","))
-    spec = EnsembleSpec(args.m, args.n, sigmas, args.theta, args.mix, args.seed)
-    problem = random_problem(spec)
+    spec = generators.EnsembleSpec(args.m, args.n, sigmas, args.theta, args.mix, args.seed)
+    problem = generators.random_problem(spec)
     cache = solve_least_squares(problem)
     geom = geometry(cache)
     out = Path(args.out_dir)
@@ -233,24 +238,23 @@ _SWEEP_HEADER = [
     "empirical",
 ]
 
-# how each sweep kind builds its problem from the arguments, with the swept
-# parameter already substituted
-_SWEEP_PROBLEMS = {
-    "gvl": lambda p: gvl_example(p["alpha"], p["beta"], p["phi"]).problem,
-    "ensemble": lambda p: random_problem(
-        EnsembleSpec(p["m"], p["n"], _parse_values(p["sigmas"]), p["theta"], p["mix"], p["seed"])
-    ),
-}
-
 
 def _parse_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import generators
+
     rows = []
     for value in _parse_values(args.values):
-        problem = _SWEEP_PROBLEMS[args.kind]({**vars(args), args.param: value})
+        p = {**vars(args), args.param: value}
+        if args.kind == "gvl":
+            problem = generators.gvl_example(p["alpha"], p["beta"], p["phi"]).problem
+        else:
+            sigmas = _parse_values(p["sigmas"])
+            spec = generators.EnsembleSpec(p["m"], p["n"], sigmas, p["theta"], p["mix"], p["seed"])
+            problem = generators.random_problem(spec)
         cache = solve_least_squares(problem)
         geom = geometry(cache)
         est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
@@ -265,12 +269,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_lanczos(args: argparse.Namespace) -> int:
+    from . import generators
+
     T = mmio.read_matrix(args.matrix)
     if args.v1:
         v1 = mmio.read_vector(args.v1)
     else:
         v1 = np.ones(T.shape[0]) / math.sqrt(T.shape[0])
-    records = lanczos_demo(T, v1, args.steps)
+    records = generators.lanczos_demo(T, v1, args.steps)
     rows = [
         [
             rec.step,
@@ -295,7 +301,7 @@ def _cmd_lanczos(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from . import verify  # imported here so that the other commands never load it
+    from . import verify
 
     failures = 0
     for name, suite, offset, count in verify.SUITES:

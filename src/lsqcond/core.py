@@ -183,13 +183,25 @@ def _norm(v: np.ndarray, name: str) -> float:
     try:
         return math.ldexp(scaled_norm, e)
     except OverflowError:
-        raise InvalidGeometry(f"||{name}|| exceeds the largest double {sys.float_info.max:.3e}") from None
+        raise _too_large(name) from None
+
+
+def _too_large(name: str) -> InvalidGeometry:
+    return InvalidGeometry(f"||{name}|| exceeds the largest double {sys.float_info.max:.3e}")
 
 
 def solve_least_squares(problem: LsProblem) -> LsCache:
-    """Solve the problem via the SVD and cache the factorized state and norms."""
+    """Solve the problem via the SVD and cache the factorized state and norms.
+
+    Raises InvalidGeometry when ||b|| or ||x|| exceeds the largest double.
+    """
     svd = spectral_data(problem.A)
-    x = svd.right_vectors @ ((svd.left_vectors.T @ problem.b) / svd.singular_values)
+    norm_b = _norm(problem.b, "b")
+    # ||x|| = ||(U^t b) / s||, so an entry that overflows means ||x|| does too
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = svd.right_vectors @ ((svd.left_vectors.T @ problem.b) / svd.singular_values)
+    if not np.isfinite(x).all():
+        raise _too_large("x")
     Ax = problem.A @ x
     r = problem.b - Ax
     return LsCache(
@@ -197,7 +209,7 @@ def solve_least_squares(problem: LsProblem) -> LsCache:
         x=x,
         r=r,
         svd=svd,
-        norm_b=_norm(problem.b, "b"),
+        norm_b=norm_b,
         norm_r=_norm(r, "r"),
         norm_Ax=_norm(Ax, "Ax"),
         norm_x=_norm(x, "x"),

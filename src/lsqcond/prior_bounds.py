@@ -9,8 +9,9 @@ the scale convention its source assumes:
   db = 0. Can overestimate by as much as the van der Sluis ratio, i.e. up
   to a factor near kappa.
 * Golub & Van Loan / Higham: 2 kappa + 1 against the sum of both condition
-  numbers under scale_b = scale_r = ||b||. Can overestimate the sum by a
-  factor near kappa.
+  numbers under scale_b = scale_r = ||b||. That sum never exceeds the
+  sharper kappa + 1; the stated value can overestimate it by a factor near
+  kappa.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conditioning import SQRT2, ScaleFactors, residual_condition_bounds
-from .core import Geometry, LsCache, geometry
+from .core import LsCache, geometry
 
 
 @dataclass(frozen=True)
@@ -30,32 +31,6 @@ class PriorBoundRow:
     scale_convention: str
     ratio_to_tight: float
     max_ratio: float  # theoretical worst-case overestimation factor
-
-
-def wedin_estimate(cache: LsCache) -> float:
-    """||r|| / sigma_min + ||x|| under unscaled norms with db = 0."""
-    geometry(cache)
-    return cache.norm_r / cache.svd.sigma_min + cache.norm_x
-
-
-def stewart_estimate(cache: LsCache) -> float:
-    """||b|| / sigma_min under unscaled norms with db = 0.
-
-    Identically sqrt((||r|| / sigma_min)^2 + vds^2 ||x||^2): the tight
-    value with the solution term inflated by the van der Sluis ratio.
-    """
-    geometry(cache)
-    return cache.norm_b / cache.svd.sigma_min
-
-
-def gvlh_estimate(geom: Geometry) -> float:
-    """The stated textbook value 2 kappa + 1.
-
-    It measures perturbations to A and b by a single quantity and the
-    residual against ||b||; the sum of the two condition numbers under that
-    convention never exceeds the sharper kappa + 1.
-    """
-    return 2.0 * geom.kappa + 1.0
 
 
 def compare_table(cache: LsCache) -> list[PriorBoundRow]:
@@ -71,9 +46,11 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
     tight_abs = absolute.chi_A_upper
     tight_sum = b_rel.chi_A_upper + b_rel.chi_b
 
-    wedin = wedin_estimate(cache)
-    stewart = stewart_estimate(cache)
-    stated = gvlh_estimate(geom)
+    wedin = cache.norm_r / cache.svd.sigma_min + cache.norm_x
+    # identically sqrt((||r|| / sigma_min)^2 + vds^2 ||x||^2): the tight
+    # value with the solution term inflated by the van der Sluis ratio
+    stewart = cache.norm_b / cache.svd.sigma_min
+    stated = 2.0 * geom.kappa + 1.0
     return [
         PriorBoundRow(
             source="wedin",

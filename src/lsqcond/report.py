@@ -8,9 +8,11 @@ filled in when explicitly requested, since they would break reproducibility.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -99,16 +101,7 @@ def build_report(
             "lower": emp_bounds.chi_A_lower,
             "upper": emp_bounds.chi_A_upper,
         },
-        "prior_bounds": [
-            {
-                "source": row.source,
-                "value": row.value,
-                "scale_convention": row.scale_convention,
-                "ratio_to_tight": row.ratio_to_tight,
-                "max_ratio": row.max_ratio,
-            }
-            for row in compare_table(cache)
-        ],
+        "prior_bounds": [dataclasses.asdict(row) for row in compare_table(cache)],
         "timings": None,
     }
 
@@ -168,7 +161,7 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_csv(fh, header: list[str], rows: list[list[Any]]) -> None:
+def write_csv(fh, header: list[str], rows: list[Sequence[Any]]) -> None:
     """Comma-separated output with '.' radix and 17-digit floats."""
     fh.write(",".join(header) + "\n")
     for row in rows:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lsqcond as lc
+from lsqcond.generators import ensemble_specs, gvl_example, random_problem
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def e1_cache():
 @pytest.fixture
 def gvl_cache():
     """The parametric 3x2 instance at alpha=0.5, beta=2, phi=0."""
-    return lc.solve_least_squares(lc.gvl_example(0.5, 2.0, 0.0).problem)
+    return lc.solve_least_squares(gvl_example(0.5, 2.0, 0.0).problem)
 
 
 def normal_equations_solve(A, b):
@@ -37,17 +38,17 @@ def oracle_solve():
 
 def solved_ensemble(count, seed, **kwargs):
     """Stream of (cache, geometry) pairs over a seeded ensemble."""
-    for spec in lc.ensemble_specs(count, seed, **kwargs):
-        cache = lc.solve_least_squares(lc.random_problem(spec))
+    for spec in ensemble_specs(count, seed, **kwargs):
+        cache = lc.solve_least_squares(random_problem(spec))
         yield cache, lc.geometry(cache)
 
 
 def both_branches(count, seed, **kwargs):
     """Solved ensemble problems and, for each, the same recipe with m = n + 1,
     so both branches of the closed form are exercised."""
-    for spec in lc.ensemble_specs(count, seed, **kwargs):
+    for spec in ensemble_specs(count, seed, **kwargs):
         for s in (spec, dataclasses.replace(spec, m=spec.n + 1)):
-            yield lc.solve_least_squares(lc.random_problem(s))
+            yield lc.solve_least_squares(random_problem(s))
 
 
 def reconstruct(svd):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import lsqcond as lc
+from lsqcond.generators import block_norm_cases, gvl_example
 from conftest import sampled_block_norm
 from lsqcond import verify
 from lsqcond.cli import main as cli_main
@@ -38,7 +39,7 @@ def test_criterion_01_parametric_grid_reproduction():
         for alpha in (0.5, 0.1, 0.01):
             for beta in (1.0, 10.0, 100.0):
                 for phi in (0.0, math.pi / 4, math.pi / 2):
-                    ex = lc.gvl_example(alpha, beta, phi, epsilon=1e-6)
+                    ex = gvl_example(alpha, beta, phi, epsilon=1e-6)
                     cache = lc.solve_least_squares(ex.problem)
                     geom = lc.geometry(cache)
                     assert geom.kappa == pytest.approx(ex.expected.kappa, rel=1e-10)
@@ -99,15 +100,16 @@ def test_criterion_07_prior_bound_dominance_and_worst_cases():
         ok, detail = verify.prior_dominance(707, 100)
         assert ok, detail
 
-        cache = lc.solve_least_squares(lc.gvl_example(0.01, 1000.0, 0.0).problem)
+        cache = lc.solve_least_squares(gvl_example(0.01, 1000.0, 0.0).problem)
+        rows = {row.source: row for row in lc.compare_table(cache)}
         # the suite's band for wedin is [1, max_ratio]
-        assert {row.source: row.max_ratio for row in lc.compare_table(cache)}["wedin"] == SQRT2
+        assert rows["wedin"].max_ratio == SQRT2
         geom = lc.geometry(cache)
         kappa = geom.kappa
         tight_abs = math.hypot(cache.norm_r / geom.sigma_min, cache.norm_x)
-        stewart_ratio = lc.stewart_estimate(cache) / tight_abs
+        stewart_ratio = rows["stewart"].value / tight_abs
         assert abs(stewart_ratio - kappa) / kappa < 0.05
-        stated = lc.gvlh_estimate(geom)
+        stated = rows["gvlh"].value
         est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
         gvlh_ratio = stated / (est.chi_A_upper + est.chi_b)
         assert abs(gvlh_ratio - kappa) / kappa < 0.05
@@ -124,7 +126,7 @@ def test_criterion_08_block_norm_band():
             A = rng.standard_normal((rows, int(rng.integers(1, 5))))
             B = rng.standard_normal((rows, int(rng.integers(1, 5))))
             sampled = sampled_block_norm(A, B, samples=200, seed=int(rng.integers(1 << 31)))
-            assert lc.block_norm_cases([(A, B)])[0].norm_joint >= sampled * (1.0 - 1e-12)
+            assert block_norm_cases([(A, B)])[0].norm_joint >= sampled * (1.0 - 1e-12)
 
 
 def test_criterion_09_projection_consistency():

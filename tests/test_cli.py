@@ -227,9 +227,11 @@ def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
     assert "[FAIL] always-fails" in capsys.readouterr().out
 
 
-def test_cli_import_does_not_load_verify():
-    # analyze and compare never run a suite, so they must not pay its import
-    code = "import sys, lsqcond.cli; sys.exit('lsqcond.verify' in sys.modules)"
+@pytest.mark.parametrize("module", ["lsqcond.verify", "lsqcond.generators"])
+def test_cli_import_does_not_load_verify(module):
+    # analyze and compare neither run a suite nor generate a problem, so
+    # they must not pay for those imports
+    code = f"import sys, lsqcond.cli; sys.exit({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
@@ -320,17 +322,26 @@ def test_zero_residual_exits_3(tmp_path, capsys):
     assert "ZeroResidual" in capsys.readouterr().err
 
 
-def test_unrepresentable_norm_exits_3(tmp_path):
-    # ||b|| = 2.6e308 overflows although every entry is finite
-    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    mmio.write_vector(tmp_path / "b.txt", np.full(3, 1.5e308))
+@pytest.mark.parametrize(
+    "scale, rhs, prefix",
+    [
+        # ||b|| = 2.6e308 overflows although every entry is finite
+        (1.0, 1.5e308, "InvalidGeometry: ||b||"),
+        # ||b|| is representable, but x = 1e310 (1, 1) is not
+        (1e-10, 1e300, "InvalidGeometry: ||x||"),
+    ],
+    ids=["b", "x"],
+)
+def test_unrepresentable_norm_exits_3(tmp_path, scale, rhs, prefix):
+    mmio.write_matrix(tmp_path / "A.mtx", scale * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", np.full(3, rhs))
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", "analyze",
          "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")],
         capture_output=True, text=True,
     )
     assert result.returncode == 3, result.stderr
-    assert result.stderr.startswith("InvalidGeometry: ||b||")
+    assert result.stderr.startswith(prefix)
     assert "RuntimeWarning" not in result.stderr and result.stdout == ""
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lsqcond as lc
+from lsqcond.generators import EnsembleSpec, gvl_example, random_problem
 from conftest import both_branches, solved_ensemble
 
 SQRT2 = math.sqrt(2.0)
@@ -35,7 +36,7 @@ def test_residual_bounds_parametric_value(gvl_cache):
 @pytest.mark.parametrize("beta", [1.0, 10.0, 100.0])
 @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
 def test_residual_bounds_parametric_closed_form(alpha, beta, phi):
-    cache = lc.solve_least_squares(lc.gvl_example(alpha, beta, phi).problem)
+    cache = lc.solve_least_squares(gvl_example(alpha, beta, phi).problem)
     est, _ = bounds_for(cache)
     expected = (1.0 / alpha) * math.sqrt(
         1.0 + (alpha * beta * math.cos(phi)) ** 2 + (beta * math.sin(phi)) ** 2
@@ -152,8 +153,8 @@ def test_table2_parametric_rows(gvl_cache):
 
 def test_table2_near_orthogonal_limit():
     # b almost orthogonal to col(A) with orthonormal columns: both rows -> (1, 1)
-    spec = lc.EnsembleSpec(6, 2, (1.0, 1.0), math.pi / 2 - 1e-6, 0.5, 41)
-    cache = lc.solve_least_squares(lc.random_problem(spec))
+    spec = EnsembleSpec(6, 2, (1.0, 1.0), math.pi / 2 - 1e-6, 0.5, 41)
+    cache = lc.solve_least_squares(random_problem(spec))
     for row in _by_r_and_by_b(cache):
         assert row.chi_A_upper == pytest.approx(1.0, abs=1e-5)
         assert row.chi_b == pytest.approx(1.0, abs=1e-5)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lsqcond as lc
+from lsqcond.generators import gvl_example
 from lsqcond.core import _norm
 from conftest import normal_equations_solve, reconstruct, solved_ensemble, vec_index, vec_unflatten
 
@@ -136,7 +137,7 @@ def test_geometry_e1(e1_cache):
     [(0.5, 2.0, 0.0), (0.1, 10.0, math.pi / 4), (0.01, 100.0, math.pi / 2)],
 )
 def test_geometry_parametric_closed_forms(alpha, beta, phi):
-    cache = lc.solve_least_squares(lc.gvl_example(alpha, beta, phi).problem)
+    cache = lc.solve_least_squares(gvl_example(alpha, beta, phi).problem)
     geom = lc.geometry(cache)
     assert geom.kappa == pytest.approx(1.0 / alpha, rel=1e-12)
     assert geom.cot_theta == pytest.approx(beta, rel=1e-12)

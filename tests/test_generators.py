@@ -6,8 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqcond as lc
+from lsqcond.generators import (
+    EnsembleSpec,
+    _geometric,
+    block_norm_cases,
+    ensemble_specs,
+    equilibrate_columns,
+    gvl_example,
+    lanczos_demo,
+    random_problem,
+)
 from conftest import golden_section_block_norm, sampled_block_norm
-from lsqcond.generators import _geometric
 
 SQRT2 = math.sqrt(2.0)
 
@@ -16,7 +25,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_gvl_expected_record():
-    ex = lc.gvl_example(0.5, 2.0, 0.0)
+    ex = gvl_example(0.5, 2.0, 0.0)
     np.testing.assert_allclose(ex.expected.x, [2.0, 0.0])
     np.testing.assert_allclose(ex.expected.r, [0.0, 0.0, 1.0])
     assert ex.expected.kappa == 2.0
@@ -26,11 +35,11 @@ def test_gvl_expected_record():
 
 
 def test_gvl_phi_right_angle_gives_unit_alignment():
-    assert lc.gvl_example(0.5, 2.0, math.pi / 2).expected.vds == pytest.approx(1.0)
+    assert gvl_example(0.5, 2.0, math.pi / 2).expected.vds == pytest.approx(1.0)
 
 
 def test_gvl_measured_perturbation_matches_first_order():
-    ex = lc.gvl_example(0.5, 2.0, 0.0, epsilon=1e-6)
+    ex = gvl_example(0.5, 2.0, 0.0, epsilon=1e-6)
     cache = lc.solve_least_squares(ex.problem)
     perturbed = lc.solve_least_squares(lc.LsProblem(ex.problem.A + ex.delta_A, ex.problem.b))
     measured = np.linalg.norm(perturbed.r - cache.r) / cache.norm_r
@@ -42,7 +51,7 @@ def test_gvl_measured_perturbation_matches_first_order():
 @pytest.mark.parametrize("beta", [1.0, 10.0, 100.0])
 @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
 def test_gvl_expected_matches_computed(alpha, beta, phi):
-    ex = lc.gvl_example(alpha, beta, phi)
+    ex = gvl_example(alpha, beta, phi)
     cache = lc.solve_least_squares(ex.problem)
     geom = lc.geometry(cache)
     np.testing.assert_allclose(cache.x, ex.expected.x, rtol=1e-12, atol=1e-12)
@@ -65,22 +74,22 @@ def test_gvl_expected_matches_computed(alpha, beta, phi):
 )
 def test_gvl_rejects_bad_parameters(kwargs):
     with pytest.raises(lc.ParamOutOfRange):
-        lc.gvl_example(**kwargs)
+        gvl_example(**kwargs)
 
 
 # --- random problems ------------------------------------------------------------
 
 
 def test_random_problem_orthonormal_columns():
-    spec = lc.EnsembleSpec(6, 3, (1.0, 1.0, 1.0), 0.8, 0.3, 2)
-    geom = lc.geometry(lc.solve_least_squares(lc.random_problem(spec)))
+    spec = EnsembleSpec(6, 3, (1.0, 1.0, 1.0), 0.8, 0.3, 2)
+    geom = lc.geometry(lc.solve_least_squares(random_problem(spec)))
     assert geom.kappa == pytest.approx(1.0, rel=1e-12)
     assert geom.vds == pytest.approx(1.0, rel=1e-12)
 
 
 def test_random_problem_prescribed_kappa_and_theta():
-    spec = lc.EnsembleSpec(8, 2, (1.0, 1e-3), math.pi / 4, 1.0, 5)
-    cache = lc.solve_least_squares(lc.random_problem(spec))
+    spec = EnsembleSpec(8, 2, (1.0, 1e-3), math.pi / 4, 1.0, 5)
+    cache = lc.solve_least_squares(random_problem(spec))
     geom = lc.geometry(cache)
     assert geom.kappa == pytest.approx(1000.0, rel=1e-10)
     assert geom.theta == pytest.approx(math.pi / 4, abs=1e-10)
@@ -88,21 +97,21 @@ def test_random_problem_prescribed_kappa_and_theta():
 
 
 def test_random_problem_mix_zero_aligns_with_kappa():
-    spec = lc.EnsembleSpec(8, 2, (1.0, 1e-3), math.pi / 4, 0.0, 5)
-    geom = lc.geometry(lc.solve_least_squares(lc.random_problem(spec)))
+    spec = EnsembleSpec(8, 2, (1.0, 1e-3), math.pi / 4, 0.0, 5)
+    geom = lc.geometry(lc.solve_least_squares(random_problem(spec)))
     assert geom.vds == pytest.approx(geom.kappa, rel=1e-9)
 
 
 def test_random_problem_deterministic():
-    spec = lc.EnsembleSpec(9, 3, (1.0, 0.1, 0.01), 0.6, 0.5, 77)
-    p1, p2 = lc.random_problem(spec), lc.random_problem(spec)
+    spec = EnsembleSpec(9, 3, (1.0, 0.1, 0.01), 0.6, 0.5, 77)
+    p1, p2 = random_problem(spec), random_problem(spec)
     np.testing.assert_array_equal(p1.A, p2.A)
     np.testing.assert_array_equal(p1.b, p2.b)
 
 
 def test_random_problem_round_trip_ensemble():
-    for spec in lc.ensemble_specs(100, 211):
-        cache = lc.solve_least_squares(lc.random_problem(spec))
+    for spec in ensemble_specs(100, 211):
+        cache = lc.solve_least_squares(random_problem(spec))
         prescribed = np.sort(np.asarray(spec.singular_values))[::-1]
         # small singular values are recoverable only to eps * sigma_max
         np.testing.assert_allclose(
@@ -114,17 +123,17 @@ def test_random_problem_round_trip_ensemble():
 
 def test_ensemble_spec_validation():
     with pytest.raises(lc.ParamOutOfRange):
-        lc.EnsembleSpec(3, 3, (1.0, 1.0, 1.0), 0.5, 0.5, 1)  # m == n
+        EnsembleSpec(3, 3, (1.0, 1.0, 1.0), 0.5, 0.5, 1)  # m == n
     with pytest.raises(lc.ParamOutOfRange):
-        lc.EnsembleSpec(5, 2, (1.0, -1.0), 0.5, 0.5, 1)
+        EnsembleSpec(5, 2, (1.0, -1.0), 0.5, 0.5, 1)
     with pytest.raises(lc.ParamOutOfRange):
-        lc.EnsembleSpec(5, 2, (1.0, 0.5), 0.0, 0.5, 1)
+        EnsembleSpec(5, 2, (1.0, 0.5), 0.0, 0.5, 1)
     with pytest.raises(lc.ParamOutOfRange):
-        lc.EnsembleSpec(5, 2, (1.0, 0.5), 0.5, 1.5, 1)
+        EnsembleSpec(5, 2, (1.0, 0.5), 0.5, 1.5, 1)
     for sv in ((1.0,), (1.0, 0.5, 0.25), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, "x"), 1.0):
         with pytest.raises(lc.ParamOutOfRange):
-            lc.EnsembleSpec(5, 2, sv, 0.5, 0.5, 1)
-    spec = lc.EnsembleSpec(5, 2, [np.float64(1.0), "0.5"], 0.5, 0.5, 1)
+            EnsembleSpec(5, 2, sv, 0.5, 0.5, 1)
+    spec = EnsembleSpec(5, 2, [np.float64(1.0), "0.5"], 0.5, 0.5, 1)
     assert spec.singular_values == (1.0, 0.5) and all(type(s) is float for s in spec.singular_values)
 
 
@@ -137,7 +146,7 @@ def test_geometric_spectrum_is_bitwise_geomspace(n, exponent):
 
 def test_ensemble_spectra_are_bitwise_geomspace():
     for seed in range(3):
-        for spec in lc.ensemble_specs(200, seed, max_kappa_exp=12.0):
+        for spec in ensemble_specs(200, seed, max_kappa_exp=12.0):
             sv = spec.singular_values
             if spec.n > 1:
                 assert sv == tuple(np.geomspace(1.0, sv[-1], spec.n).tolist())
@@ -156,7 +165,7 @@ def _dense_angle_oracle(basis_cols, b):
 def test_lanczos_angles_match_dense_oracle():
     T = np.diag([1.0, 2.0, 3.0])
     v1 = np.ones(3) / math.sqrt(3.0)
-    records = lc.lanczos_demo(T, v1, 2)
+    records = lanczos_demo(T, v1, 2)
     assert len(records) == 2 and not records[0].breakdown
 
     # replay the recurrence independently to rebuild the per-step bases
@@ -175,7 +184,7 @@ def test_lanczos_angles_match_dense_oracle():
 
 def test_lanczos_eigenvector_breaks_down_immediately():
     T = np.diag([1.0, 2.0, 3.0])
-    records = lc.lanczos_demo(T, np.array([1.0, 0.0, 0.0]), 4)
+    records = lanczos_demo(T, np.array([1.0, 0.0, 0.0]), 4)
     assert len(records) == 1
     assert records[0].breakdown
     assert math.isnan(records[0].theta)
@@ -189,7 +198,7 @@ def test_lanczos_orthonormal_basis_collapses_to_cosecant():
     T = (T + T.T) / 2.0
     v1 = rng.standard_normal(8)
     v1 /= np.linalg.norm(v1)
-    records = lc.lanczos_demo(T, v1, 4)
+    records = lanczos_demo(T, v1, 4)
 
     v_prev, v, beta_prev = np.zeros(8), v1.copy(), 0.0
     for rec in records:
@@ -213,7 +222,7 @@ def test_lanczos_orthonormal_basis_collapses_to_cosecant():
 def test_lanczos_orthogonality_defect_small_for_separated_spectrum():
     T = np.diag(np.arange(1.0, 51.0))
     v1 = np.ones(50) / math.sqrt(50.0)
-    records = lc.lanczos_demo(T, v1, 20)
+    records = lanczos_demo(T, v1, 20)
     for rec in records:
         if rec.breakdown:
             break
@@ -222,7 +231,7 @@ def test_lanczos_orthogonality_defect_small_for_separated_spectrum():
 
 def test_lanczos_rejects_asymmetric():
     with pytest.raises(lc.ParamOutOfRange):
-        lc.lanczos_demo(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1)
+        lanczos_demo(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1)
 
 
 # --- equilibration -------------------------------------------------------------------
@@ -230,7 +239,7 @@ def test_lanczos_rejects_asymmetric():
 
 def test_equilibrate_diagonal():
     A = np.array([[1.0, 0.0], [0.0, 10.0], [0.0, 0.0]])
-    d, AD = lc.equilibrate_columns(A)
+    d, AD = equilibrate_columns(A)
     np.testing.assert_allclose(d, [1.0, 0.1])
     assert np.linalg.cond(AD) == pytest.approx(1.0, rel=1e-12)
 
@@ -239,20 +248,20 @@ def test_equilibrate_unit_columns_is_fixed_point():
     rng = np.random.default_rng(37)
     A = rng.standard_normal((6, 3))
     A /= np.linalg.norm(A, axis=0)
-    d, AD = lc.equilibrate_columns(A)
+    d, AD = equilibrate_columns(A)
     np.testing.assert_allclose(d, np.ones(3), rtol=1e-14)
     np.testing.assert_allclose(AD, A, rtol=1e-14)
 
 
 def test_equilibrate_rejects_zero_column():
     with pytest.raises(lc.ZeroColumn):
-        lc.equilibrate_columns(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        equilibrate_columns(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_equilibration_experiment_ill_scaled():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((10, 4)) * np.array([1.0, 1e2, 1e-3, 1e4])
-    _, AD = lc.equilibrate_columns(A)
+    _, AD = equilibrate_columns(A)
     before, after = lc.spectral_data(A), lc.spectral_data(AD)
     assert after.sigma_max / after.sigma_min <= before.sigma_max / before.sigma_min
     np.testing.assert_allclose(np.linalg.norm(AD, axis=0), np.ones(4), atol=1e-14)
@@ -262,16 +271,16 @@ def test_equilibration_experiment_ill_scaled():
 
 
 def test_block_norm_scalar_blocks():
-    case = lc.block_norm_cases([(np.array([[1.0]]), np.array([[1.0]]))])[0]
+    case = block_norm_cases([(np.array([[1.0]]), np.array([[1.0]]))])[0]
     assert case.norm_joint == pytest.approx(2.0, rel=1e-12)
     assert (case.norm_A + case.norm_B) / case.norm_joint == pytest.approx(1.0, rel=1e-12)
 
 
 def test_block_norm_zero_block():
-    case = lc.block_norm_cases([(np.array([[3.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))])[0]
+    case = block_norm_cases([(np.array([[3.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2)))])[0]
     assert case.norm_joint == pytest.approx(3.0, rel=1e-12)
     assert max(case.norm_A, case.norm_B) / case.norm_joint == pytest.approx(1.0, rel=1e-12)
-    assert lc.block_norm_cases([(np.zeros((2, 1)), np.array([[0.0], [2.0]]))])[0].norm_joint == 2.0
+    assert block_norm_cases([(np.zeros((2, 1)), np.array([[0.0], [2.0]]))])[0].norm_joint == 2.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -280,7 +289,7 @@ def test_block_norm_rejects_non_finite(bad, block):
     blocks = {"A": np.array([[1.0], [2.0]]), "B": np.array([[0.5, 1.0], [3.0, -1.0]])}
     blocks[block][0, 0] = bad
     with pytest.raises(ValueError, match="must be finite"):
-        lc.block_norm_cases([(blocks["A"], blocks["B"])])
+        block_norm_cases([(blocks["A"], blocks["B"])])
 
 
 def test_block_norm_random_band():
@@ -289,7 +298,7 @@ def test_block_norm_random_band():
         A = rng.standard_normal((4, 3))
         B = rng.standard_normal((4, 2))
         sampled = sampled_block_norm(A, B, samples=200, seed=int(rng.integers(1 << 31)))
-        case = lc.block_norm_cases([(A, B)])[0]
+        case = block_norm_cases([(A, B)])[0]
         low = max(case.norm_A, case.norm_B)
         high = case.norm_A + case.norm_B
         assert low - 1e-9 <= case.norm_joint <= high + 1e-9
@@ -311,17 +320,17 @@ def test_block_norm_single_columns_closed_form():
     cases.append((a, b * np.linalg.norm(a) / np.linalg.norm(b)))
     for a, b in cases:
         expected = max(np.linalg.norm(a + b), np.linalg.norm(a - b))
-        joint = lc.block_norm_cases([(a[:, None], b[:, None])])[0].norm_joint
+        joint = block_norm_cases([(a[:, None], b[:, None])])[0].norm_joint
         assert joint == pytest.approx(expected, rel=1e-12)
     e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
-    assert lc.block_norm_cases([(e1, e2)])[0].norm_joint == pytest.approx(SQRT2, rel=1e-12)
+    assert block_norm_cases([(e1, e2)])[0].norm_joint == pytest.approx(SQRT2, rel=1e-12)
 
 
 def test_block_norm_rejects_mismatched_rows():
     with pytest.raises(lc.DimensionMismatch):
-        lc.block_norm_cases([(np.ones((2, 2)), np.ones((3, 2)))])
+        block_norm_cases([(np.ones((2, 2)), np.ones((3, 2)))])
     with pytest.raises(lc.DimensionMismatch):
-        lc.block_norm_cases([(np.ones((2, 2)), np.ones((2, 1))), (np.ones((2, 2)), np.ones((3, 2)))])
+        block_norm_cases([(np.ones((2, 2)), np.ones((2, 1))), (np.ones((2, 2)), np.ones((3, 2)))])
 
 
 def test_block_norm_cases_take_each_pair_through_its_own_search():
@@ -330,10 +339,10 @@ def test_block_norm_cases_take_each_pair_through_its_own_search():
     rng = np.random.default_rng(59)
     pairs = [(rng.standard_normal((4, int(rng.integers(1, 5)))), rng.standard_normal((4, int(rng.integers(1, 5)))))
              for _ in range(60)]  # fmt: skip
-    for (A, B), case in zip(pairs, lc.block_norm_cases(pairs)):
+    for (A, B), case in zip(pairs, block_norm_cases(pairs)):
         expected = golden_section_block_norm(A, B)
         assert case.norm_joint == expected
-        assert lc.block_norm_cases([(A, B)])[0].norm_joint == expected
+        assert block_norm_cases([(A, B)])[0].norm_joint == expected
 
 
 def test_block_norm_cases_match_single_pairs():
@@ -347,11 +356,11 @@ def test_block_norm_cases_match_single_pairs():
         B = rng.standard_normal((rows, int(rng.integers(1, 5))))
         pairs.append((0.0 * A if k % 10 == 3 else A, 0.0 * B if k % 10 == 7 else B))
     pairs.append((np.zeros((3, 2)), np.zeros((3, 1))))
-    cases = lc.block_norm_cases(pairs)
+    cases = block_norm_cases(pairs)
     assert len(cases) == len(pairs)
     for (A, B), case in zip(pairs, cases):
-        single = lc.block_norm_cases([(A, B)])[0]
+        single = block_norm_cases([(A, B)])[0]
         assert (case.norm_A, case.norm_B) == (single.norm_A, single.norm_B)
         assert abs(case.norm_joint - single.norm_joint) <= 1e-15 * single.norm_joint
     assert cases[-1].norm_joint == 0.0
-    assert lc.block_norm_cases([]) == []
+    assert block_norm_cases([]) == []

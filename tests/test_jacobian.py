@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsqcond as lc
+from lsqcond.generators import EnsembleSpec, gvl_example, random_problem
 from conftest import (
     both_branches,
     finite_difference_condition,
@@ -256,8 +257,8 @@ def test_worst_case_rejects_zero_solution():
 
 
 def test_worst_case_orthonormal_columns():
-    spec = lc.EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
-    cache = lc.solve_least_squares(lc.random_problem(spec))
+    spec = EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
+    cache = lc.solve_least_squares(random_problem(spec))
     _, U = sandwich_bounds(cache, lc.worst_case_direction(cache))
     assert U == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
 
@@ -330,7 +331,7 @@ def test_certificate_attains_exact():
 )
 def test_exact_value_property(n, extra, kappa_exp, theta, mix, seed):
     sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
-    cache = lc.solve_least_squares(lc.random_problem(lc.EnsembleSpec(n + extra, n, sv, theta, mix, seed)))
+    cache = lc.solve_least_squares(random_problem(EnsembleSpec(n + extra, n, sv, theta, mix, seed)))
     exact = exact_value(cache)
     upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
     assert upper / SQRT2 * (1.0 - 1e-12) <= exact <= upper * (1.0 + 1e-12)
@@ -349,7 +350,7 @@ def test_gvl_exact_matches_eigenvalue_closed_form():
     for alpha in (0.5, 0.1, 0.01):
         for beta in (1.0, 10.0, 100.0):
             for phi in (0.0, math.pi / 4, math.pi / 2):
-                cache = lc.solve_least_squares(lc.gvl_example(alpha, beta, phi).problem)
+                cache = lc.solve_least_squares(gvl_example(alpha, beta, phi).problem)
                 x1, x2 = beta * math.cos(phi), beta * math.sin(phi) / alpha
                 p, q, r = x1 * x1 + 1.0, x2 * x2 + 1.0 / alpha**2, x1 * x2
                 lam = (p + q) / 2.0 + math.hypot((p - q) / 2.0, r)
@@ -376,7 +377,7 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
     # independent oracle: a dense 3-d grid of SVD-evaluated objectives. The
     # maximizer need not lie in the span of rhat and a'' (m = n + 1 here), so
     # the grid lands between the upper estimate's lower end and the exact value
-    ex = lc.gvl_example(0.37, 1.7, 0.6)
+    ex = gvl_example(0.37, 1.7, 0.6)
     cache = lc.solve_least_squares(ex.problem)
     rng = np.random.default_rng(12)
     grid = rng.standard_normal((3, 40_000))
@@ -448,8 +449,8 @@ def test_finite_difference_e1(e1_cache):
 def test_finite_difference_deviation_first_order_in_step():
     # against a generic fixed perturbation the deviation from the Jacobian
     # prediction scales linearly with the step
-    spec = lc.EnsembleSpec(10, 4, (1.0, 0.5, 0.2, 0.05), 0.8, 0.4, 21)
-    problem = lc.random_problem(spec)
+    spec = EnsembleSpec(10, 4, (1.0, 0.5, 0.2, 0.05), 0.8, 0.4, 21)
+    problem = random_problem(spec)
     cache = lc.solve_least_squares(problem)
     scales = lc.ScaleFactors.relative(cache)
     rng = np.random.default_rng(101)
@@ -468,7 +469,7 @@ def test_finite_difference_deviation_first_order_in_step():
 def test_finite_difference_gvl_displayed_perturbation():
     # the bundled dA of the parametric example: measured relative change
     # matches the predicted first-order coefficient times epsilon
-    ex = lc.gvl_example(0.5, 2.0, 0.0, epsilon=1e-6)
+    ex = gvl_example(0.5, 2.0, 0.0, epsilon=1e-6)
     cache = lc.solve_least_squares(ex.problem)
     perturbed = lc.solve_least_squares(lc.LsProblem(ex.problem.A + ex.delta_A, ex.problem.b))
     measured = np.linalg.norm(perturbed.r - cache.r) / cache.norm_r
@@ -511,7 +512,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     # adjoint's scale is top = ||x|| + ||r|| / sigma_min. The objective is
     # compared through g^2, because its closed form takes a square root.
     sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
-    cache = lc.solve_least_squares(lc.random_problem(lc.EnsembleSpec(n + extra, n, sv, 0.7, 0.5, seed)))
+    cache = lc.solve_least_squares(random_problem(EnsembleSpec(n + extra, n, sv, 0.7, 0.5, seed)))
     m, smin = cache.problem.m, cache.svd.sigma_min
     top = cache.norm_x + cache.norm_r / smin
     rng = np.random.default_rng([seed, 1])  # not the problem's own stream

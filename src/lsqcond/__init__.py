@@ -4,6 +4,13 @@ perturbation, the Jacobian machinery behind them, and comparisons against
 the classical textbook bounds.
 """
 
+import os
+
+# cap BLAS parallelism before numpy loads; results do not depend on it
+if "LSQCOND_THREADS" in os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["LSQCOND_THREADS"])
+
 from .conditioning import (
     SCALE_PRESETS,
     ConditionEstimates,
@@ -23,7 +30,6 @@ from .core import (
     nuclear_norm,
     projector_difference_norm,
     solve_least_squares,
-    spectral_data,
 )
 from .errors import (
     DegenerateDirection,

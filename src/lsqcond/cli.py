@@ -19,14 +19,6 @@ stderr).
 
 from __future__ import annotations
 
-import os
-
-# cap BLAS parallelism before numpy loads; results do not depend on it
-if "LSQCOND_THREADS" in os.environ:
-    _threads = os.environ["LSQCOND_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import dataclasses
 import io

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LsCache, geometry
-from .errors import ZeroSolution
+from .errors import InvalidGeometry, ZeroSolution
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,12 +53,12 @@ class ScaleFactors:
     @classmethod
     def relative(cls, cache: LsCache) -> "ScaleFactors":
         """Fully relative scaling: ||A||, ||b||, ||r||, ||Ax||."""
-        return cls(cache.svd.sigma_max, cache.norm_b, cache.norm_r, cache.norm_Ax)
+        return cls(float(cache.s[0]), cache.norm_b, cache.norm_r, cache.norm_Ax)
 
     @classmethod
     def b_relative(cls, cache: LsCache) -> "ScaleFactors":
         """Residual changes measured against ||b|| instead of ||r||."""
-        return cls(cache.svd.sigma_max, cache.norm_b, cache.norm_b, cache.norm_Ax)
+        return cls(float(cache.s[0]), cache.norm_b, cache.norm_b, cache.norm_Ax)
 
     @classmethod
     def absolute(cls) -> "ScaleFactors":
@@ -95,7 +95,7 @@ class ConditionEstimates:
         for name in ("chi_b", "chi_A", "chi_A_upper"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise InvalidGeometry(f"{name} = {value} is not a positive finite double")
 
     @property
     def chi_A_lower(self) -> float:
@@ -103,7 +103,7 @@ class ConditionEstimates:
 
 
 def _upper_value(cache: LsCache) -> float:
-    return math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    return math.hypot(cache.norm_r / float(cache.s[-1]), cache.norm_x)
 
 
 def exact_value(cache: LsCache) -> float:
@@ -158,7 +158,7 @@ def _complement_direction(cache: LsCache, rhat: np.ndarray) -> np.ndarray:
     at least 1 - (n + 1) / m > 0; a second pass restores orthogonality to
     rounding.
     """
-    U = cache.svd.left_vectors
+    U = cache.U
     w = np.zeros(cache.problem.m)
     w[int(np.argmin(np.einsum("ij,ij->i", U, U) + rhat * rhat))] = 1.0
     for _ in range(2):
@@ -188,21 +188,20 @@ def worst_case_direction(cache: LsCache) -> np.ndarray:
     Raises what geometry raises: ZeroResidual when r is zero to the
     residual tolerance and ZeroSolution when x = 0.
     """
-    geometry(cache)
-    svd = cache.svd
+    smin = geometry(cache).sigma_min
     rhat = cache.r / cache.norm_r
     if cache.problem.m >= cache.problem.n + 2:
         a = cache.norm_x
-        b = cache.norm_r / svd.sigma_min
-        vmin = svd.right_vectors[:, -1]
+        b = cache.norm_r / smin
+        vmin = cache.V[:, -1]
         xv = float(vmin @ cache.x)
         c = xv / a
         # rejection-based sine, accurate when x is nearly parallel to v_min
         s = float(np.linalg.norm(cache.x - xv * vmin)) / a
         u = c * rhat + s * _complement_direction(cache, rhat)
-        return (a * u + b * svd.left_vectors[:, -1]) / math.hypot(a, b)
+        return (a * u + b * cache.U[:, -1]) / math.hypot(a, b)
     Wt = cache.bordered_svd[2]
-    return Wt[0, 0] * rhat + svd.left_vectors @ Wt[0, 1:]
+    return Wt[0, 0] * rhat + cache.U @ Wt[0, 1:]
 
 
 def error_bound_rhs(

@@ -59,53 +59,24 @@ class LsProblem:
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Thin SVD A = U diag(s) V^t with positive, nonincreasing singular values."""
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    @property
-    def sigma_max(self) -> float:
-        return float(self.singular_values[0])
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.singular_values[-1])
-
-
-def spectral_data(A: np.ndarray) -> SpectralData:
-    """Thin SVD of a full-column-rank matrix.
-
-    Raises NonFullRank when sigma_min <= RANK_TOL * sigma_max.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
-        raise DimensionMismatch(f"need m >= n, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-        ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
-        raise NonFullRank(f"sigma_min/sigma_max = {ratio:.3e} within rank tolerance")
-    return SpectralData(singular_values=s, left_vectors=U, right_vectors=Vt.T)
-
-
-@dataclass(frozen=True)
 class LsCache:
     """Factorized state of a solved problem, shared by all analyses.
 
-    Immutable after construction and safe for concurrent readers. All
-    applier methods go through the stored SVD; the 2-norms of b, r, Ax and
-    x are computed once, when the problem is solved, and bordered_svd once,
-    on first use.
+    U, s and V are the thin SVD A = U diag(s) V^t, with s positive and
+    nonincreasing: s[0] is sigma_max and s[-1] sigma_min. Scalar formulas
+    take float() of them, since a NumPy scalar warns where a float
+    overflows quietly to inf. Immutable after construction and safe for
+    concurrent readers. All applier methods go through the stored SVD; the
+    2-norms of b, r, Ax and x are computed once, when the problem is
+    solved, and bordered_svd once, on first use.
     """
 
     problem: LsProblem
     x: np.ndarray
     r: np.ndarray
-    svd: SpectralData
+    U: np.ndarray
+    s: np.ndarray
+    V: np.ndarray
     norm_b: float
     norm_r: float
     norm_Ax: float
@@ -118,28 +89,24 @@ class LsCache:
         Its top singular pair gives the exact condition number wrt the
         matrix, and the direction attaining it, when m = n + 1.
         """
-        d = self.svd
-        M = np.column_stack([d.right_vectors.T @ self.x, np.diag(self.norm_r / d.singular_values)])
+        M = np.column_stack([self.V.T @ self.x, np.diag(self.norm_r / self.s)])
         return np.linalg.svd(M)
 
     # each applier takes a vector or a block whose columns are vectors
 
     def apply_proj(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto col(A)."""
-        U = self.svd.left_vectors
-        return U @ (U.T @ np.asarray(v, dtype=float))
+        return self.U @ (self.U.T @ np.asarray(v, dtype=float))
 
     def apply_pinv(self, v: np.ndarray) -> np.ndarray:
         """Pseudoinverse application (A^t A)^{-1} A^t v = V diag(1/s) U^t v."""
-        d = self.svd
         v = np.asarray(v, dtype=float)
-        return d.right_vectors @ ((d.left_vectors.T @ v) / _rows(d.singular_values, v))
+        return self.V @ ((self.U.T @ v) / _rows(self.s, v))
 
     def apply_pinv_transpose(self, w: np.ndarray) -> np.ndarray:
         """A (A^t A)^{-1} w = U diag(1/s) V^t w."""
-        d = self.svd
         w = np.asarray(w, dtype=float)
-        return d.left_vectors @ ((d.right_vectors.T @ w) / _rows(d.singular_values, w))
+        return self.U @ ((self.V.T @ w) / _rows(self.s, w))
 
     def self_check(self) -> dict[str, float]:
         """Relative defect measures for the solve postconditions.
@@ -150,7 +117,7 @@ class LsCache:
         """
         A, b = self.problem.A, self.problem.b
         nb = self.norm_b
-        scale = self.svd.sigma_max * nb
+        scale = float(self.s[0]) * nb
         ortho = float(np.linalg.norm(A.T @ self.r)) / scale if scale > 0.0 else 0.0
         pythag = abs(self.norm_Ax**2 + self.norm_r**2 - nb**2) / nb**2 if nb > 0.0 else 0.0
         pb = self.apply_proj(b)
@@ -190,25 +157,44 @@ def _too_large(name: str) -> InvalidGeometry:
     return InvalidGeometry(f"||{name}|| exceeds the largest double {sys.float_info.max:.3e}")
 
 
+def _thin_svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, s, V of the thin SVD A = U diag(s) V^t of a finite m x n matrix, m >= n.
+
+    Raises NonFullRank when sigma_min <= RANK_TOL * sigma_max.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+        ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+        raise NonFullRank(f"sigma_min/sigma_max = {ratio:.3e} within rank tolerance")
+    return U, s, Vt.T
+
+
 def solve_least_squares(problem: LsProblem) -> LsCache:
     """Solve the problem via the SVD and cache the factorized state and norms.
 
-    Raises InvalidGeometry when ||b|| or ||x|| exceeds the largest double.
+    Raises NonFullRank when sigma_min <= RANK_TOL * sigma_max, and
+    InvalidGeometry when ||b|| or ||x|| exceeds the largest double or x
+    underflows to zero although U^t b does not.
     """
-    svd = spectral_data(problem.A)
+    U, s, V = _thin_svd(problem.A)
     norm_b = _norm(problem.b, "b")
+    Utb = U.T @ problem.b
     # ||x|| = ||(U^t b) / s||, so an entry that overflows means ||x|| does too
     with np.errstate(over="ignore", invalid="ignore"):
-        x = svd.right_vectors @ ((svd.left_vectors.T @ problem.b) / svd.singular_values)
+        x = V @ (Utb / s)
     if not np.isfinite(x).all():
         raise _too_large("x")
+    if not x.any() and Utb.any():
+        raise InvalidGeometry(f"||x|| is below the smallest double {math.ulp(0.0):.3e}")
     Ax = problem.A @ x
     r = problem.b - Ax
     return LsCache(
         problem=problem,
         x=x,
         r=r,
-        svd=svd,
+        U=U,
+        s=s,
+        V=V,
         norm_b=norm_b,
         norm_r=_norm(r, "r"),
         norm_Ax=_norm(Ax, "Ax"),
@@ -252,10 +238,10 @@ def geometry(cache: LsCache) -> Geometry:
         raise ZeroResidual(f"||r|| = {nr:.3e} within residual tolerance of zero")
     if nx == 0.0:
         raise ZeroSolution("least squares solution is exactly zero")
-    smin = cache.svd.sigma_min
+    smin = float(cache.s[-1])
     # atan2 is stable near both 0 and pi/2; never arccos of a ratio
     return Geometry(
-        kappa=cache.svd.sigma_max / smin,
+        kappa=float(cache.s[0]) / smin,
         theta=math.atan2(nr, nax),
         cot_theta=nax / nr,
         vds=nax / (nx * smin),
@@ -286,7 +272,11 @@ def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    Qa = spectral_data(A).left_vectors
-    Qb = spectral_data(B).left_vectors
+    if A.ndim != 2 or A.shape[0] < A.shape[1]:
+        raise DimensionMismatch(f"need m >= n, got shape {A.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("matrix entries must be finite")
+    Qa = _thin_svd(A)[0]
+    Qb = _thin_svd(B)[0]
     diff = Qa @ Qa.T - Qb @ Qb.T
     return min(float(np.linalg.norm(diff, 2)), 1.0)

@@ -15,7 +15,8 @@ class DimensionMismatch(LsqCondError):
 
 class InvalidGeometry(LsqCondError):
     """Computed geometry violates kappa >= 1, theta in (0, pi/2] or
-    1 <= vds <= kappa: a numerical failure, e.g. under- or overflow."""
+    1 <= vds <= kappa, or a computed value is not representable: a
+    numerical failure, e.g. under- or overflow."""
 
 
 class NonFullRank(LsqCondError):

@@ -46,10 +46,10 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
     tight_abs = absolute.chi_A_upper
     tight_sum = b_rel.chi_A_upper + b_rel.chi_b
 
-    wedin = cache.norm_r / cache.svd.sigma_min + cache.norm_x
+    wedin = cache.norm_r / geom.sigma_min + cache.norm_x
     # identically sqrt((||r|| / sigma_min)^2 + vds^2 ||x||^2): the tight
     # value with the solution term inflated by the van der Sluis ratio
-    stewart = cache.norm_b / cache.svd.sigma_min
+    stewart = cache.norm_b / geom.sigma_min
     stated = 2.0 * geom.kappa + 1.0
     return [
         PriorBoundRow(

@@ -80,7 +80,7 @@ def build_report(
             "sigma_min": geom.sigma_min,
         },
         "norms": {
-            "A": cache.svd.sigma_max,
+            "A": cache.s[0],
             "b": cache.norm_b,
             "r": cache.norm_r,
             "Ax": cache.norm_Ax,

@@ -231,11 +231,11 @@ def jacobian_remainder(seed: int, count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     ratios = []
     for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, _ = _solved(spec)
+        cache, geom = _solved(spec)
         problem = cache.problem
         E = rng.standard_normal(problem.A.shape)
         E /= np.linalg.svd(E, compute_uv=False)[0]
-        d0 = 1e-3 * cache.svd.sigma_min
+        d0 = 1e-3 * geom.sigma_min
         rems = []
         for d in (d0, d0 / 2.0):
             perturbed = solve_least_squares(LsProblem(problem.A + d * E, problem.b))
@@ -293,7 +293,7 @@ def projection_consistency(seed: int, count: int) -> tuple[bool, str]:
     worst = 0.0
     for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
         cache, geom = _solved(spec)
-        for scale_A in (1.0, cache.svd.sigma_max):
+        for scale_A in (1.0, float(cache.s[0])):
             scales = ScaleFactors(scale_A, cache.norm_b, cache.norm_r, cache.norm_Ax)
             res = residual_condition_bounds(cache, scales)
             proj = projection_condition_bounds(cache, scales)

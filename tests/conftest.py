@@ -51,9 +51,9 @@ def both_branches(count, seed, **kwargs):
             yield lc.solve_least_squares(random_problem(s))
 
 
-def reconstruct(svd):
-    """U diag(s) V^t from a SpectralData."""
-    return (svd.left_vectors * svd.singular_values) @ svd.right_vectors.T
+def reconstruct(cache):
+    """U diag(s) V^t from the thin SVD a solved cache holds."""
+    return (cache.U * cache.s) @ cache.V.T
 
 
 def vec_index(i, j, m, n=None):
@@ -81,13 +81,12 @@ def _batch_objective(cache, D):
     For each column this is the better of the two r-component signs, which
     always has cos(theta_u - theta_v) >= 0.
     """
-    svd = cache.svd
     nx, nr = cache.norm_x, cache.norm_r
     rhat = cache.r / nr
     xhat = cache.x / nx
-    UtD = svd.left_vectors.T @ D
-    U1 = D - svd.left_vectors @ UtD
-    V2 = svd.right_vectors @ (UtD / svd.singular_values[:, None])
+    UtD = cache.U.T @ D
+    U1 = D - cache.U @ UtD
+    V2 = cache.V @ (UtD / cache.s[:, None])
     nu1 = np.linalg.norm(U1, axis=0)
     nv2 = np.linalg.norm(V2, axis=0)
     a = nu1 * nx
@@ -113,8 +112,8 @@ def sampled_condition_wrt_A(cache, n_samples=2000, seed=0):
     fall short of the exact value, never exceed it.
     """
     rhat = cache.r / cache.norm_r
-    amin = cache.svd.left_vectors[:, -1]
-    phistar = math.atan2(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    amin = cache.U[:, -1]
+    phistar = math.atan2(cache.norm_r / cache.s[-1], cache.norm_x)
     c, s = math.cos(phistar), math.sin(phistar)
     columns = [c * rhat + s * amin, c * rhat - s * amin, rhat, amin]
     if n_samples > 0:
@@ -136,8 +135,8 @@ def finite_difference_condition(problem, scales, delta=None, samples=200, seed=0
     cache = lc.solve_least_squares(problem)
     if delta is None:
         delta = math.sqrt(np.finfo(float).eps) * scales.scale_A
-    if not 0.0 < delta < cache.svd.sigma_min:
-        raise lc.NonFullRank(f"step {delta} not inside (0, sigma_min = {cache.svd.sigma_min})")
+    if not 0.0 < delta < cache.s[-1]:
+        raise lc.NonFullRank(f"step {delta} not inside (0, sigma_min = {cache.s[-1]})")
 
     m, n = problem.m, problem.n
     shapes = []

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -236,6 +237,28 @@ def test_cli_import_does_not_load_verify(module):
     assert result.returncode == 0, result.stderr
 
 
+def test_thread_cap_is_set_before_numpy_loads():
+    # BLAS reads its thread count when numpy loads, so record the variable
+    # at the moment numpy is first looked up
+    code = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import lsqcond.cli
+print(seen)
+"""
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["LSQCOND_THREADS"] = "3"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['3']\n"
+
+
 def test_analyze_timings_leave_the_rest_of_the_report_unchanged(gvl_case, tmp_path):
     reports = []
     for flags in ([], ["--timings"]):
@@ -323,18 +346,23 @@ def test_zero_residual_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "scale, rhs, prefix",
+    "A, b, prefix",
     [
         # ||b|| = 2.6e308 overflows although every entry is finite
-        (1.0, 1.5e308, "InvalidGeometry: ||b||"),
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.5e308] * 3, "InvalidGeometry: ||b||"),
         # ||b|| is representable, but x = 1e310 (1, 1) is not
-        (1e-10, 1e300, "InvalidGeometry: ||x||"),
+        ([[1e-10, 0.0], [0.0, 1e-10], [0.0, 0.0]], [1e300] * 3, "InvalidGeometry: ||x||"),
+        # x = 1e-311 is subnormal, and the relative chi_A carries the
+        # factor ||A|| / ||r|| = 1e311
+        ([[1e130], [0.0], [0.0]], [1e-181, 1e-181, 0.0], "InvalidGeometry: chi_A"),
+        # U^t b = 1e-200, but x = 1e-400 underflows to zero
+        ([[1e200], [0.0], [0.0]], [1e-200, 1e-200, 0.0], "InvalidGeometry: ||x||"),
     ],
-    ids=["b", "x"],
+    ids=["b", "x", "chi_A", "x-underflow"],
 )
-def test_unrepresentable_norm_exits_3(tmp_path, scale, rhs, prefix):
-    mmio.write_matrix(tmp_path / "A.mtx", scale * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    mmio.write_vector(tmp_path / "b.txt", np.full(3, rhs))
+def test_unrepresentable_norm_exits_3(tmp_path, A, b, prefix):
+    mmio.write_matrix(tmp_path / "A.mtx", np.array(A))
+    mmio.write_vector(tmp_path / "b.txt", np.array(b))
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", "analyze",
          "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")],

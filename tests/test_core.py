@@ -78,9 +78,9 @@ def test_solve_invariants_on_ensemble():
 
 
 def test_solve_rejects_rank_deficient():
-    A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(lc.NonFullRank):
-        lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
+    for A in ([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]):
+        with pytest.raises(lc.NonFullRank):
+            lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
 
 
 def test_problem_rejects_bad_shapes():
@@ -92,33 +92,28 @@ def test_problem_rejects_bad_shapes():
         lc.LsProblem([[np.inf], [0.0]], [1.0, 1.0])
 
 
-# --- spectral_data ----------------------------------------------------------
+# --- the thin SVD held by the cache -------------------------------------------
 
 
 def test_spectral_diagonal_matrix():
-    svd = lc.spectral_data(np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]))
-    np.testing.assert_allclose(svd.singular_values, [1.0, 0.5], atol=1e-15)
+    cache = lc.solve_least_squares(lc.LsProblem([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]], np.ones(3)))
+    np.testing.assert_allclose(cache.s, [1.0, 0.5], atol=1e-15)
 
 
 def test_spectral_orthonormal_embedding():
     A = np.zeros((3, 2))
     A[0, 0] = A[1, 1] = 1.0
-    np.testing.assert_allclose(lc.spectral_data(A).singular_values, [1.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(lc.solve_least_squares(lc.LsProblem(A, np.ones(3))).s, [1.0, 1.0], atol=1e-15)
 
 
 def test_spectral_reconstruction():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((10, 4))
-    svd = lc.spectral_data(A)
-    err = np.linalg.norm(A - reconstruct(svd), 2)
+    cache = lc.solve_least_squares(lc.LsProblem(A, np.ones(10)))
+    err = np.linalg.norm(A - reconstruct(cache), 2)
     assert err <= 1e-13 * np.linalg.norm(A, 2)
-    s = svd.singular_values
+    s = cache.s
     assert np.all(s[:-1] >= s[1:]) and s[-1] > 0.0
-
-
-def test_spectral_rejects_rank_deficient():
-    with pytest.raises(lc.NonFullRank):
-        lc.spectral_data(np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
 
 
 # --- geometry ----------------------------------------------------------------

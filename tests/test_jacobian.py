@@ -136,7 +136,7 @@ def test_adjoint_factor_invariants():
         scale = np.linalg.norm(A, 2)
         assert np.linalg.norm(A.T @ adj.u1) <= 1e-12 * scale
         assert np.linalg.norm(A.T @ adj.u2) <= 1e-12 * scale * cache.norm_b
-        assert np.linalg.norm(adj.v2) <= 1.0 / cache.svd.sigma_min + 1e-12
+        assert np.linalg.norm(adj.v2) <= 1.0 / cache.s[-1] + 1e-12
 
 
 # --- g and the sandwich -----------------------------------------------------------
@@ -302,7 +302,7 @@ def test_global_sandwich_of_sampled_maximum():
     # max sampled g lies within [U(worst)/sqrt(2), U(worst)]
     for cache, _ in solved_ensemble(10, 83):
         sampled = sampled_condition_wrt_A(cache, n_samples=500, seed=3)
-        upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+        upper = math.hypot(cache.norm_r / cache.s[-1], cache.norm_x)
         assert upper / SQRT2 * (1 - 1e-12) <= sampled <= upper * (1 + 1e-12)
 
 
@@ -333,7 +333,7 @@ def test_exact_value_property(n, extra, kappa_exp, theta, mix, seed):
     sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
     cache = lc.solve_least_squares(random_problem(EnsembleSpec(n + extra, n, sv, theta, mix, seed)))
     exact = exact_value(cache)
-    upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    upper = math.hypot(cache.norm_r / cache.s[-1], cache.norm_x)
     assert upper / SQRT2 * (1.0 - 1e-12) <= exact <= upper * (1.0 + 1e-12)
     if extra >= 2:
         assert exact == upper  # a direction orthogonal to r and col(A) attains upper
@@ -386,7 +386,7 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
     for d in grid.T:
         grid_best = max(grid_best, lc.nuclear_norm(lc.adjoint_rank2(cache, d).matrix()))
     exact = exact_value(cache)
-    upper = math.hypot(cache.norm_r / cache.svd.sigma_min, cache.norm_x)
+    upper = math.hypot(cache.norm_r / cache.s[-1], cache.norm_x)
     assert grid_best <= exact * (1.0 + 1e-12)
     assert exact == pytest.approx(grid_best, rel=1e-3)
     for value in (grid_best, exact):
@@ -513,7 +513,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     # compared through g^2, because its closed form takes a square root.
     sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
     cache = lc.solve_least_squares(random_problem(EnsembleSpec(n + extra, n, sv, 0.7, 0.5, seed)))
-    m, smin = cache.problem.m, cache.svd.sigma_min
+    m, smin = cache.problem.m, cache.s[-1]
     top = cache.norm_x + cache.norm_r / smin
     rng = np.random.default_rng([seed, 1])  # not the problem's own stream
     D = rng.standard_normal((m, k))

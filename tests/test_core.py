@@ -78,9 +78,9 @@ def test_solve_invariants_on_ensemble():
 
 
 def test_solve_rejects_rank_deficient():
-    for A in ([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]):
-        with pytest.raises(lc.NonFullRank):
-            lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
+    A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    with pytest.raises(lc.NonFullRank):
+        lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
 
 
 def test_problem_rejects_bad_shapes():
@@ -114,6 +114,15 @@ def test_spectral_reconstruction():
     assert err <= 1e-13 * np.linalg.norm(A, 2)
     s = cache.s
     assert np.all(s[:-1] >= s[1:]) and s[-1] > 0.0
+
+
+def test_spectral_rejects_rank_deficient():
+    # both entry points that build the thin SVD share its rank check
+    A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(lc.NonFullRank):
+        lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
+    with pytest.raises(lc.NonFullRank):
+        lc.projector_difference_norm(A, np.eye(3, 2))
 
 
 # --- geometry ----------------------------------------------------------------

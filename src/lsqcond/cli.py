@@ -12,9 +12,9 @@ commands `generate`, `sweep` and `lanczos` import the generators module,
 and `verify` the verify module, inside the command, so that the analysis
 commands never load either.
 
-Exit codes: 0 success, 1 verification failure, 2 I/O or parameter errors,
-3 failed numerical preconditions or invariants (the error name goes to
-stderr).
+Exit codes: 0 success, 1 verification failure (a raising suite is one),
+2 I/O or parameter errors, 3 failed numerical preconditions or
+invariants (the error name goes to stderr).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import mmio
 from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
 from .errors import LsqCondError, ParamOutOfRange
-from .prior_bounds import PriorBoundRow, compare_table
+from .prior_bounds import compare_table
 from .report import build_report, dump_json, write_csv
 
 
@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lanczos", help="per-step conditioning of the three-term recurrence")
     p.add_argument("--matrix", required=True, help="symmetric matrix (Matrix Market)")
-    p.add_argument("--v1", help="start vector file (default: normalized ones)")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lanczos)
@@ -125,6 +124,35 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_records(out: str | None, records: list) -> None:
+    """CSV of dataclass records: the header from the fields of the first,
+    one row per record in field order."""
+    buf = io.StringIO()
+    header = [field.name for field in dataclasses.fields(records[0])]
+    write_csv(buf, header, [dataclasses.astuple(rec) for rec in records])
+    _write_text(out, buf.getvalue())
+
+
+def _parse_values(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _write_case(out_dir: str, problem: LsProblem, delta_A: np.ndarray | None, kind: str, **blocks) -> None:
+    """A generated case: A.mtx, b.txt, dA.mtx when delta_A is given, and
+    expected.json holding the schema, the kind, the given blocks in order,
+    and the files written."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    mmio.write_matrix(out / "A.mtx", problem.A)
+    mmio.write_vector(out / "b.txt", problem.b)
+    files = {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None}
+    if delta_A is not None:
+        mmio.write_matrix(out / "dA.mtx", delta_A)
+        files["delta_matrix"] = "dA.mtx"
+    record = {"schema": "lsq-cond/expected/1", "kind": kind, **blocks, "files": files}
+    (out / "expected.json").write_text(dump_json(record), encoding="ascii")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cache = solve_least_squares(_load_problem(args.matrix, args.rhs))
@@ -140,10 +168,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cache = solve_least_squares(_load_problem(args.matrix, args.rhs))
     rows = compare_table(cache)
     if args.format == "csv":
-        buf = io.StringIO()
-        header = [field.name for field in dataclasses.fields(PriorBoundRow)]
-        write_csv(buf, header, [dataclasses.astuple(r) for r in rows])
-        _write_text(args.out, buf.getvalue())
+        _write_records(args.out, rows)
         return 0
     lines = [
         f"{'source':<8} {'value':>14} {'ratio_to_tight':>15} {'max_ratio':>10}  scale convention",
@@ -161,57 +186,29 @@ def _cmd_generate_gvl(args: argparse.Namespace) -> int:
     from . import generators
 
     ex = generators.gvl_example(args.alpha, args.beta, args.phi, args.eps)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    mmio.write_matrix(out / "A.mtx", ex.problem.A)
-    mmio.write_vector(out / "b.txt", ex.problem.b)
-    files = {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None}
-    if args.eps > 0.0:
-        mmio.write_matrix(out / "dA.mtx", ex.delta_A)
-        files["delta_matrix"] = "dA.mtx"
-    record = {
-        "schema": "lsq-cond/expected/1",
-        "kind": "gvl",
-        "parameters": {"alpha": args.alpha, "beta": args.beta, "phi": args.phi, "epsilon": args.eps},
-        "expected": dataclasses.asdict(ex.expected),
-        "files": files,
-    }
-    (out / "expected.json").write_text(dump_json(record), encoding="ascii")
+    parameters = {"alpha": args.alpha, "beta": args.beta, "phi": args.phi, "epsilon": args.eps}
+    delta_A = ex.delta_A if args.eps > 0.0 else None
+    _write_case(
+        args.out_dir, ex.problem, delta_A, "gvl", parameters=parameters, expected=dataclasses.asdict(ex.expected)
+    )
     return 0
 
 
 def _cmd_generate_ensemble(args: argparse.Namespace) -> int:
     from . import generators
 
-    sigmas = tuple(float(v) for v in args.sigmas.split(","))
+    sigmas = _parse_values(args.sigmas)
     spec = generators.EnsembleSpec(args.m, args.n, sigmas, args.theta, args.mix, args.seed)
     problem = generators.random_problem(spec)
     cache = solve_least_squares(problem)
     geom = geometry(cache)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    mmio.write_matrix(out / "A.mtx", problem.A)
-    mmio.write_vector(out / "b.txt", problem.b)
-    record = {
-        "schema": "lsq-cond/expected/1",
-        "kind": "ensemble",
-        "parameters": {
-            "m": args.m,
-            "n": args.n,
-            "singular_values": list(sigmas),
-            "theta": args.theta,
-            "mix": args.mix,
-            "seed": args.seed,
-        },
-        "realized": {
-            "kappa": geom.kappa,
-            "theta": geom.theta,
-            "vds": geom.vds,
-            "sigma_min": geom.sigma_min,
-        },
-        "files": {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None},
+    realized = {
+        "kappa": geom.kappa,
+        "theta": geom.theta,
+        "vds": geom.vds,
+        "sigma_min": geom.sigma_min,
     }
-    (out / "expected.json").write_text(dump_json(record), encoding="ascii")
+    _write_case(args.out_dir, problem, None, "ensemble", parameters=dataclasses.asdict(spec), realized=realized)
     return 0
 
 
@@ -229,10 +226,6 @@ _SWEEP_HEADER = [
     "chi_A_upper",
     "empirical",
 ]
-
-
-def _parse_values(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -264,31 +257,8 @@ def _cmd_lanczos(args: argparse.Namespace) -> int:
     from . import generators
 
     T = mmio.read_matrix(args.matrix)
-    if args.v1:
-        v1 = mmio.read_vector(args.v1)
-    else:
-        v1 = np.ones(T.shape[0]) / math.sqrt(T.shape[0])
-    records = generators.lanczos_demo(T, v1, args.steps)
-    rows = [
-        [
-            rec.step,
-            rec.alpha,
-            rec.beta,
-            rec.theta,
-            rec.predicted_chi,
-            rec.orthogonality_defect,
-            rec.krylov_theta,
-            rec.breakdown,
-        ]
-        for rec in records
-    ]
-    buf = io.StringIO()
-    write_csv(
-        buf,
-        ["step", "alpha", "beta", "theta", "predicted_chi", "orthogonality_defect", "krylov_theta", "breakdown"],
-        rows,
-    )
-    _write_text(args.out, buf.getvalue())
+    v1 = np.ones(T.shape[0]) / math.sqrt(T.shape[0])
+    _write_records(args.out, generators.lanczos_demo(T, v1, args.steps))
     return 0
 
 
@@ -296,10 +266,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
     failures = 0
-    for name, suite, offset, count in verify.SUITES:
-        ok, detail = suite(args.seed + offset, count)
+    for offset, (suite, count) in enumerate(verify.SUITES):
+        try:
+            ok, detail = suite(args.seed + offset, count)
+        except LsqCondError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         status = " ok " if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
+        print(f"[{status}] {suite.__name__.replace('_', '-')}: {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1
 

@@ -19,7 +19,7 @@ conventions found in the literature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,10 +45,10 @@ class ScaleFactors:
     scale_p: float = 1.0
 
     def __post_init__(self):
-        for name in ("scale_A", "scale_b", "scale_r", "scale_p"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{field.name} must be positive and finite, got {value}")
 
     @classmethod
     def relative(cls, cache: LsCache) -> "ScaleFactors":
@@ -92,10 +92,10 @@ class ConditionEstimates:
     chi_A_upper: float
 
     def __post_init__(self):
-        for name in ("chi_b", "chi_A", "chi_A_upper"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise InvalidGeometry(f"{name} = {value} is not a positive finite double")
+                raise InvalidGeometry(f"{field.name} = {value} is not a positive finite double")
 
     @property
     def chi_A_lower(self) -> float:

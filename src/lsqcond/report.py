@@ -26,6 +26,7 @@ from .conditioning import (
     scale_preset,
 )
 from .core import LsCache, geometry
+from .errors import InvalidGeometry
 from .prior_bounds import compare_table
 
 SCHEMA = "lsq-cond/2"
@@ -47,16 +48,17 @@ def build_report(
     The geometry, the estimates and the published-bounds table all come
     from the solved cache. The "empirical" block holds the exact condition
     number wrt the matrix under the preset named by empirical_scales_name.
-    Raises if it escapes that preset's sandwich, so a report can never
-    assert an inconsistent value. "timings" is None; the caller fills it in
-    when asked to, since it breaks reproducibility.
+    Raises InvalidGeometry if it escapes that preset's sandwich, so a report
+    can never assert an inconsistent value. The "geometry" block is the
+    Geometry record whole, in field order. "timings" is None; the caller
+    fills it in when asked to, since it breaks reproducibility.
     """
     problem = cache.problem
     geom = geometry(cache)
     bounds = {name: residual_condition_bounds(cache, scale_preset(name, cache)) for name in SCALE_PRESETS}
     emp_bounds = bounds[empirical_scales_name]
     if not emp_bounds.chi_A_lower <= emp_bounds.chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
-        raise RuntimeError(
+        raise InvalidGeometry(
             f"exact value {emp_bounds.chi_A} outside "
             f"[{emp_bounds.chi_A_lower}, {emp_bounds.chi_A_upper}]"
         )
@@ -72,13 +74,7 @@ def build_report(
             "matrix_sha256": file_sha256(matrix_file) if matrix_file else None,
             "rhs_sha256": file_sha256(rhs_file) if rhs_file else None,
         },
-        "geometry": {
-            "kappa": geom.kappa,
-            "theta": geom.theta,
-            "cot_theta": geom.cot_theta,
-            "vds": geom.vds,
-            "sigma_min": geom.sigma_min,
-        },
+        "geometry": dataclasses.asdict(geom),
         "norms": {
             "A": cache.s[0],
             "b": cache.norm_b,

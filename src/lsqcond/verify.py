@@ -5,8 +5,9 @@ the suite's own random stream, which draws its problems and any directions
 or perturbations; count is the number of problems (of block pairs for
 block_norm_band). `lsqcond verify` runs the ten suites with seeds offset
 from --seed, and the acceptance criteria run them with their own seeds and
-counts, so each check has one implementation. SUITES lists the ten with
-the seed offset and the fixed count `lsqcond verify` gives each.
+counts, so each check has one implementation. SUITES lists the ten as
+(function, count) pairs; `lsqcond verify` names a suite after its function
+and offsets its seed by its position, and a suite that raises fails.
 
 The module also holds the kernels only these checks use: the dual-norm
 objective g in closed form, its two-sided bounds L <= g <= U, and the sign
@@ -142,15 +143,13 @@ def _unit_columns(draws: np.ndarray) -> np.ndarray:
 
 
 def solve_invariants(seed: int, count: int) -> tuple[bool, str]:
-    """Solve postconditions to 1e-12 and vds inside [1, kappa]."""
+    """Solve postconditions to 1e-12; Geometry raises if vds leaves [1, kappa]."""
     # the 1e-12 orthogonality/Pythagoras budget needs eps * kappa below it,
     # so this suite caps kappa at 1e3; the sandwich suite still goes to 1e6
     worst = 0.0
     for spec in ensemble_specs(count, seed, max_kappa_exp=3.0):
-        cache, geom = _solved(spec)
+        cache, _ = _solved(spec)
         worst = max(worst, *cache.self_check().values())
-        if not (1.0 - 1e-9 <= geom.vds <= geom.kappa * (1.0 + 1e-9)):
-            return False, f"vds = {geom.vds} outside [1, kappa = {geom.kappa}]"
     return worst <= 1e-12, f"worst solve defect {worst:.2e} (tol 1e-12)"
 
 
@@ -326,17 +325,16 @@ def block_norm_band(seed: int, count: int) -> tuple[bool, str]:
     return True, "joint norm inside the two-sided band on all cases"
 
 
-# name, suite, offset of the suite's seed from `lsqcond verify --seed`, and
-# its count
+# suite and its count; `lsqcond verify --seed s` runs the k-th with seed s + k
 SUITES = [
-    ("solve-invariants", solve_invariants, 0, 100),
-    ("sandwich-containment", sandwich_containment, 1, 200),
-    ("adjoint-identity", adjoint_identity, 2, 20),
-    ("dual-norm-identity", dual_norm_identity, 3, 20),
-    ("jacobian-remainder", jacobian_remainder, 4, 25),
-    ("chi-b-attainment", chi_b_attainment, 5, 50),
-    ("prior-dominance", prior_dominance, 6, 100),
-    ("scaling-variants", scaling_variants, 7, 50),
-    ("projection-consistency", projection_consistency, 8, 50),
-    ("block-norm-band", block_norm_band, 9, 100),
+    (solve_invariants, 100),
+    (sandwich_containment, 200),
+    (adjoint_identity, 20),
+    (dual_norm_identity, 20),
+    (jacobian_remainder, 25),
+    (chi_b_attainment, 50),
+    (prior_dominance, 100),
+    (scaling_variants, 50),
+    (projection_consistency, 50),
+    (block_norm_band, 100),
 ]

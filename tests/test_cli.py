@@ -32,6 +32,31 @@ def test_generate_gvl_files(gvl_case):
     assert expected["expected"]["chi_A_upper"] == pytest.approx(2.0 * math.sqrt(2.0))
 
 
+def test_generate_gvl_files_block(gvl_case, tmp_path):
+    expected = json.loads((gvl_case / "expected.json").read_text())
+    assert expected["files"] == {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": "dA.mtx"}
+    out = tmp_path / "no_eps"
+    assert run_cli("generate", "gvl", "--alpha", "0.5", "--beta", "2", "--phi", "0", "--out-dir", str(out)) == 0
+    assert {p.name for p in out.iterdir()} == {"A.mtx", "b.txt", "expected.json"}
+    expected = json.loads((out / "expected.json").read_text())
+    assert expected["files"] == {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None}
+
+
+def test_generate_ensemble_record_keys(tmp_path):
+    out = tmp_path / "ens"
+    assert run_cli(
+        "generate", "ensemble", "--m", "12", "--n", "4", "--sigmas", "1,0.1,0.01,0.001",
+        "--theta", "0.7", "--mix", "0.3", "--seed", "9", "--out-dir", str(out),
+    ) == 0
+    record = json.loads((out / "expected.json").read_text())
+    assert list(record) == ["schema", "kind", "parameters", "realized", "files"]
+    assert record["schema"] == "lsq-cond/expected/1" and record["kind"] == "ensemble"
+    assert list(record["parameters"]) == ["m", "n", "singular_values", "theta", "mix", "seed"]
+    assert record["parameters"]["singular_values"] == [1.0, 0.1, 0.01, 0.001]
+    assert list(record["realized"]) == ["kappa", "theta", "vds", "sigma_min"]
+    assert record["files"] == {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None}
+
+
 def test_analyze_round_trip(gvl_case, tmp_path):
     report_path = tmp_path / "report.json"
     code = run_cli(
@@ -44,6 +69,7 @@ def test_analyze_round_trip(gvl_case, tmp_path):
         2.8284271247, abs=1e-9
     )
     expected = json.loads((gvl_case / "expected.json").read_text())["expected"]
+    assert list(report["geometry"]) == ["kappa", "theta", "cot_theta", "vds", "sigma_min"]
     assert report["geometry"]["kappa"] == pytest.approx(expected["kappa"], rel=1e-10)
     assert report["geometry"]["vds"] == pytest.approx(expected["vds"], rel=1e-10)
     assert report["estimates"]["relative"]["chi_A_upper"] == pytest.approx(
@@ -63,7 +89,7 @@ def test_analyze_deterministic_bytes(gvl_case, tmp_path):
 
 def test_verify_small_run_passes(monkeypatch, capsys):
     # every suite at no more than 10 problems: a quick smoke run of all ten
-    small = [(name, suite, offset, min(count, 10)) for name, suite, offset, count in verify.SUITES]
+    small = [(suite, min(count, 10)) for suite, count in verify.SUITES]
     monkeypatch.setattr(verify, "SUITES", small)
     assert run_cli("verify", "--seed", "1") == 0
     out = capsys.readouterr().out
@@ -223,9 +249,28 @@ def test_lanczos_csv(tmp_path):
 
 
 def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "SUITES", [("always-fails", lambda seed, count: (False, "boom"), 0, 1)])
+    def always_fails(seed, count):
+        return False, "boom"
+
+    monkeypatch.setattr(verify, "SUITES", [(always_fails, 1)])
     assert run_cli("verify") == 1
     assert "[FAIL] always-fails" in capsys.readouterr().out
+
+
+def test_verify_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys):
+    def raises(seed, count):
+        raise InvalidGeometry("vds = 0.0 outside [1, kappa]")
+
+    small = [(suite, min(count, 10)) for suite, count in verify.SUITES]
+    small[2] = (raises, 1)
+    monkeypatch.setattr(verify, "SUITES", small)
+    assert run_cli("verify", "--seed", "1") == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 10
+    assert lines[2] == "[FAIL] raises: InvalidGeometry: vds = 0.0 outside [1, kappa]"
+    assert sum(line.startswith("[ ok ] ") for line in lines) == 9
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("module", ["lsqcond.verify", "lsqcond.generators"])
@@ -382,6 +427,22 @@ def test_broken_geometry_exits_3(gvl_case, monkeypatch, capsys):
     code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
     assert code == 3
     assert "InvalidGeometry" in capsys.readouterr().err
+
+
+def test_sandwich_escape_exits_3(gvl_case, monkeypatch, capsys):
+    # the report's own consistency check is a named error, not a traceback
+    import dataclasses
+
+    real = report.residual_condition_bounds
+
+    def escaped(cache, scales):
+        est = real(cache, scales)
+        return dataclasses.replace(est, chi_A=1.01 * est.chi_A_upper)
+
+    monkeypatch.setattr(report, "residual_condition_bounds", escaped)
+    code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("InvalidGeometry: exact value ")
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

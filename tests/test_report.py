@@ -7,6 +7,7 @@ import pytest
 
 import lsqcond as lc
 from lsqcond import report
+from lsqcond.errors import InvalidGeometry
 from lsqcond.report import build_report, dump_json, format_number, write_csv
 
 
@@ -63,5 +64,5 @@ def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
             return dataclasses.replace(lc.residual_condition_bounds(cache, scales), chi_A=value)
 
         monkeypatch.setattr(report, "residual_condition_bounds", escaped)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InvalidGeometry):
             build_report(e1_cache, "relative")

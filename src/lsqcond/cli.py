@@ -212,20 +212,23 @@ def _cmd_generate_ensemble(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_HEADER = [
-    "param",
-    "value",
-    "m",
-    "n",
-    "kappa",
-    "theta",
-    "vds",
-    "sigma_min",
-    "chi_b",
-    "chi_A_lower",
-    "chi_A_upper",
-    "empirical",
-]
+@dataclasses.dataclass(frozen=True)
+class SweepRow:
+    """One point of `sweep`: the swept parameter and its value, the
+    problem's size and geometry, and its relative estimates."""
+
+    param: str
+    value: float
+    m: int
+    n: int
+    kappa: float
+    theta: float
+    vds: float
+    sigma_min: float
+    chi_b: float
+    chi_A_lower: float
+    chi_A_upper: float
+    empirical: float
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -243,13 +246,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache = solve_least_squares(problem)
         geom = geometry(cache)
         est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
-        rows.append([
+        rows.append(SweepRow(
             args.param, value, problem.m, problem.n, geom.kappa, geom.theta, geom.vds, geom.sigma_min,
             est.chi_b, est.chi_A_lower, est.chi_A_upper, est.chi_A,
-        ])
-    buf = io.StringIO()
-    write_csv(buf, _SWEEP_HEADER, rows)
-    _write_text(args.out, buf.getvalue())
+        ))
+    _write_records(args.out, rows)
     return 0
 
 

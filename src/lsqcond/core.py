@@ -113,15 +113,18 @@ class LsCache:
 
         Keys: orthogonality (||A^t r|| / (||A|| ||b||)), pythagoras
         (|| ||Ax||^2 + ||r||^2 - ||b||^2 | / ||b||^2), idempotence
-        (||P(Pb) - Pb|| / ||b||).
+        (||P(Pb) - Pb|| / ||b||), each 0.0 when b = 0. They are computed
+        from A / ||A||, r / ||b|| and b / ||b||, so scaling A or b neither
+        overflows nor underflows them.
         """
-        A, b = self.problem.A, self.problem.b
         nb = self.norm_b
-        scale = float(self.s[0]) * nb
-        ortho = float(np.linalg.norm(A.T @ self.r)) / scale if scale > 0.0 else 0.0
-        pythag = abs(self.norm_Ax**2 + self.norm_r**2 - nb**2) / nb**2 if nb > 0.0 else 0.0
+        if nb == 0.0:
+            return {"orthogonality": 0.0, "pythagoras": 0.0, "idempotence": 0.0}
+        A, b = self.problem.A / float(self.s[0]), self.problem.b / nb
+        ortho = float(np.linalg.norm(A.T @ (self.r / nb)))
+        pythag = abs((self.norm_Ax / nb) ** 2 + (self.norm_r / nb) ** 2 - 1.0)
         pb = self.apply_proj(b)
-        idem = float(np.linalg.norm(self.apply_proj(pb) - pb)) / nb if nb > 0.0 else 0.0
+        idem = float(np.linalg.norm(self.apply_proj(pb) - pb))
         return {"orthogonality": ortho, "pythagoras": pythag, "idempotence": idem}
 
 

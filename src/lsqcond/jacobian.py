@@ -11,9 +11,10 @@ matrix u1 v1^t + u2 v2^t with u1 = (I - P) dr, v1 = x, u2 = r,
 v2 = (A^t A)^{-1} A^t dr. The induced condition number is therefore the
 maximum over unit directions of the nuclear norm g of that matrix. The
 conditioning module holds that maximum in closed form and the direction
-attaining it (worst_case_direction); attaining_perturbation turns the
-direction into a unit-norm matrix perturbation. The verify module
-evaluates g and its two-sided bounds at given directions.
+attaining it (worst_case_direction). Rank2Adjoint.core factors the rank-2
+matrix as Qu C Qv^t with a 2x2 core C: the verify module's g is the
+nuclear norm of C, and attaining_perturbation builds a unit-norm matrix
+perturbation from the SVD of C.
 
 apply_residual_jacobian evaluates dr for one perturbation or a (k, m, n)
 stack of them. The adjoint takes one direction of length m or an (m, k)
@@ -50,7 +51,8 @@ def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Rank2Adjoint:
     """Rank-2 representation of the transposed residual Jacobian applied to
-    a direction: the adjoint image is -vec(u1 v1^t + u2 v2^t)."""
+    a direction: the adjoint image is -vec(u1 v1^t + u2 v2^t). core() is
+    its one factorization; matrix() forms it densely."""
 
     u1: np.ndarray
     v1: np.ndarray
@@ -60,6 +62,20 @@ class Rank2Adjoint:
     def matrix(self) -> np.ndarray:
         """u1 v1^t + u2 v2^t; a (k, m, n) stack for a block of directions."""
         return self.u1.T[..., :, None] * self.v1 + self.u2[:, None] * self.v2.T[..., None, :]
+
+    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Qu, C, Qv) with u1 v1^t + u2 v2^t = Qu C Qv^t, from the QR
+        factorizations Qu Ru of [u1 u2] and Qv Rv of [v1 v2]: C = Ru Rv^t
+        is 2x2, or 2x1 when n = 1. A block of k directions gives stacks.
+        """
+        batch = self.u1.shape[1:]
+        Su = np.empty(batch + (self.u1.shape[0], 2))
+        Su[..., 0], Su[..., 1] = self.u1.T, self.u2
+        Sv = np.empty(batch + (self.v2.shape[0], 2))
+        Sv[..., 0], Sv[..., 1] = self.v1, self.v2.T
+        Qu, Ru = np.linalg.qr(Su)
+        Qv, Rv = np.linalg.qr(Sv)
+        return Qu, Ru @ np.swapaxes(Rv, -1, -2), Qv
 
 
 def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
@@ -83,8 +99,8 @@ def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
 def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     """Unit-spectral-norm matrix perturbation attaining the objective value.
 
-    With the thin SVD u1 v1^t + u2 v2^t = Uh Sh Vh^t, the matrix
-    dA = -(Uh Vh^t) has ||dA||_2 = 1 and satisfies
+    With the core u1 v1^t + u2 v2^t = Qu C Qv^t and the SVD C = W Sh Z^t,
+    the matrix dA = -(Qu W)(Qv Z)^t has ||dA||_2 = 1 and satisfies
     <apply_residual_jacobian(dA), delta_r> = g(delta_r), which forces
     ||dr|| >= g(delta_r) for a unit direction. Takes one direction, not a
     block.
@@ -92,11 +108,12 @@ def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     if np.ndim(delta_r) != 1:
         raise DimensionMismatch(f"need one direction, got shape {np.shape(delta_r)}")
     adj = adjoint_rank2(cache, delta_r)
-    Uh, sh, Vht = np.linalg.svd(adj.matrix(), full_matrices=False)
+    Qu, C, Qv = adj.core()
+    # full_matrices=False: C is 2x1 when n = 1
+    W, sh, Zt = np.linalg.svd(C, full_matrices=False)
     # ||u1|| ||x|| + ||r|| ||v2|| bounds the objective from above
     upper = float(np.linalg.norm(adj.u1)) * cache.norm_x + cache.norm_r * float(np.linalg.norm(adj.v2))
     if sh[0] <= 1e-14 * max(upper, 1e-300):
         raise DegenerateDirection("objective value is zero at this direction")
     keep = sh > 1e-13 * sh[0]
-    return -(Uh[:, keep] @ Vht[keep, :])
-
+    return -(Qu @ W[:, keep]) @ (Qv @ Zt[keep].T).T

@@ -10,10 +10,10 @@ counts, so each check has one implementation. SUITES lists the ten as
 and offsets its seed by its position, and a suite that raises fails.
 
 The module also holds the kernels only these checks use: the dual-norm
-objective g in closed form, its two-sided bounds L <= g <= U, and the sign
-canonicalization that makes L <= g hold pointwise. Each takes one
-direction of length m, giving floats, or an (m, k) block of directions,
-giving one value per column.
+objective g, read from the 2x2 core of the rank-2 adjoint, its two-sided
+bounds L <= g <= U, and the sign canonicalization that makes L <= g hold
+pointwise. Each takes one direction of length m, giving floats, or an
+(m, k) block of directions, giving one value per column.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .conditioning import (
 )
 from .core import LsCache, LsProblem, geometry, nuclear_norm, solve_least_squares
 from .generators import EnsembleSpec, block_norm_cases, ensemble_specs, random_problem
-from .jacobian import Rank2Adjoint, adjoint_rank2, apply_residual_jacobian, attaining_perturbation
+from .jacobian import adjoint_rank2, apply_residual_jacobian, attaining_perturbation
 from .prior_bounds import compare_table
 
 # ---------------------------------------------------------------------------
@@ -44,68 +44,29 @@ def _value(v) -> float | np.ndarray:
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    """2-norms along the last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", X, X))
-
-
-def _cos_sin(p: np.ndarray, norm_p: np.ndarray, q: np.ndarray, norm_q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine of the angle between each row p of a stack (or one
-    vector p) and the vector q, given their norms.
-
-    The sine is the norm of the rejection of q-hat from p-hat rather than
-    sqrt(1 - c^2), so it stays accurate to machine precision when the angle
-    is near 0 or pi. A zero factor gives (1, 0).
-    """
-    ph = p / np.where(norm_p > 0.0, norm_p, 1.0)[..., None]
-    qh = q / (norm_q if norm_q > 0.0 else 1.0)
-    c = ph @ qh
-    s = _norms(ph - c[..., None] * qh)
-    both = (norm_p > 0.0) & (norm_q > 0.0)
-    return np.where(both, c, 1.0), np.where(both, s, 0.0)
-
-
-def _products_and_cosines(adj: Rank2Adjoint) -> tuple[np.ndarray, ...]:
-    """Norm products a = ||u1|| ||v1||, b = ||u2|| ||v2|| together with the
-    cosine and sine of theta_u = angle(u1, u2) and theta_v = angle(v1, v2),
-    one of each per direction.
-
-    The sines come from orthogonal rejections (see _cos_sin), which matters
-    because angles near 0 or pi occur systematically, e.g. for m = n + 1
-    where the residual complement is one-dimensional. A zero factor gives
-    (1, 0) for its angle; the corresponding cross term vanishes anyway.
-    """
-    # directions along the last axis; v1 = x and u2 = r are single vectors
-    u1, v2 = adj.u1.T, adj.v2.T
-    nu1, nv2 = _norms(u1), _norms(v2)
-    nv1, nu2 = float(_norms(adj.v1)), float(_norms(adj.u2))
-    cu, su = _cos_sin(u1, nu1, adj.u2, nu2)
-    cv, sv = _cos_sin(v2, nv2, adj.v1, nv1)
-    return nu1 * nv1, nu2 * nv2, cu, su, cv, sv
-
-
 def g_objective(cache: LsCache, delta_r: np.ndarray) -> float | np.ndarray:
-    """Dual-norm objective: the nuclear norm of the rank-2 adjoint matrix.
+    """Dual-norm objective: the nuclear norm of the rank-2 adjoint matrix,
+    taken as the nuclear norm of its 2x2 core (Rank2Adjoint.core).
 
-    With the products and angles of the adjoint factors,
-    g^2 = a^2 + b^2 + 2 a b cos(theta_u - theta_v), evaluated as the sum
-    of squares (a - b)^2 + a b ((cu + cv)^2 + (su + sv)^2), which does not
-    cancel when the two rank-1 terms nearly cancel; it agrees with an SVD
-    of the rank-2 matrix to a few eps (a + b). Expects unit directions
-    (the objective is positively homogeneous).
+    Householder QR is columnwise backward stable, so g does not cancel
+    when the two rank-1 terms nearly cancel: it agrees with an SVD of the
+    rank-2 matrix to a few eps (a + b). Expects unit directions (the
+    objective is positively homogeneous).
     """
-    a, b, cu, su, cv, sv = _products_and_cosines(adjoint_rank2(cache, delta_r))
-    return _value(np.sqrt((a - b) ** 2 + a * b * ((cu + cv) ** 2 + (su + sv) ** 2)))
+    return nuclear_norm(adjoint_rank2(cache, delta_r).core()[1])
 
 
 def sandwich_bounds(cache: LsCache, delta_r: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Two-sided bounds (L, U) on the objective at a direction:
 
-    L = sqrt(a^2 + b^2) <= g <= a + b = U, with U <= sqrt(2) L whenever
-    both products are nonzero. The lower inequality requires the direction
-    to be sign-canonical (see canonicalize_direction).
+    L = sqrt(a^2 + b^2) <= g <= a + b = U, with a = ||u1|| ||x||,
+    b = ||r|| ||v2|| and U <= sqrt(2) L whenever both are nonzero. The
+    lower inequality requires the direction to be sign-canonical (see
+    canonicalize_direction).
     """
-    a, b, _, _, _, _ = _products_and_cosines(adjoint_rank2(cache, delta_r))
+    adj = adjoint_rank2(cache, delta_r)
+    a = np.linalg.norm(adj.u1, axis=0) * cache.norm_x
+    b = cache.norm_r * np.linalg.norm(adj.v2, axis=0)
     return _value(np.hypot(a, b)), _value(a + b)
 
 
@@ -113,7 +74,8 @@ def canonicalize_direction(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     """Flip the sign of the component of delta_r along r when that raises
     the objective; a block is canonicalized column by column.
 
-    The flip maps theta_u to pi - theta_u and leaves L and U unchanged, so
+    With theta_u = angle(u1, r) and theta_v = angle(v2, x), the flip maps
+    theta_u to pi - theta_u and leaves L and U unchanged, so
     of the two sign choices the better one always has
     cos(theta_u - theta_v) >= 0, which makes L <= g hold pointwise. The
     maximum over the unit sphere is unaffected.

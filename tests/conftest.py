@@ -233,3 +233,13 @@ def golden_section_block_norm(A, B):
             d = lo + invphi * (hi - lo)
             fd = dual(d)
     return scale * math.sqrt(min(fc, fd))
+
+
+def dense_svd_perturbation(cache, d):
+    """The attaining perturbation from a dense SVD of the m x n rank-2
+    adjoint matrix, -(Uh Vh^t) over the singular pairs it keeps, and the
+    kept singular values: the construction the 2x2 core replaced. For a
+    direction with a nonzero objective only."""
+    Uh, sh, Vht = np.linalg.svd(lc.adjoint_rank2(cache, d).matrix(), full_matrices=False)
+    keep = sh > 1e-13 * sh[0]
+    return -(Uh[:, keep] @ Vht[keep, :]), sh[keep]

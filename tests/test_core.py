@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ def test_solve_invariants_on_ensemble():
     for cache, _ in solved_ensemble(50, 3, max_kappa_exp=3.0):
         defects = cache.self_check()
         assert max(defects.values()) <= 1e-12, defects
+
+
+@pytest.mark.parametrize("a_exp,b_exp", [(0, -570), (0, -1000), (0, 520), (600, 0), (-600, 0), (300, -300)])
+def test_self_check_is_scale_free(a_exp, b_exp):
+    # the defects are relative, so no scaling of A or b may overflow,
+    # underflow or warn; scaling b alone by 2^e scales b, x and r exactly
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((6, 3)), rng.standard_normal(6)
+    unscaled = lc.solve_least_squares(lc.LsProblem(A, b)).self_check()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defects = lc.solve_least_squares(lc.LsProblem(np.ldexp(A, a_exp), np.ldexp(b, b_exp))).self_check()
+    assert all(math.isfinite(v) and v <= 1e-12 for v in defects.values()), defects
+    if a_exp == 0:
+        assert defects == unscaled
 
 
 def test_solve_rejects_rank_deficient():

@@ -9,6 +9,7 @@ import lsqcond as lc
 from lsqcond.generators import EnsembleSpec, gvl_example, random_problem
 from conftest import (
     both_branches,
+    dense_svd_perturbation,
     finite_difference_condition,
     sampled_condition_wrt_A,
     solved_ensemble,
@@ -427,6 +428,34 @@ def test_attaining_first_order_check(e1_cache):
     assert measured == pytest.approx(np.linalg.norm(dr), rel=1e-5)
 
 
+def test_attaining_matches_dense_svd_reference():
+    # at m = n + 1, [u1 u2] has rank one and both constructions can keep a
+    # rounding-level sigma_2 just above the keep threshold, so their polar
+    # factors differ by up to eps sigma_1 / sigma_2; the attained value
+    # does not depend on that choice
+    rng = np.random.default_rng(131)
+    for cache in both_branches(50, 131):
+        D = rng.standard_normal((5, cache.problem.m))
+        for d in (lc.worst_case_direction(cache), *(D / np.linalg.norm(D, axis=1)[:, None])):
+            dA = lc.attaining_perturbation(cache, d)
+            ref, sh = dense_svd_perturbation(cache, d)
+            attained = lc.apply_residual_jacobian(cache, dA) @ d
+            reference = lc.apply_residual_jacobian(cache, ref) @ d
+            assert abs(attained - reference) <= 1e-12 * g_objective(cache, d)
+            if sh.size == 2:
+                assert np.linalg.norm(dA - ref, 2) <= 1e-13 * sh[0] / sh[1]
+
+
+def test_attaining_on_a_tall_problem():
+    # 2000x40, a shape the verify suites never reach
+    sv = tuple(np.geomspace(1.0, 1e-4, 40))
+    cache = lc.solve_least_squares(random_problem(EnsembleSpec(2000, 40, sv, 0.6, 0.5, 17)))
+    dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
+    assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
+    dr = lc.apply_residual_jacobian(cache, dA)
+    assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
+
+
 def test_attaining_degenerate_direction(e1_cache):
     # u1 v1^t and u2 v2^t cancel exactly along (-1, 1)/sqrt(2)
     d = np.array([-1.0, 1.0]) / SQRT2
@@ -509,8 +538,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     # Each column of a block result equals the result for that column alone,
     # to 1e-14 of the quantity's scale over unit inputs: the two differ only
     # in how BLAS orders the sums. ||v2|| reaches 1 / sigma_min, so the
-    # adjoint's scale is top = ||x|| + ||r|| / sigma_min. The objective is
-    # compared through g^2, because its closed form takes a square root.
+    # adjoint's scale is top = ||x|| + ||r|| / sigma_min.
     sv = tuple(np.geomspace(1.0, 10.0**-kappa_exp, n)) if n > 1 else (1.0,)
     cache = lc.solve_least_squares(random_problem(EnsembleSpec(n + extra, n, sv, 0.7, 0.5, seed)))
     m, smin = cache.problem.m, cache.s[-1]
@@ -526,6 +554,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     )
     adj = lc.adjoint_rank2(cache, D)
     stack = adj.matrix()
+    Qu, C, Qv = adj.core()
     g = g_objective(cache, D)
     L, U = sandwich_bounds(cache, D)
     canon = canonicalize_direction(cache, D)
@@ -533,6 +562,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     dr = lc.apply_residual_jacobian(cache, dA)
     assert stack.shape == (k, m, n) and nuclear.shape == g.shape == L.shape == U.shape == (k,)
     assert adj.u1.shape == canon.shape == dr.shape == (m, k) and adj.v2.shape == (n, k)
+    assert Qu.shape == (k, m, 2) and C.shape == (k, 2, min(n, 2)) and Qv.shape == (k, n, min(n, 2))
 
     for j in range(k):
         d, w = D[:, j].copy(), W[:, j].copy()
@@ -550,6 +580,10 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
         _close(L[j], L1, top)
         _close(U[j], U1, top)
         _close(g[j] ** 2, g1**2, top**2)
+        _close(Qu[j] @ C[j] @ Qv[j].T, stack[j], top)
+        for Q in (Qu[j], Qv[j]):
+            _close(Q.T @ Q, np.eye(Q.shape[1]), 1.0)
+        _close(np.linalg.svd(C[j], compute_uv=False), np.linalg.svd(one.core()[1], compute_uv=False), top)
         _close(canon[:, j], canonicalize_direction(cache, d), 1.0)
         dr1 = lc.apply_residual_jacobian(cache, dA[j])
         _close(dr[:, j], dr1, np.linalg.norm(dA[j], 2) * top)

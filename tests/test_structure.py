@@ -88,6 +88,7 @@ WRITTEN_WHOLE = {
     "GvlExpected",  # cli, `generate gvl` writes expected.json
     "Geometry",  # report, the "geometry" block of `analyze`
     "LanczosStep",  # cli, the rows of `lanczos`
+    "SweepRow",  # cli, the rows of `sweep`
 }
 
 

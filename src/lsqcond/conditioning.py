@@ -101,6 +101,12 @@ class ConditionEstimates:
     def chi_A_lower(self) -> float:
         return self.chi_A_upper / SQRT2
 
+    def sandwich_holds(self) -> bool:
+        """chi_A_lower <= chi_A <= chi_A_upper, the upper end to 1e-8
+        relative: at m = n + 1 chi_A is a singular value of the bordered
+        matrix, computed apart from chi_A_upper."""
+        return self.chi_A_lower <= self.chi_A <= self.chi_A_upper * (1.0 + 1e-8)
+
 
 def _upper_value(cache: LsCache) -> float:
     return math.hypot(cache.norm_r / float(cache.s[-1]), cache.norm_x)

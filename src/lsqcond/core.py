@@ -133,7 +133,7 @@ def _rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return s.reshape((-1,) + (1,) * (v.ndim - 1))
 
 
-def _norm(v: np.ndarray, name: str) -> float:
+def vector_norm(v: np.ndarray, name: str) -> float:
     """2-norm of the vector called name that neither overflows nor
     underflows when the norm itself is representable.
 
@@ -180,7 +180,7 @@ def solve_least_squares(problem: LsProblem) -> LsCache:
     underflows to zero although U^t b does not.
     """
     U, s, V = _thin_svd(problem.A)
-    norm_b = _norm(problem.b, "b")
+    norm_b = vector_norm(problem.b, "b")
     Utb = U.T @ problem.b
     # ||x|| = ||(U^t b) / s||, so an entry that overflows means ||x|| does too
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,9 +199,9 @@ def solve_least_squares(problem: LsProblem) -> LsCache:
         s=s,
         V=V,
         norm_b=norm_b,
-        norm_r=_norm(r, "r"),
-        norm_Ax=_norm(Ax, "Ax"),
-        norm_x=_norm(x, "x"),
+        norm_r=vector_norm(r, "r"),
+        norm_Ax=vector_norm(Ax, "Ax"),
+        norm_x=vector_norm(x, "x"),
     )
 
 

@@ -240,6 +240,8 @@ def lanczos_demo(T: np.ndarray, v1: np.ndarray, steps: int) -> list[LanczosStep]
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {T.shape}")
+    if not np.isfinite(T).all():
+        raise ValueError("matrix entries must be finite")
     norm_T = float(np.linalg.norm(T, 2))
     if norm_T > 0.0 and float(np.linalg.norm(T - T.T, 2)) > 1e-12 * norm_T:
         raise ParamOutOfRange("matrix must be symmetric to 1e-12 relative")

@@ -1,5 +1,6 @@
-"""Residual Jacobian machinery: the Jacobian, its rank-2 adjoint, and the
-perturbation that attains the condition number wrt the matrix.
+"""Residual Jacobian machinery: the Jacobian, its rank-2 adjoint and the
+dual-norm objective it carries, and the perturbation that attains the
+condition number wrt the matrix.
 
 The derivative of the residual with respect to the matrix acts on a
 perturbation dA as
@@ -12,13 +13,14 @@ v2 = (A^t A)^{-1} A^t dr. The induced condition number is therefore the
 maximum over unit directions of the nuclear norm g of that matrix. The
 conditioning module holds that maximum in closed form and the direction
 attaining it (worst_case_direction). Rank2Adjoint.core factors the rank-2
-matrix as Qu C Qv^t with a 2x2 core C: the verify module's g is the
-nuclear norm of C, and attaining_perturbation builds a unit-norm matrix
-perturbation from the SVD of C.
+matrix as Qu C Qv^t with a 2x2 core C: g is the nuclear norm of C, and
+attaining_perturbation builds a unit-norm matrix perturbation from the
+SVD of C. The adjoint also gives g's two-sided bounds and the sign test
+of canonicalize_direction.
 
 apply_residual_jacobian evaluates dr for one perturbation or a (k, m, n)
-stack of them. The adjoint takes one direction of length m or an (m, k)
-block whose columns are directions.
+stack of them. The adjoint takes one direction of length m, its methods
+then giving floats, or an (m, k) block of directions, one value per column.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LsCache
+from .core import LsCache, nuclear_norm, vector_norm
 from .errors import DegenerateDirection, DimensionMismatch
 
 
@@ -46,6 +48,11 @@ def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> np.ndarray:
     dAx = (dA @ cache.x).T
     dAtr = (np.swapaxes(dA, -1, -2) @ cache.r).T
     return -(dAx - cache.apply_proj(dAx)) - cache.apply_pinv_transpose(dAtr)
+
+
+def _value(v) -> float | np.ndarray:
+    """A float for a single direction, the array for a block."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,32 @@ class Rank2Adjoint:
         Qv, Rv = np.linalg.qr(Sv)
         return Qu, Ru @ np.swapaxes(Rv, -1, -2), Qv
 
+    def objective(self) -> float | np.ndarray:
+        """The dual-norm objective g, the nuclear norm of the rank-2 matrix,
+        taken from its 2x2 core; the condition number is its maximum over
+        unit directions. Householder QR is columnwise backward stable, so g
+        does not cancel when the two rank-1 terms nearly cancel: it agrees
+        with an SVD of the rank-2 matrix to a few eps (a + b)."""
+        return nuclear_norm(self.core()[1])
+
+    def bounds(self) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+        """Two-sided bounds (L, U) on the objective:
+
+        L = sqrt(a^2 + b^2) <= g <= a + b = U, with a = ||u1|| ||x||,
+        b = ||r|| ||v2|| and U <= sqrt(2) L whenever both are nonzero. The
+        lower inequality requires the direction to be sign-canonical (see
+        canonicalize_direction).
+        """
+        a = np.linalg.norm(self.u1, axis=0) * vector_norm(self.v1, "x")
+        b = vector_norm(self.u2, "r") * np.linalg.norm(self.v2, axis=0)
+        return _value(np.hypot(a, b)), _value(a + b)
+
+    def flips(self) -> bool | np.ndarray:
+        """Whether flipping the direction's component along r raises the
+        objective: cos(theta_u) cos(theta_v) < 0, with theta_u the angle
+        between u1 and r and theta_v the one between v2 and x."""
+        return (self.u1.T @ self.u2) * (self.v2.T @ self.v1) < 0.0
+
 
 def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
     """Adjoint factors for a residual-space direction.
@@ -96,6 +129,20 @@ def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:
     )
 
 
+def canonicalize_direction(cache: LsCache, delta_r: np.ndarray, adj: Rank2Adjoint) -> np.ndarray:
+    """delta_r with its component along r flipped where adj.flips(), adj
+    being the adjoint at delta_r; a block is canonicalized column by column.
+
+    The flip maps theta_u to pi - theta_u and leaves the bounds unchanged,
+    so of the two sign choices the better one always has
+    cos(theta_u - theta_v) >= 0, which makes L <= g hold pointwise. The
+    maximum over the unit sphere is unaffected.
+    """
+    rhat = cache.r / cache.norm_r
+    D = np.asarray(delta_r, dtype=float).T
+    return np.where(adj.flips()[..., None], D - 2.0 * (D @ rhat)[..., None] * rhat, D).T
+
+
 def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     """Unit-spectral-norm matrix perturbation attaining the objective value.
 
@@ -111,8 +158,7 @@ def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
     Qu, C, Qv = adj.core()
     # full_matrices=False: C is 2x1 when n = 1
     W, sh, Zt = np.linalg.svd(C, full_matrices=False)
-    # ||u1|| ||x|| + ||r|| ||v2|| bounds the objective from above
-    upper = float(np.linalg.norm(adj.u1)) * cache.norm_x + cache.norm_r * float(np.linalg.norm(adj.v2))
+    upper = adj.bounds()[1]
     if sh[0] <= 1e-14 * max(upper, 1e-300):
         raise DegenerateDirection("objective value is zero at this direction")
     keep = sh > 1e-13 * sh[0]

@@ -114,7 +114,9 @@ def _check_integers(field: str, values: np.ndarray) -> None:
 def read_vector(path: str | Path) -> np.ndarray:
     """Real vector from a Matrix Market array file or plain text.
 
-    Plain text means one decimal value per line, ASCII, '.' radix.
+    Plain text means one decimal value per line, ASCII, '.' radix; blank
+    lines and '#' comments are skipped. A file with no value raises
+    ValueError naming it.
     """
     path = Path(path)
     if path.suffix.lower() in _MM_SUFFIXES:
@@ -122,7 +124,11 @@ def read_vector(path: str | Path) -> np.ndarray:
         if min(M.shape) != 1:
             raise ValueError(f"{path}: expected a vector, got shape {M.shape}")
         return M.ravel()
-    v = np.loadtxt(path, dtype=float, ndmin=1)
+    lines = path.read_text(encoding="latin-1").splitlines()
+    # np.loadtxt only warns on an input with no data
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"{path}: no values")
+    v = np.loadtxt(lines, dtype=float, ndmin=1)
     if v.ndim != 1:
         raise ValueError(f"{path}: expected one value per line, got shape {v.shape}")
     return v

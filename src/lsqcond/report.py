@@ -57,7 +57,7 @@ def build_report(
     geom = geometry(cache)
     bounds = {name: residual_condition_bounds(cache, scale_preset(name, cache)) for name in SCALE_PRESETS}
     emp_bounds = bounds[empirical_scales_name]
-    if not emp_bounds.chi_A_lower <= emp_bounds.chi_A <= emp_bounds.chi_A_upper * (1.0 + 1e-8):
+    if not emp_bounds.sandwich_holds():
         raise InvalidGeometry(
             f"exact value {emp_bounds.chi_A} outside "
             f"[{emp_bounds.chi_A_lower}, {emp_bounds.chi_A_upper}]"

@@ -9,11 +9,8 @@ counts, so each check has one implementation. SUITES lists the ten as
 (function, count) pairs; `lsqcond verify` names a suite after its function
 and offsets its seed by its position, and a suite that raises fails.
 
-The module also holds the kernels only these checks use: the dual-norm
-objective g, read from the 2x2 core of the rank-2 adjoint, its two-sided
-bounds L <= g <= U, and the sign canonicalization that makes L <= g hold
-pointwise. Each takes one direction of length m, giving floats, or an
-(m, k) block of directions, giving one value per column.
+The kernels the suites check (the dual-norm objective g, its bounds and
+the sign canonicalization) live in the jacobian module.
 """
 
 from __future__ import annotations
@@ -23,74 +20,16 @@ import math
 import numpy as np
 
 from .conditioning import (
-    SQRT2,
     ScaleFactors,
     exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
     worst_case_direction,
 )
-from .core import LsCache, LsProblem, geometry, nuclear_norm, solve_least_squares
+from .core import LsProblem, geometry, nuclear_norm, solve_least_squares
 from .generators import EnsembleSpec, block_norm_cases, ensemble_specs, random_problem
-from .jacobian import adjoint_rank2, apply_residual_jacobian, attaining_perturbation
+from .jacobian import adjoint_rank2, apply_residual_jacobian, attaining_perturbation, canonicalize_direction
 from .prior_bounds import compare_table
-
-# ---------------------------------------------------------------------------
-# the dual-norm objective and its bounds
-
-
-def _value(v) -> float | np.ndarray:
-    """A float for a single direction, the array for a block."""
-    return float(v) if np.ndim(v) == 0 else v
-
-
-def g_objective(cache: LsCache, delta_r: np.ndarray) -> float | np.ndarray:
-    """Dual-norm objective: the nuclear norm of the rank-2 adjoint matrix,
-    taken as the nuclear norm of its 2x2 core (Rank2Adjoint.core).
-
-    Householder QR is columnwise backward stable, so g does not cancel
-    when the two rank-1 terms nearly cancel: it agrees with an SVD of the
-    rank-2 matrix to a few eps (a + b). Expects unit directions (the
-    objective is positively homogeneous).
-    """
-    return nuclear_norm(adjoint_rank2(cache, delta_r).core()[1])
-
-
-def sandwich_bounds(cache: LsCache, delta_r: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Two-sided bounds (L, U) on the objective at a direction:
-
-    L = sqrt(a^2 + b^2) <= g <= a + b = U, with a = ||u1|| ||x||,
-    b = ||r|| ||v2|| and U <= sqrt(2) L whenever both are nonzero. The
-    lower inequality requires the direction to be sign-canonical (see
-    canonicalize_direction).
-    """
-    adj = adjoint_rank2(cache, delta_r)
-    a = np.linalg.norm(adj.u1, axis=0) * cache.norm_x
-    b = cache.norm_r * np.linalg.norm(adj.v2, axis=0)
-    return _value(np.hypot(a, b)), _value(a + b)
-
-
-def canonicalize_direction(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
-    """Flip the sign of the component of delta_r along r when that raises
-    the objective; a block is canonicalized column by column.
-
-    With theta_u = angle(u1, r) and theta_v = angle(v2, x), the flip maps
-    theta_u to pi - theta_u and leaves L and U unchanged, so
-    of the two sign choices the better one always has
-    cos(theta_u - theta_v) >= 0, which makes L <= g hold pointwise. The
-    maximum over the unit sphere is unaffected.
-    """
-    delta_r = np.asarray(delta_r, dtype=float)
-    adj = adjoint_rank2(cache, delta_r)
-    # same-quadrant test: flip iff cos(theta_u) * cos(theta_v) < 0
-    flip = (adj.u1.T @ adj.u2) * (adj.v2.T @ adj.v1) < 0.0
-    rhat = cache.r / cache.norm_r
-    D = delta_r.T
-    return np.where(flip[..., None], D - 2.0 * (D @ rhat)[..., None] * rhat, D).T
-
-
-# ---------------------------------------------------------------------------
-# the suites
 
 
 def _solved(spec: EnsembleSpec):
@@ -122,10 +61,10 @@ def sandwich_containment(seed: int, count: int) -> tuple[bool, str]:
     for spec in ensemble_specs(count, seed):
         cache, _ = _solved(spec)
         est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
-        upper, value = est.chi_A_upper, est.chi_A
-        lo, hi = min(lo, value / upper), max(hi, value / upper)
-        if not upper / SQRT2 * (1 - 1e-12) <= value <= upper * (1 + 1e-8):
-            return False, f"exact value {value} outside sandwich for seed {spec.seed}"
+        ratio = est.chi_A / est.chi_A_upper
+        lo, hi = min(lo, ratio), max(hi, ratio)
+        if not est.sandwich_holds():
+            return False, f"exact value {est.chi_A} outside sandwich for seed {spec.seed}"
         # the first-order change attains the unscaled value
         g = exact_value(cache)
         dA = attaining_perturbation(cache, worst_case_direction(cache))
@@ -173,12 +112,12 @@ def dual_norm_identity(seed: int, count: int) -> tuple[bool, str]:
     for spec in ensemble_specs(count, seed):
         cache, _ = _solved(spec)
         D = _unit_columns(rng.standard_normal((25, cache.problem.m)))
-        g = g_objective(cache, D)
-        nn = nuclear_norm(adjoint_rank2(cache, D).matrix())
+        adj = adjoint_rank2(cache, D)
+        g, nn = adj.objective(), nuclear_norm(adj.matrix())
         worst_eq = max(worst_eq, float(np.max(np.abs(g - nn) / np.maximum(nn, 1e-30))))
-        Dc = canonicalize_direction(cache, D)
-        L, U = sandwich_bounds(cache, Dc)
-        gc = g_objective(cache, Dc)
+        canonical = adjoint_rank2(cache, canonicalize_direction(cache, D, adj))
+        L, U = canonical.bounds()
+        gc = canonical.objective()
         outside = np.flatnonzero(~((L - 1e-10 <= gc) & (gc <= U + 1e-10)))
         if outside.size:
             k = outside[0]

@@ -10,6 +10,7 @@ import pytest
 from lsqcond import mmio, report, verify
 from lsqcond.cli import main
 from lsqcond.errors import InvalidGeometry
+from lsqcond.jacobian import Rank2Adjoint
 
 
 def run_cli(*args):
@@ -130,6 +131,19 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
+def _record_objectives(monkeypatch):
+    """Every adjoint whose objective the suites evaluate."""
+    adjoints = []
+    real = Rank2Adjoint.objective
+
+    def recorded(adj):
+        adjoints.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(Rank2Adjoint, "objective", recorded)
+    return adjoints
+
+
 def _unit(v):
     return v / np.linalg.norm(v)
 
@@ -151,12 +165,14 @@ def test_verify_block_draws_equal_per_iteration_draws(monkeypatch):
             assert np.array_equal(D[:, k], _unit(rng.standard_normal(m)))
             assert np.array_equal(dA[k], rng.standard_normal((m, n)))
 
-    objectives = _record_calls(monkeypatch, "g_objective")
+    builds = _record_calls(monkeypatch, "adjoint_rank2")
+    objectives = _record_objectives(monkeypatch)
     assert verify.dual_norm_identity(seed, 20)[0]
-    assert len(objectives) == 40  # each block, then its canonical form
+    assert len(builds) == len(objectives) == 40  # each block, then its canonical form
     rng = np.random.default_rng(seed)
-    for cache, D in objectives[::2]:
+    for (cache, D), adj in zip(builds[::2], objectives[::2]):
         assert D.shape == (cache.problem.m, 25)
+        assert np.array_equal(adj.u1, D - cache.apply_proj(D))
         for k in range(25):
             assert np.array_equal(D[:, k], _unit(rng.standard_normal(cache.problem.m)))
 
@@ -172,9 +188,18 @@ def test_verify_block_draws_equal_per_iteration_draws(monkeypatch):
         rng.integers(0, 2**31)
 
 
+def test_dual_norm_identity_builds_two_adjoints_per_problem(monkeypatch):
+    # the block and its canonical form; the objective, the bounds and the
+    # sign flip read an adjoint they are given
+    builds = _record_calls(monkeypatch, "adjoint_rank2")
+    assert verify.dual_norm_identity(11, 20)[0]
+    assert len(builds) == 40
+    assert [id(cache) for cache, _ in builds[::2]] == [id(cache) for cache, _ in builds[1::2]]
+
+
 def test_verify_fails_on_a_perturbed_objective(monkeypatch, capsys):
-    real = verify.g_objective
-    monkeypatch.setattr(verify, "g_objective", lambda cache, D: real(cache, D) * (1.0 + 1e-9))
+    real = Rank2Adjoint.objective
+    monkeypatch.setattr(Rank2Adjoint, "objective", lambda adj: real(adj) * (1.0 + 1e-9))
     assert run_cli("verify", "--seed", "1") == 1
     out = capsys.readouterr().out
     assert "[FAIL] dual-norm-identity" in out and out.count("[FAIL]") == 1
@@ -246,6 +271,35 @@ def test_lanczos_csv(tmp_path):
     assert lines[0] == "step,alpha,beta,theta,predicted_chi,orthogonality_defect,krylov_theta,breakdown"
     assert len(lines) == 3
     assert lines[1].endswith("false")
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_lanczos_rejects_a_non_finite_matrix(tmp_path, entry):
+    # a NaN used to stop the SVD inside ||T||_2, an inf to warn in the recurrence
+    path = tmp_path / "T.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real symmetric\n2 2\n{entry}\n1\n2\n")
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", "lanczos",
+         "--matrix", str(path), "--steps", "2"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: matrix entries must be finite\n" and result.stdout == ""
+
+
+def test_empty_text_rhs_exits_2(tmp_path):
+    # exit 2 names the file; NumPy's "input contained no data" warning would
+    # be a traceback with exit 1 under -W error
+    mmio.write_matrix(tmp_path / "A.mtx", np.eye(3)[:, :2])
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("")
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lsqcond", "analyze",
+         "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(rhs)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: {rhs}: no values\n" and result.stdout == ""
 
 
 def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):

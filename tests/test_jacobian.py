@@ -16,7 +16,7 @@ from conftest import (
     vec_index,
 )
 from lsqcond.conditioning import exact_value
-from lsqcond.verify import canonicalize_direction, g_objective, sandwich_bounds
+from lsqcond.jacobian import canonicalize_direction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -144,19 +144,19 @@ def test_adjoint_factor_invariants():
 
 
 def test_g_e1_along_residual(e1_cache):
-    assert g_objective(e1_cache, np.array([0.0, 1.0])) == pytest.approx(1.0, rel=1e-14)
+    assert lc.adjoint_rank2(e1_cache, np.array([0.0, 1.0])).objective() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_g_e1_diagonal_direction(e1_cache):
     d = np.array([1.0, 1.0]) / SQRT2
-    assert g_objective(e1_cache, d) == pytest.approx(SQRT2, rel=1e-14)
+    assert lc.adjoint_rank2(e1_cache, d).objective() == pytest.approx(SQRT2, rel=1e-14)
 
 
 def test_g_degenerate_u1(e1_cache):
     # direction inside col(A): u1 = 0 so g collapses to ||u2|| ||v2||
     adj = lc.adjoint_rank2(e1_cache, np.array([1.0, 0.0]))
     expected = np.linalg.norm(adj.u2) * np.linalg.norm(adj.v2)
-    assert g_objective(e1_cache, np.array([1.0, 0.0])) == pytest.approx(expected, rel=1e-14)
+    assert lc.adjoint_rank2(e1_cache, np.array([1.0, 0.0])).objective() == pytest.approx(expected, rel=1e-14)
 
 
 def test_g_equals_nuclear_norm():
@@ -165,7 +165,7 @@ def test_g_equals_nuclear_norm():
         for _ in range(20):
             d = rng.standard_normal(cache.problem.m)
             d /= np.linalg.norm(d)
-            g = g_objective(cache, d)
+            g = lc.adjoint_rank2(cache, d).objective()
             nn = lc.nuclear_norm(lc.adjoint_rank2(cache, d).matrix())
             assert g == pytest.approx(nn, rel=1e-10)
 
@@ -176,9 +176,10 @@ def test_g_does_not_cancel_near_a_zero_objective(e1_cache, t):
     # g = t / ||d||, while a + b is about sqrt(2)
     d = np.array([-1.0 + t, 1.0])
     d /= np.linalg.norm(d)
-    nn = lc.nuclear_norm(lc.adjoint_rank2(e1_cache, d).matrix())
-    _, U = sandwich_bounds(e1_cache, d)
-    assert abs(g_objective(e1_cache, d) - nn) <= 4.0 * np.finfo(float).eps * U
+    adj = lc.adjoint_rank2(e1_cache, d)
+    nn = lc.nuclear_norm(adj.matrix())
+    _, U = adj.bounds()
+    assert abs(adj.objective() - nn) <= 4.0 * np.finfo(float).eps * U
 
 
 @pytest.mark.parametrize(
@@ -190,7 +191,7 @@ def test_g_does_not_cancel_near_a_zero_objective(e1_cache, t):
     ],
 )
 def test_sandwich_e1_values(e1_cache, direction, expected):
-    L, U = sandwich_bounds(e1_cache, np.array(direction))
+    L, U = lc.adjoint_rank2(e1_cache, np.array(direction)).bounds()
     assert L == pytest.approx(expected[0], rel=1e-14)
     assert U == pytest.approx(expected[1], rel=1e-14)
 
@@ -201,10 +202,11 @@ def test_sandwich_pointwise_on_canonical_directions():
         for _ in range(20):
             d = rng.standard_normal(cache.problem.m)
             d /= np.linalg.norm(d)
-            dc = canonicalize_direction(cache, d)
+            dc = canonicalize_direction(cache, d, lc.adjoint_rank2(cache, d))
             assert np.linalg.norm(dc) == pytest.approx(1.0, abs=1e-12)
-            g = g_objective(cache, dc)
-            L, U = sandwich_bounds(cache, dc)
+            canonical = lc.adjoint_rank2(cache, dc)
+            g = canonical.objective()
+            L, U = canonical.bounds()
             assert L - 1e-10 <= g <= U + 1e-10
             if L > 0.0:
                 assert U <= SQRT2 * L * (1.0 + 1e-12)
@@ -215,9 +217,10 @@ def test_canonicalize_preserves_bounds():
     for cache, _ in solved_ensemble(5, 71):
         d = rng.standard_normal(cache.problem.m)
         d /= np.linalg.norm(d)
-        dc = canonicalize_direction(cache, d)
-        assert sandwich_bounds(cache, d) == pytest.approx(sandwich_bounds(cache, dc))
-        assert g_objective(cache, dc) >= g_objective(cache, d) - 1e-12
+        adj = lc.adjoint_rank2(cache, d)
+        canonical = lc.adjoint_rank2(cache, canonicalize_direction(cache, d, adj))
+        assert adj.bounds() == pytest.approx(canonical.bounds())
+        assert canonical.objective() >= adj.objective() - 1e-12
 
 
 # --- worst-case direction (exact maximizer) -----------------------------------------------------------
@@ -225,7 +228,7 @@ def test_canonicalize_preserves_bounds():
 
 def test_worst_case_e1(e1_cache):
     d = lc.worst_case_direction(e1_cache)
-    _, U = sandwich_bounds(e1_cache, d)
+    _, U = lc.adjoint_rank2(e1_cache, d).bounds()
     assert U == pytest.approx(SQRT2, rel=1e-12)
     assert exact_value(e1_cache) == pytest.approx(SQRT2, rel=1e-12)  # upper bound attained here
     assert abs(np.abs(d) @ np.ones(2) - SQRT2) < 1e-12  # components +-1/sqrt(2)
@@ -240,7 +243,7 @@ def test_worst_case_parametric(gvl_cache):
     assert upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
     exact = exact_value(gvl_cache)
     assert exact == pytest.approx(math.sqrt(5.0), rel=1e-14)
-    assert g_objective(gvl_cache, d) == pytest.approx(exact, rel=1e-12)
+    assert lc.adjoint_rank2(gvl_cache, d).objective() == pytest.approx(exact, rel=1e-12)
 
 
 def test_worst_case_rejects_zero_residual():
@@ -260,7 +263,7 @@ def test_worst_case_rejects_zero_solution():
 def test_worst_case_orthonormal_columns():
     spec = EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
     cache = lc.solve_least_squares(random_problem(spec))
-    _, U = sandwich_bounds(cache, lc.worst_case_direction(cache))
+    _, U = lc.adjoint_rank2(cache, lc.worst_case_direction(cache)).bounds()
     assert U == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
 
 
@@ -295,7 +298,7 @@ def test_empirical_deterministic(gvl_cache):
 def test_empirical_candidate_invariants(gvl_cache):
     d = lc.worst_case_direction(gvl_cache)
     assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
-    L, U = sandwich_bounds(gvl_cache, d)
+    L, U = lc.adjoint_rank2(gvl_cache, d).bounds()
     assert L - 1e-10 <= exact_value(gvl_cache) <= U + 1e-10
 
 
@@ -412,7 +415,7 @@ def test_attaining_unit_norm_random_directions():
         dA = lc.attaining_perturbation(cache, d)
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         dr = lc.apply_residual_jacobian(cache, dA)
-        g = g_objective(cache, d)
+        g = lc.adjoint_rank2(cache, d).objective()
         assert dr @ d == pytest.approx(g, rel=1e-11)
         assert np.linalg.norm(dr) >= g * (1.0 - 1e-12)
 
@@ -441,7 +444,7 @@ def test_attaining_matches_dense_svd_reference():
             ref, sh = dense_svd_perturbation(cache, d)
             attained = lc.apply_residual_jacobian(cache, dA) @ d
             reference = lc.apply_residual_jacobian(cache, ref) @ d
-            assert abs(attained - reference) <= 1e-12 * g_objective(cache, d)
+            assert abs(attained - reference) <= 1e-12 * lc.adjoint_rank2(cache, d).objective()
             if sh.size == 2:
                 assert np.linalg.norm(dA - ref, 2) <= 1e-13 * sh[0] / sh[1]
 
@@ -459,7 +462,7 @@ def test_attaining_on_a_tall_problem():
 def test_attaining_degenerate_direction(e1_cache):
     # u1 v1^t and u2 v2^t cancel exactly along (-1, 1)/sqrt(2)
     d = np.array([-1.0, 1.0]) / SQRT2
-    assert g_objective(e1_cache, d) == pytest.approx(0.0, abs=1e-14)
+    assert lc.adjoint_rank2(e1_cache, d).objective() == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(lc.DegenerateDirection):
         lc.attaining_perturbation(e1_cache, d)
 
@@ -555,9 +558,9 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     adj = lc.adjoint_rank2(cache, D)
     stack = adj.matrix()
     Qu, C, Qv = adj.core()
-    g = g_objective(cache, D)
-    L, U = sandwich_bounds(cache, D)
-    canon = canonicalize_direction(cache, D)
+    g = adj.objective()
+    L, U = adj.bounds()
+    canon = canonicalize_direction(cache, D, adj)
     nuclear = lc.nuclear_norm(stack)
     dr = lc.apply_residual_jacobian(cache, dA)
     assert stack.shape == (k, m, n) and nuclear.shape == g.shape == L.shape == U.shape == (k,)
@@ -570,8 +573,8 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
         for block, single, scale in zip(blocks, singles, (1.0, 1.0 / smin, np.linalg.norm(w) / smin)):
             _close(block[:, j], single, scale)
         one = lc.adjoint_rank2(cache, d)
-        L1, U1 = sandwich_bounds(cache, d)
-        g1 = g_objective(cache, d)
+        L1, U1 = one.bounds()
+        g1 = one.objective()
         assert all(isinstance(v, float) for v in (g1, L1, U1, lc.nuclear_norm(one.matrix())))
         _close(adj.u1[:, j], one.u1, 1.0)
         _close(adj.v2[:, j], one.v2, 1.0 / smin)
@@ -584,14 +587,14 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
         for Q in (Qu[j], Qv[j]):
             _close(Q.T @ Q, np.eye(Q.shape[1]), 1.0)
         _close(np.linalg.svd(C[j], compute_uv=False), np.linalg.svd(one.core()[1], compute_uv=False), top)
-        _close(canon[:, j], canonicalize_direction(cache, d), 1.0)
+        _close(canon[:, j], canonicalize_direction(cache, d, one), 1.0)
         dr1 = lc.apply_residual_jacobian(cache, dA[j])
         _close(dr[:, j], dr1, np.linalg.norm(dA[j], 2) * top)
 
 
 def test_block_rejects_wrong_shapes(gvl_cache):
     with pytest.raises(lc.DimensionMismatch):
-        g_objective(gvl_cache, np.ones((4, 2)))
+        lc.adjoint_rank2(gvl_cache, np.ones((4, 2)))
     with pytest.raises(lc.DimensionMismatch):
         lc.apply_residual_jacobian(gvl_cache, np.ones((2, 4, 2)))
     with pytest.raises(lc.DimensionMismatch):

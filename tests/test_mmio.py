@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,16 @@ def test_read_vector_rejects_multicolumn_text(tmp_path):
     path.write_text("1.0 2.0\n3.0 4.0\n")
     with pytest.raises(ValueError):
         mmio.read_vector(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# no values\n"], ids=["empty", "blank", "comment"])
+def test_read_vector_rejects_a_text_file_without_values(tmp_path, text):
+    path = tmp_path / "b.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"b\.txt: no values"):
+            mmio.read_vector(path)
 
 
 # --- the NumPy reader and writer against scipy.io ------------------------------------

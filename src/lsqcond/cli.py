@@ -5,7 +5,8 @@ sweeps, and the Lanczos demo.
 Every command is deterministic. The condition number with respect to the
 matrix is computed in closed form (the chi_A field of
 conditioning.ConditionEstimates), so a seed only ever chooses generated
-problems.
+problems. `analyze` reports it under every scale preset, and repeats the
+relative one in its "empirical" block.
 
 Loading this module loads only what `analyze` and `compare` use. The
 commands `generate`, `sweep` and `lanczos` import the generators module,
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mmio
-from .conditioning import SCALE_PRESETS, ScaleFactors, residual_condition_bounds
+from .conditioning import ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
 from .errors import LsqCondError, ParamOutOfRange
 from .prior_bounds import compare_table
@@ -47,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full condition report for a problem, as JSON")
     p.add_argument("--matrix", required=True, help="Matrix Market file for A")
     p.add_argument("--rhs", required=True, help="vector file for b (Matrix Market or text)")
-    p.add_argument("--scales", default="relative", choices=SCALE_PRESETS)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-reproducibility)")
     p.set_defaults(func=_cmd_analyze)
@@ -157,7 +157,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cache = solve_least_squares(_load_problem(args.matrix, args.rhs))
     solve_s = time.perf_counter() - t0
-    rep = build_report(cache, args.scales, matrix_file=args.matrix, rhs_file=args.rhs)
+    rep = build_report(cache, matrix_file=args.matrix, rhs_file=args.rhs)
     if args.timings:
         rep["timings"] = {"solve_s": solve_s, "total_s": time.perf_counter() - t0}
     _write_text(args.out, dump_json(rep))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LsCache, geometry
+from .core import LsCache, geometry, vector_norm
 from .errors import InvalidGeometry, ZeroSolution
 
 SQRT2 = math.sqrt(2.0)
@@ -203,7 +203,7 @@ def worst_case_direction(cache: LsCache) -> np.ndarray:
         xv = float(vmin @ cache.x)
         c = xv / a
         # rejection-based sine, accurate when x is nearly parallel to v_min
-        s = float(np.linalg.norm(cache.x - xv * vmin)) / a
+        s = vector_norm(cache.x - xv * vmin, "x - (v_min^t x) v_min") / a
         u = c * rhat + s * _complement_direction(cache, rhat)
         return (a * u + b * cache.U[:, -1]) / math.hypot(a, b)
     Wt = cache.bordered_svd[2]

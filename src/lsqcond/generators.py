@@ -29,7 +29,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash, since generated ones would compare arrays
+@dataclass(frozen=True, eq=False)
 class GvlExpected:
     """Closed-form reference values for the parametric example."""
 
@@ -42,7 +43,8 @@ class GvlExpected:
     dr_rel_first_order: float  # predicted ||dr|| / ||r|| for the bundled dA
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash, since generated ones would compare arrays
+@dataclass(frozen=True, eq=False)
 class GvlExample:
     """The 3x2 parametric problem with its perturbation and analytic record.
 

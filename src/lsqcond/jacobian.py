@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LsCache, nuclear_norm, vector_norm
+from .core import LsCache, column_norms, nuclear_norm, vector_norm
 from .errors import DegenerateDirection, DimensionMismatch
 
 
@@ -55,7 +55,8 @@ def _value(v) -> float | np.ndarray:
     return float(v) if np.ndim(v) == 0 else v
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash, since generated ones would compare arrays
+@dataclass(frozen=True, eq=False)
 class Rank2Adjoint:
     """Rank-2 representation of the transposed residual Jacobian applied to
     a direction: the adjoint image is -vec(u1 v1^t + u2 v2^t). core() is
@@ -100,8 +101,8 @@ class Rank2Adjoint:
         lower inequality requires the direction to be sign-canonical (see
         canonicalize_direction).
         """
-        a = np.linalg.norm(self.u1, axis=0) * vector_norm(self.v1, "x")
-        b = vector_norm(self.u2, "r") * np.linalg.norm(self.v2, axis=0)
+        a = column_norms(self.u1, "u1") * vector_norm(self.v1, "x")
+        b = vector_norm(self.u2, "r") * column_norms(self.v2, "v2")
         return _value(np.hypot(a, b)), _value(a + b)
 
     def flips(self) -> bool | np.ndarray:

@@ -39,29 +39,27 @@ def file_sha256(path: str | Path) -> str:
 
 def build_report(
     cache: LsCache,
-    empirical_scales_name: str,
     matrix_file: str | None = None,
     rhs_file: str | None = None,
 ) -> dict[str, Any]:
     """Assemble the full analysis record as a plain nested dict.
 
     The geometry, the estimates and the published-bounds table all come
-    from the solved cache. The "empirical" block holds the exact condition
-    number wrt the matrix under the preset named by empirical_scales_name.
-    Raises InvalidGeometry if it escapes that preset's sandwich, so a report
-    can never assert an inconsistent value. The "geometry" block is the
-    Geometry record whole, in field order. "timings" is None; the caller
-    fills it in when asked to, since it breaks reproducibility.
+    from the solved cache. Each preset's estimates hold its exact value
+    chi_A; InvalidGeometry is raised if any escapes its sandwich, so a
+    report can never assert an inconsistent value. "empirical" repeats the
+    relative preset's. "geometry" is the Geometry record whole, in field
+    order. "timings" is None; the caller fills it in when asked to, since
+    it breaks reproducibility.
     """
     problem = cache.problem
     geom = geometry(cache)
     bounds = {name: residual_condition_bounds(cache, scale_preset(name, cache)) for name in SCALE_PRESETS}
-    emp_bounds = bounds[empirical_scales_name]
-    if not emp_bounds.sandwich_holds():
-        raise InvalidGeometry(
-            f"exact value {emp_bounds.chi_A} outside "
-            f"[{emp_bounds.chi_A_lower}, {emp_bounds.chi_A_upper}]"
-        )
+    for name, est in bounds.items():
+        if not est.sandwich_holds():
+            raise InvalidGeometry(
+                f"exact value {est.chi_A} outside [{est.chi_A_lower}, {est.chi_A_upper}] under the {name} preset"
+            )
 
     proj = projection_condition_bounds(cache, ScaleFactors.relative(cache))
     return {
@@ -83,7 +81,8 @@ def build_report(
             "x": cache.norm_x,
         },
         "estimates": {
-            name: {"chi_A_lower": est.chi_A_lower, "chi_A_upper": est.chi_A_upper, "chi_b": est.chi_b}
+            name: {"chi_A_lower": est.chi_A_lower, "chi_A": est.chi_A,
+                   "chi_A_upper": est.chi_A_upper, "chi_b": est.chi_b}
             for name, est in bounds.items()
         },
         "projection": {
@@ -92,10 +91,10 @@ def build_report(
             "chi_Ax_b": proj.chi_b,
         },
         "empirical": {
-            "scales": empirical_scales_name,
-            "value": emp_bounds.chi_A,
-            "lower": emp_bounds.chi_A_lower,
-            "upper": emp_bounds.chi_A_upper,
+            "scales": "relative",
+            "value": bounds["relative"].chi_A,
+            "lower": bounds["relative"].chi_A_lower,
+            "upper": bounds["relative"].chi_A_upper,
         },
         "prior_bounds": [dataclasses.asdict(row) for row in compare_table(cache)],
         "timings": None,

@@ -146,8 +146,7 @@ def test_criterion_10_byte_identical_reports(tmp_path):
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
             assert cli_main(
-                ["analyze", "--matrix", str(case / "A.mtx"), "--rhs", str(case / "b.txt"),
-                 "--scales", "relative", "--out", str(out)]
+                ["analyze", "--matrix", str(case / "A.mtx"), "--rhs", str(case / "b.txt"), "--out", str(out)]
             ) == 0
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import pytest
 
 from lsqcond import mmio, report, verify
 from lsqcond.cli import main
+from lsqcond.conditioning import ScaleFactors, residual_condition_bounds, scale_preset
+from lsqcond.core import LsProblem, solve_least_squares
 from lsqcond.errors import InvalidGeometry
 from lsqcond.jacobian import Rank2Adjoint
 
@@ -62,7 +65,7 @@ def test_analyze_round_trip(gvl_case, tmp_path):
     report_path = tmp_path / "report.json"
     code = run_cli(
         "analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"),
-        "--scales", "relative", "--out", str(report_path),
+        "--out", str(report_path),
     )
     assert code == 0
     report = json.loads(report_path.read_text())
@@ -207,8 +210,6 @@ def test_verify_fails_on_a_perturbed_objective(monkeypatch, capsys):
 
 @pytest.mark.parametrize("push", ["above", "below"])
 def test_verify_fails_on_a_joint_norm_outside_its_band(monkeypatch, capsys, push):
-    import dataclasses
-
     real = verify.block_norm_cases
 
     def pushed(pairs):
@@ -378,21 +379,29 @@ def test_analyze_timings_leave_the_rest_of_the_report_unchanged(gvl_case, tmp_pa
 
 @pytest.mark.parametrize("preset", ["relative", "b-relative", "absolute"])
 def test_analyze_all_scale_presets(gvl_case, tmp_path, preset):
-    out = tmp_path / f"{preset}.json"
-    assert run_cli(
-        "analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"),
-        "--scales", preset, "--out", str(out),
-    ) == 0
-    report = json.loads(out.read_text())
-    emp = report["empirical"]
-    assert emp["scales"] == preset
-    assert emp["lower"] <= emp["value"] <= emp["upper"] * (1.0 + 1e-8)
+    # one report carries every preset's exact value, bitwise the library's
+    out = tmp_path / "report.json"
+    matrix, rhs = gvl_case / "A.mtx", gvl_case / "b.txt"
+    assert run_cli("analyze", "--matrix", str(matrix), "--rhs", str(rhs), "--out", str(out)) == 0
+    est = json.loads(out.read_text())["estimates"][preset]
+    assert est["chi_A_lower"] <= est["chi_A"] <= est["chi_A_upper"] * (1.0 + 1e-8)
+    cache = solve_least_squares(LsProblem(mmio.read_matrix(matrix), mmio.read_vector(rhs)))
+    assert est["chi_A"] == residual_condition_bounds(cache, scale_preset(preset, cache)).chi_A
+
+
+def test_analyze_rejects_the_scales_option(gvl_case, capsys):
+    # every preset is in the one report, so there is nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"),
+                "--scales", "relative")
+    assert exc.value.code == 2
+    assert "--scales" in capsys.readouterr().err
 
 
 def _scale_invariant_fields(report):
     """Every report number that scaling A or b leaves unchanged: all but
-    the norms, sigma_min, the absolute estimates and the unscaled
-    published values."""
+    the norms, sigma_min, the absolute estimates (their chi_A included)
+    and the unscaled published values."""
     fields = {f"geometry.{k}": v for k, v in report["geometry"].items() if k != "sigma_min"}
     for preset in ("relative", "b-relative"):
         fields.update({f"{preset}.{k}": v for k, v in report["estimates"][preset].items()})
@@ -485,8 +494,6 @@ def test_broken_geometry_exits_3(gvl_case, monkeypatch, capsys):
 
 def test_sandwich_escape_exits_3(gvl_case, monkeypatch, capsys):
     # the report's own consistency check is a named error, not a traceback
-    import dataclasses
-
     real = report.residual_condition_bounds
 
     def escaped(cache, scales):
@@ -497,6 +504,23 @@ def test_sandwich_escape_exits_3(gvl_case, monkeypatch, capsys):
     code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
     assert code == 3
     assert capsys.readouterr().err.startswith("InvalidGeometry: exact value ")
+
+
+def test_sandwich_escape_under_one_preset_exits_3(gvl_case, monkeypatch, capsys):
+    # the check covers every preset in the report, not only the relative one
+    real = report.residual_condition_bounds
+
+    def escaped(cache, scales):
+        est = real(cache, scales)
+        if scales != ScaleFactors.absolute():
+            return est
+        return dataclasses.replace(est, chi_A=1.01 * est.chi_A_upper)
+
+    monkeypatch.setattr(report, "residual_condition_bounds", escaped)
+    code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidGeometry: exact value ") and "absolute" in err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     vec_index,
 )
 from lsqcond.conditioning import exact_value
+from lsqcond.core import vector_norm
 from lsqcond.jacobian import canonicalize_direction
 
 SQRT2 = math.sqrt(2.0)
@@ -457,6 +459,25 @@ def test_attaining_on_a_tall_problem():
     assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
     dr = lc.apply_residual_jacobian(cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [6, 4], ids=["m=n+3", "m=n+1"])
+@pytest.mark.parametrize(
+    "k, j", [(0, 0), (-532, 0), (-532, -532), (532, 532), (0, 532), (532, 0), (0, -532), (-1000, -1000)]
+)
+def test_certificate_across_the_double_range(m, k, j):
+    # for (2^k A, 2^j b), ||x|| is about 2^(j - k) and a unit direction's
+    # ||v2|| about 2^-k: at 2^532 and beyond their sums of squares overflow
+    rng = np.random.default_rng(7)
+    A, b = rng.standard_normal((m, 3)), rng.standard_normal(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cache = lc.solve_least_squares(lc.LsProblem(np.ldexp(A, k), np.ldexp(b, j)))
+        d = lc.worst_case_direction(cache)
+        assert np.isfinite(d).all()
+        dA = lc.attaining_perturbation(cache, d)
+        dr = lc.apply_residual_jacobian(cache, dA)
+        assert vector_norm(dr, "dr") == pytest.approx(exact_value(cache), rel=1e-10)
 
 
 def test_attaining_degenerate_direction(e1_cache):

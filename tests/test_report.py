@@ -43,13 +43,20 @@ def test_write_csv_quotes_commas():
 
 
 def test_build_report_structure(e1_cache):
-    rep = build_report(e1_cache, "relative")
+    rep = build_report(e1_cache)
     assert rep["schema"] == "lsq-cond/2"
     assert rep["problem"]["m"] == 2 and rep["problem"]["n"] == 1
-    assert set(rep["estimates"]) == {"relative", "b-relative", "absolute"}
+    assert list(rep["estimates"]) == ["relative", "b-relative", "absolute"]
+    for est in rep["estimates"].values():
+        assert list(est) == ["chi_A_lower", "chi_A", "chi_A_upper", "chi_b"]
+        assert est["chi_A_lower"] <= est["chi_A"] <= est["chi_A_upper"] * (1.0 + 1e-8)
     emp_block = rep["empirical"]
     assert list(emp_block) == ["scales", "value", "lower", "upper"]
-    assert emp_block["lower"] <= emp_block["value"] <= emp_block["upper"] * (1.0 + 1e-8)
+    relative = rep["estimates"]["relative"]
+    assert emp_block == {
+        "scales": "relative", "value": relative["chi_A"], "lower": relative["chi_A_lower"],
+        "upper": relative["chi_A_upper"],
+    }
     assert rep["timings"] is None
     assert len(rep["prior_bounds"]) == 3
     # full report serializes deterministically
@@ -65,4 +72,4 @@ def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
 
         monkeypatch.setattr(report, "residual_condition_bounds", escaped)
         with pytest.raises(InvalidGeometry):
-            build_report(e1_cache, "relative")
+            build_report(e1_cache)

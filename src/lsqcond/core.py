@@ -158,31 +158,6 @@ def vector_norm(v: np.ndarray, name: str) -> float:
         raise _too_large(name) from None
 
 
-def column_norms(V: np.ndarray, name: str) -> np.ndarray:
-    """2-norms of the columns of an (m, k) block V, or of V itself when it
-    is a vector, that neither overflow nor underflow when the norms
-    themselves are representable.
-
-    A column whose plain sum of squares is a finite normal number gets
-    bitwise what np.linalg.norm(V, axis=0) gives. Any other column is
-    scaled as vector_norm scales a vector: by 2^-e, where e is the binary
-    exponent of its largest entry. Raises InvalidGeometry when a norm
-    exceeds the largest double.
-    """
-    with np.errstate(over="ignore"):
-        squares = np.add.reduce(V * V, axis=0)
-    normal = (squares >= sys.float_info.min) & (squares < math.inf)
-    if normal.all():
-        return np.sqrt(squares)
-    e = np.frexp(np.max(np.abs(V), axis=0))[1]
-    scaled = np.ldexp(V, -e)
-    with np.errstate(over="ignore"):
-        scaled_norms = np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=0)), e)
-    if not np.isfinite(scaled_norms).all():
-        raise _too_large(name)
-    return np.where(normal, np.sqrt(squares), scaled_norms)
-
-
 def _too_large(name: str) -> InvalidGeometry:
     return InvalidGeometry(f"||{name}|| exceeds the largest double {sys.float_info.max:.3e}")
 

@@ -64,8 +64,8 @@ def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> 
     """Construct the parametric example and its analytic expected record.
 
     Requires 0 < alpha < 1, beta > 0, phi in [0, pi/2], and epsilon = 0 or
-    epsilon < 1e-2 * min(alpha, beta) so the perturbation stays well inside
-    the first-order regime.
+    0 < epsilon < 1e-2 * min(alpha, beta) so the perturbation stays well
+    inside the first-order regime; a NaN is rejected with the rest.
     """
     if not 0.0 < alpha < 1.0:
         raise ParamOutOfRange(f"alpha must be in (0, 1), got {alpha}")
@@ -73,7 +73,7 @@ def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> 
         raise ParamOutOfRange(f"beta must be positive, got {beta}")
     if not 0.0 <= phi <= math.pi / 2.0:
         raise ParamOutOfRange(f"phi must be in [0, pi/2], got {phi}")
-    if epsilon < 0.0 or (epsilon > 0.0 and epsilon >= 1e-2 * min(alpha, beta)):
+    if not (epsilon == 0.0 or 0.0 < epsilon < 1e-2 * min(alpha, beta)):
         raise ParamOutOfRange(f"epsilon = {epsilon} not in [0, 1e-2 * min(alpha, beta))")
 
     A = np.array([[1.0, 0.0], [0.0, alpha], [0.0, 0.0]])

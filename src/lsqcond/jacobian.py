@@ -15,8 +15,8 @@ conditioning module holds that maximum in closed form and the direction
 attaining it (worst_case_direction). Rank2Adjoint.core factors the rank-2
 matrix as Qu C Qv^t with a 2x2 core C: g is the nuclear norm of C, and
 attaining_perturbation builds a unit-norm matrix perturbation from the
-SVD of C. The adjoint also gives g's two-sided bounds and the sign test
-of canonicalize_direction.
+SVD of C. The R factors of the same QR pair give g's two-sided bounds and
+the sign test of canonicalize_direction.
 
 apply_residual_jacobian evaluates dr for one perturbation or a (k, m, n)
 stack of them. The adjoint takes one direction of length m, its methods
@@ -26,10 +26,11 @@ then giving floats, or an (m, k) block of directions, one value per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import LsCache, column_norms, nuclear_norm, vector_norm
+from .core import LsCache, nuclear_norm
 from .errors import DegenerateDirection, DimensionMismatch
 
 
@@ -60,7 +61,8 @@ def _value(v) -> float | np.ndarray:
 class Rank2Adjoint:
     """Rank-2 representation of the transposed residual Jacobian applied to
     a direction: the adjoint image is -vec(u1 v1^t + u2 v2^t). core() is
-    its one factorization; matrix() forms it densely."""
+    its one factorization, and bounds() and flips() read its R factors;
+    matrix() forms it densely."""
 
     u1: np.ndarray
     v1: np.ndarray
@@ -71,18 +73,24 @@ class Rank2Adjoint:
         """u1 v1^t + u2 v2^t; a (k, m, n) stack for a block of directions."""
         return self.u1.T[..., :, None] * self.v1 + self.u2[:, None] * self.v2.T[..., None, :]
 
-    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Qu, C, Qv) with u1 v1^t + u2 v2^t = Qu C Qv^t, from the QR
-        factorizations Qu Ru of [u1 u2] and Qv Rv of [v1 v2]: C = Ru Rv^t
-        is 2x2, or 2x1 when n = 1. A block of k directions gives stacks.
-        """
+    @cached_property
+    def _qr(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """(Qu, Ru) and (Qv, Rv), the QR factorizations of [u1 u2] and [v1 v2];
+        stacks for a block. LAPACK scales the column norms it takes, so R
+        is finite wherever the columns' norms are."""
         batch = self.u1.shape[1:]
         Su = np.empty(batch + (self.u1.shape[0], 2))
         Su[..., 0], Su[..., 1] = self.u1.T, self.u2
         Sv = np.empty(batch + (self.v2.shape[0], 2))
         Sv[..., 0], Sv[..., 1] = self.v1, self.v2.T
-        Qu, Ru = np.linalg.qr(Su)
-        Qv, Rv = np.linalg.qr(Sv)
+        return np.linalg.qr(Su), np.linalg.qr(Sv)
+
+    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Qu, C, Qv) with u1 v1^t + u2 v2^t = Qu C Qv^t, from the QR
+        factorizations Qu Ru of [u1 u2] and Qv Rv of [v1 v2]: C = Ru Rv^t
+        is 2x2, or 2x1 when n = 1. A block of k directions gives stacks.
+        """
+        (Qu, Ru), (Qv, Rv) = self._qr
         return Qu, Ru @ np.swapaxes(Rv, -1, -2), Qv
 
     def objective(self) -> float | np.ndarray:
@@ -99,17 +107,26 @@ class Rank2Adjoint:
         L = sqrt(a^2 + b^2) <= g <= a + b = U, with a = ||u1|| ||x||,
         b = ||r|| ||v2|| and U <= sqrt(2) L whenever both are nonzero. The
         lower inequality requires the direction to be sign-canonical (see
-        canonicalize_direction).
+        canonicalize_direction). The columns of R have the norms of the
+        columns it factors: a = |Ru[0,0] Rv[0,0]|, and b the product of
+        the norms of the second columns, taken with hypot (Rv has one row
+        when n = 1).
         """
-        a = column_norms(self.u1, "u1") * vector_norm(self.v1, "x")
-        b = vector_norm(self.u2, "r") * column_norms(self.v2, "v2")
+        (_, Ru), (_, Rv) = self._qr
+        a = np.abs(Ru[..., 0, 0] * Rv[..., 0, 0])
+        norm_r, norm_v2 = (np.hypot.reduce(R[..., 1], axis=-1, initial=0.0) for R in (Ru, Rv))
+        b = norm_r * norm_v2
         return _value(np.hypot(a, b)), _value(a + b)
 
     def flips(self) -> bool | np.ndarray:
         """Whether flipping the direction's component along r raises the
         objective: cos(theta_u) cos(theta_v) < 0, with theta_u the angle
-        between u1 and r and theta_v the one between v2 and x."""
-        return (self.u1.T @ self.u2) * (self.v2.T @ self.v1) < 0.0
+        between u1 and r and theta_v the one between v2 and x. The first
+        rows of R hold u1^t r = Ru[0,0] Ru[0,1] and x^t v2 = Rv[0,0] Rv[0,1],
+        so only the signs of those four entries are compared and no product
+        that could overflow is formed."""
+        (_, Ru), (_, Rv) = self._qr
+        return np.prod(np.sign(Ru[..., 0, :]) * np.sign(Rv[..., 0, :]), axis=-1) < 0.0
 
 
 def adjoint_rank2(cache: LsCache, delta_r: np.ndarray) -> Rank2Adjoint:

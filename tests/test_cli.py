@@ -554,6 +554,15 @@ def test_bad_generator_parameter_exits_2(tmp_path, capsys):
     assert "ParamOutOfRange" in capsys.readouterr().err
 
 
+def test_nan_epsilon_exits_2_before_writing(tmp_path, capsys):
+    # every comparison with a NaN is false, so a range check must not let one through
+    code = run_cli("generate", "gvl", "--alpha", "0.5", "--beta", "2", "--phi", "0",
+                   "--eps", "nan", "--out-dir", str(tmp_path / "x"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ParamOutOfRange:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "case"
     result = subprocess.run(

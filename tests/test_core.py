@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lsqcond as lc
 from lsqcond.generators import gvl_example
-from lsqcond.core import column_norms, vector_norm
+from lsqcond.core import vector_norm
 from conftest import normal_equations_solve, reconstruct, solved_ensemble, vec_index, vec_unflatten
 
 
@@ -58,22 +58,6 @@ def test_norms_scale_exactly_by_powers_of_two():
     # the scaling follows the largest magnitude, not the largest value
     assert vector_norm(np.array([-(2.0**600), 1.0]), "v") == 2.0**600
     assert vector_norm(np.array([0.0, 0.0]), "v") == 0.0
-
-
-def test_column_norms_scale_each_column_alone():
-    # in range, bitwise np.linalg.norm(axis=0); out of range, each column
-    # is scaled by its own power of two
-    rng = np.random.default_rng(62)
-    V = rng.standard_normal((7, 4))
-    V[:, 3] = 0.0
-    plain = np.linalg.norm(V, axis=0)
-    assert np.array_equal(column_norms(V, "V"), plain)
-    factors = np.array([1.0, 2.0**600, 2.0**-600, 1.0])
-    assert np.array_equal(column_norms(V * factors, "V"), plain * factors)
-    assert column_norms(V[:, 0], "v") == plain[0]
-    assert column_norms(2.0**600 * V[:, 0], "v") == 2.0**600 * plain[0]
-    with pytest.raises(lc.InvalidGeometry, match=r"\|\|V\|\|"):
-        column_norms(np.full((3, 2), 1.5e308), "V")
 
 
 def test_array_dataclasses_compare_and_hash_by_identity():

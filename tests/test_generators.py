@@ -70,6 +70,9 @@ def test_gvl_expected_matches_computed(alpha, beta, phi):
         {"alpha": 0.5, "beta": -1.0, "phi": 0.0},
         {"alpha": 0.5, "beta": 1.0, "phi": 2.0},
         {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": 0.1},
+        {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": -1e-6},
+        {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": math.nan},
+        {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": math.inf},
     ],
 )
 def test_gvl_rejects_bad_parameters(kwargs):

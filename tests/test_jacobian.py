@@ -478,6 +478,13 @@ def test_certificate_across_the_double_range(m, k, j):
         dA = lc.attaining_perturbation(cache, d)
         dr = lc.apply_residual_jacobian(cache, dA)
         assert vector_norm(dr, "dr") == pytest.approx(exact_value(cache), rel=1e-10)
+        # the sign test and the sandwich on a block, where (u1^t r) (x^t v2) can overflow
+        D = rng.standard_normal((m, 5))
+        D /= np.linalg.norm(D, axis=0)
+        canonical = lc.adjoint_rank2(cache, canonicalize_direction(cache, D, lc.adjoint_rank2(cache, D)))
+        g = canonical.objective()
+        L, U = canonical.bounds()
+        assert np.all((L * (1.0 - 1e-12) <= g) & (g <= U * (1.0 + 1e-12)))
 
 
 def test_attaining_degenerate_direction(e1_cache):

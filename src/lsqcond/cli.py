@@ -140,17 +140,17 @@ def _parse_values(text: str) -> list[float]:
 def _write_case(out_dir: str, problem: LsProblem, delta_A: np.ndarray | None, kind: str, **blocks) -> None:
     """A generated case: A.mtx, b.txt, dA.mtx when delta_A is given, and
     expected.json holding the schema, the kind, the given blocks in order,
-    and the files written."""
+    and the files written. The record is serialized first, so a value it
+    cannot hold fails before anything is written."""
+    files = {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None if delta_A is None else "dA.mtx"}
+    text = dump_json({"schema": "lsq-cond/expected/1", "kind": kind, **blocks, "files": files})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mmio.write_matrix(out / "A.mtx", problem.A)
     mmio.write_vector(out / "b.txt", problem.b)
-    files = {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None}
     if delta_A is not None:
         mmio.write_matrix(out / "dA.mtx", delta_A)
-        files["delta_matrix"] = "dA.mtx"
-    record = {"schema": "lsq-cond/expected/1", "kind": kind, **blocks, "files": files}
-    (out / "expected.json").write_text(dump_json(record), encoding="ascii")
+    (out / "expected.json").write_text(text, encoding="ascii")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

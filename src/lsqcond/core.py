@@ -270,8 +270,8 @@ def nuclear_norm(M: np.ndarray) -> float | np.ndarray:
 def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:
     """Spectral norm of P_A - P_B, the orthogonal projectors onto the column spaces.
 
-    Always in [0, 1]; equals the sine of the largest principal angle when
-    the subspaces have equal dimension. Raises NonFullRank for either input.
+    The sine of the largest principal angle, ||Q_B - Q_A (Q_A^t Q_B)||_2 over thin
+    bases, in [0, 1] and never from sqrt(1 - cos^2). Raises NonFullRank for either.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -283,5 +283,4 @@ def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:
         raise ValueError("matrix entries must be finite")
     Qa = _thin_svd(A)[0]
     Qb = _thin_svd(B)[0]
-    diff = Qa @ Qa.T - Qb @ Qb.T
-    return min(float(np.linalg.norm(diff, 2)), 1.0)
+    return min(float(np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2)), 1.0)

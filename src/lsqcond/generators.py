@@ -14,7 +14,7 @@ number, so it imports only core and errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -63,14 +63,15 @@ class GvlExample:
 def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> GvlExample:
     """Construct the parametric example and its analytic expected record.
 
-    Requires 0 < alpha < 1, beta > 0, phi in [0, pi/2], and epsilon = 0 or
-    0 < epsilon < 1e-2 * min(alpha, beta) so the perturbation stays well
-    inside the first-order regime; a NaN is rejected with the rest.
+    Requires 0 < alpha < 1, 0 < beta < inf, phi in [0, pi/2], and
+    epsilon = 0 or 0 < epsilon < 1e-2 * min(alpha, beta) so the
+    perturbation stays well inside the first-order regime; a NaN is
+    rejected with the rest, and so are parameters whose record overflows.
     """
     if not 0.0 < alpha < 1.0:
         raise ParamOutOfRange(f"alpha must be in (0, 1), got {alpha}")
-    if not beta > 0.0:
-        raise ParamOutOfRange(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ParamOutOfRange(f"beta must be positive and finite, got {beta}")
     if not 0.0 <= phi <= math.pi / 2.0:
         raise ParamOutOfRange(f"phi must be in [0, pi/2], got {phi}")
     if not (epsilon == 0.0 or 0.0 < epsilon < 1e-2 * min(alpha, beta)):
@@ -87,12 +88,14 @@ def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> 
         kappa=1.0 / alpha,
         vds=1.0 / math.hypot(alpha * cos_phi, sin_phi),
         cot_theta=beta,
-        chi_A_upper=(1.0 / alpha)
-        * math.sqrt(1.0 + (alpha * beta * cos_phi) ** 2 + (beta * sin_phi) ** 2),
+        chi_A_upper=(1.0 / alpha) * math.hypot(1.0, alpha * beta * cos_phi, beta * sin_phi),
         dr_rel_first_order=(1.0 / alpha)
-        * math.sqrt(1.0 + alpha**2 + (alpha * beta * cos_phi + beta * sin_phi) ** 2)
+        * math.hypot(1.0, alpha, alpha * beta * cos_phi + beta * sin_phi)
         * epsilon,
     )
+    # float arithmetic overflows quietly to inf (and inf * 0 to nan); hypot never raises
+    if not np.isfinite(np.hstack(astuple(expected))).all():
+        raise ParamOutOfRange(f"analytic record overflows at alpha={alpha}, beta={beta}, phi={phi}")
     return GvlExample(LsProblem(A, b), dA, expected)
 
 

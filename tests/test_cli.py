@@ -554,13 +554,27 @@ def test_bad_generator_parameter_exits_2(tmp_path, capsys):
     assert "ParamOutOfRange" in capsys.readouterr().err
 
 
-def test_nan_epsilon_exits_2_before_writing(tmp_path, capsys):
+GVL_OUT_OF_RANGE = {
     # every comparison with a NaN is false, so a range check must not let one through
-    code = run_cli("generate", "gvl", "--alpha", "0.5", "--beta", "2", "--phi", "0",
-                   "--eps", "nan", "--out-dir", str(tmp_path / "x"))
+    "nan-epsilon": ("--alpha", "0.5", "--beta", "2", "--phi", "0", "--eps", "nan"),
+    "inf-beta": ("--alpha", "0.5", "--beta", "inf", "--phi", "0"),
+    "record-overflow": ("--alpha", "1e-300", "--beta", "1e300", "--phi", "0.5"),  # chi_A_upper ~ beta / alpha
+    "inf-kappa": ("--alpha", "1e-320", "--beta", "1", "--phi", "0"),  # kappa = 1/alpha
+}
+
+
+@pytest.mark.parametrize("params", list(GVL_OUT_OF_RANGE.values()), ids=list(GVL_OUT_OF_RANGE))
+def test_gvl_out_of_range_exits_2_before_writing(tmp_path, capsys, params):
+    code = run_cli("generate", "gvl", *params, "--out-dir", str(tmp_path / "x"))
     assert code == 2
     assert capsys.readouterr().err.startswith("ParamOutOfRange:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_gvl_record_overflow_exits_2(capsys):
+    code = run_cli("sweep", "gvl", "--param", "beta", "--values", "1e300", "--alpha", "1e-300", "--phi", "0.5")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ParamOutOfRange:")
 
 
 def test_module_entry_point(tmp_path):

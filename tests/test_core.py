@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 import lsqcond as lc
 from lsqcond.generators import gvl_example
 from lsqcond.core import vector_norm
-from conftest import normal_equations_solve, reconstruct, solved_ensemble, vec_index, vec_unflatten
+from conftest import (
+    dense_projector_difference, normal_equations_solve, reconstruct, solved_ensemble, vec_index, vec_unflatten,
+)
 
 
 # --- solve_least_squares ---------------------------------------------------
@@ -285,6 +288,32 @@ def test_projector_difference_bounds_residual_change():
     ra = lc.solve_least_squares(lc.LsProblem(A, b)).r
     rb = lc.solve_least_squares(lc.LsProblem(B, b)).r
     assert np.linalg.norm(ra - rb) <= gap * np.linalg.norm(b) * (1.0 + 1e-10)
+
+
+def test_projector_difference_matches_dense_projectors():
+    # perturbations from 1e-12 (the first-order regime) to 10 (angles near pi/2)
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        m = int(rng.integers(2, 60))
+        n = int(rng.integers(1, min(m, 9)))
+        A = rng.standard_normal((m, n))
+        B = A + 10.0 ** rng.uniform(-12.0, 1.0) * rng.standard_normal((m, n))
+        gap = lc.projector_difference_norm(A, B)
+        assert gap == pytest.approx(dense_projector_difference(A, B), abs=1e-14)
+
+
+def test_projector_difference_forms_no_m_by_m_array():
+    # two m x m float64 projectors alone would take 36 MB at m = 1500
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((1500, 2))
+    B = A + 1e-6 * rng.standard_normal((1500, 2))
+    tracemalloc.start()
+    try:
+        lc.projector_difference_norm(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_projector_difference_rejects_rank_deficient():

@@ -73,6 +73,9 @@ def test_gvl_expected_matches_computed(alpha, beta, phi):
         {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": -1e-6},
         {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": math.nan},
         {"alpha": 0.5, "beta": 1.0, "phi": 0.0, "epsilon": math.inf},
+        {"alpha": 0.5, "beta": math.inf, "phi": 0.0},
+        {"alpha": 1e-300, "beta": 1e300, "phi": 0.5},  # chi_A_upper overflows
+        {"alpha": 1e-320, "beta": 1.0, "phi": 0.0},  # kappa = 1/alpha = inf
     ],
 )
 def test_gvl_rejects_bad_parameters(kwargs):

@@ -12,14 +12,12 @@ if "LSQCOND_THREADS" in os.environ:
         os.environ.setdefault(_var, os.environ["LSQCOND_THREADS"])
 
 from .conditioning import (
-    SCALE_PRESETS,
     ConditionEstimates,
     ScaleFactors,
     error_bound_rhs,
     exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
-    scale_preset,
     worst_case_direction,
 )
 from .core import (

@@ -15,7 +15,8 @@ commands never load either.
 
 Exit codes: 0 success, 1 verification failure (a raising suite is one),
 2 I/O or parameter errors, 3 failed numerical preconditions or
-invariants (the error name goes to stderr).
+invariants. A library error carries its own code as exit_code (2 for
+ParamOutOfRange, 3 for the rest), and its name goes to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import mmio
 from .conditioning import ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
-from .errors import LsqCondError, ParamOutOfRange
+from .errors import LsqCondError
 from .prior_bounds import compare_table
 from .report import build_report, dump_json, write_csv
 
@@ -283,12 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParamOutOfRange as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except LsqCondError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

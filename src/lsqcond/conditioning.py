@@ -12,8 +12,8 @@ direction that attains it; jacobian.attaining_perturbation turns that
 direction into a matrix perturbation.
 
 The condition number with respect to the right-hand side is exactly
-scale_b / scale_r. Scale factors are free; three named presets cover the
-conventions found in the literature.
+scale_b / scale_r. Scale factors are free; ScaleFactors.presets names the
+three conventions found in the literature, in report order.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .core import LsCache, geometry, vector_norm
 from .errors import InvalidGeometry, ZeroSolution
 
 SQRT2 = math.sqrt(2.0)
-
-SCALE_PRESETS = ("relative", "b-relative", "absolute")
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,10 @@ class ScaleFactors:
         """Unscaled norms (the convention of the older perturbation bounds)."""
         return cls(1.0, 1.0, 1.0, 1.0)
 
-
-def scale_preset(name: str, cache: LsCache) -> ScaleFactors:
-    if name == "relative":
-        return ScaleFactors.relative(cache)
-    if name == "b-relative":
-        return ScaleFactors.b_relative(cache)
-    if name == "absolute":
-        return ScaleFactors.absolute()
-    raise ValueError(f"unknown scale preset {name!r}; choose from {SCALE_PRESETS}")
+    @classmethod
+    def presets(cls, cache: LsCache) -> dict[str, "ScaleFactors"]:
+        """The named scale conventions, in report order."""
+        return {"relative": cls.relative(cache), "b-relative": cls.b_relative(cache), "absolute": cls.absolute()}
 
 
 @dataclass(frozen=True)
@@ -81,25 +74,24 @@ class ConditionEstimates:
     """Condition numbers of the residual or of the projection, whichever
     function built them.
 
-    chi_A is the exact condition number with respect to the matrix and
-    chi_A_upper the upper end of the paper's sqrt(2)-wide sandwich around
-    it; the two are equal when m >= n + 2. chi_b is the exact condition
-    number with respect to the right-hand side.
+    chi_A is the exact condition number with respect to the matrix, and
+    chi_A_lower and chi_A_upper the ends of the paper's sqrt(2)-wide
+    sandwich around it; chi_A equals chi_A_upper when m >= n + 2. chi_b is
+    the exact condition number with respect to the right-hand side. The
+    fields are in report order.
     """
 
-    chi_b: float
+    chi_A_lower: float
     chi_A: float
     chi_A_upper: float
+    chi_b: float
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+        # chi_A_lower is derived from chi_A_upper, so it is checked last
+        for name in ("chi_b", "chi_A", "chi_A_upper", "chi_A_lower"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise InvalidGeometry(f"{field.name} = {value} is not a positive finite double")
-
-    @property
-    def chi_A_lower(self) -> float:
-        return self.chi_A_upper / SQRT2
+                raise InvalidGeometry(f"{name} = {value} is not a positive finite double")
 
     def sandwich_holds(self) -> bool:
         """chi_A_lower <= chi_A <= chi_A_upper, the upper end to 1e-8
@@ -126,11 +118,9 @@ def exact_value(cache: LsCache) -> float:
 
 def _estimates(cache: LsCache, scales: ScaleFactors, scale_out: float) -> ConditionEstimates:
     """Scale the unscaled upper and exact values by scale_A / scale_out."""
-    return ConditionEstimates(
-        chi_b=scales.scale_b / scale_out,
-        chi_A=scales.scale_A / scale_out * exact_value(cache),
-        chi_A_upper=scales.scale_A / scale_out * _upper_value(cache),
-    )
+    chi_A = scales.scale_A / scale_out * exact_value(cache)
+    chi_A_upper = scales.scale_A / scale_out * _upper_value(cache)
+    return ConditionEstimates(chi_A_upper / SQRT2, chi_A, chi_A_upper, scales.scale_b / scale_out)
 
 
 def residual_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
@@ -215,9 +205,9 @@ def error_bound_rhs(
 ) -> float:
     """First-order perturbation bound on the scaled output change.
 
-    Returns chi_A_upper * (dA_norm / scale_A) + chi_b * (db_norm / scale_b),
-    excluding the higher-order remainder.
+    Returns chi_A * (dA_norm / scale_A) + chi_b * (db_norm / scale_b) with
+    the exact chi_A, excluding the higher-order remainder.
     """
     if dA_norm < 0.0 or db_norm < 0.0:
         raise ValueError("perturbation norms must be nonnegative")
-    return est.chi_A_upper * (dA_norm / scales.scale_A) + est.chi_b * (db_norm / scales.scale_b)
+    return est.chi_A * (dA_norm / scales.scale_A) + est.chi_b * (db_norm / scales.scale_b)

@@ -1,12 +1,16 @@
 """Exception types raised by the library.
 
 The class names double as diagnostic identifiers: the CLI prints
-``type(exc).__name__`` on stderr before exiting with a nonzero status.
+``type(exc).__name__`` on stderr and exits with the error's exit_code.
 """
 
 
 class LsqCondError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. exit_code is the CLI's exit
+    status: 3, a failed numerical precondition or invariant, unless a
+    subclass says otherwise."""
+
+    exit_code = 3
 
 
 class DimensionMismatch(LsqCondError):
@@ -32,7 +36,10 @@ class ZeroSolution(LsqCondError):
 
 
 class ParamOutOfRange(LsqCondError):
-    """Generator parameter outside its documented domain."""
+    """Generator parameter outside its documented domain: a usage error,
+    exit code 2."""
+
+    exit_code = 2
 
 
 class DegenerateDirection(LsqCondError):

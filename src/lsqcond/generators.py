@@ -83,7 +83,7 @@ def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> 
 
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     expected = GvlExpected(
-        x=np.array([beta * cos_phi, beta / alpha * sin_phi]),
+        x=np.array([beta * cos_phi, beta * sin_phi / alpha]),
         r=np.array([0.0, 0.0, 1.0]),
         kappa=1.0 / alpha,
         vds=1.0 / math.hypot(alpha * cos_phi, sin_phi),

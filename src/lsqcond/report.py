@@ -18,13 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .conditioning import (
-    SCALE_PRESETS,
-    ScaleFactors,
-    projection_condition_bounds,
-    residual_condition_bounds,
-    scale_preset,
-)
+from .conditioning import ScaleFactors, projection_condition_bounds, residual_condition_bounds
 from .core import LsCache, geometry
 from .errors import InvalidGeometry
 from .prior_bounds import compare_table
@@ -45,23 +39,25 @@ def build_report(
     """Assemble the full analysis record as a plain nested dict.
 
     The geometry, the estimates and the published-bounds table all come
-    from the solved cache. Each preset's estimates hold its exact value
-    chi_A; InvalidGeometry is raised if any escapes its sandwich, so a
-    report can never assert an inconsistent value. "empirical" repeats the
-    relative preset's. "geometry" is the Geometry record whole, in field
-    order. "timings" is None; the caller fills it in when asked to, since
-    it breaks reproducibility.
+    from the solved cache. "estimates" holds, for each of
+    ScaleFactors.presets, its ConditionEstimates record whole, in field
+    order; InvalidGeometry is raised if an exact value chi_A escapes its
+    sandwich, so a report can never assert an inconsistent value.
+    "empirical" repeats the relative preset's. "geometry" is the Geometry
+    record whole, in field order. "timings" is None; the caller fills it in
+    when asked to, since it breaks reproducibility.
     """
     problem = cache.problem
     geom = geometry(cache)
-    bounds = {name: residual_condition_bounds(cache, scale_preset(name, cache)) for name in SCALE_PRESETS}
+    presets = ScaleFactors.presets(cache)
+    bounds = {name: residual_condition_bounds(cache, scales) for name, scales in presets.items()}
     for name, est in bounds.items():
         if not est.sandwich_holds():
             raise InvalidGeometry(
                 f"exact value {est.chi_A} outside [{est.chi_A_lower}, {est.chi_A_upper}] under the {name} preset"
             )
 
-    proj = projection_condition_bounds(cache, ScaleFactors.relative(cache))
+    proj = projection_condition_bounds(cache, presets["relative"])
     return {
         "schema": SCHEMA,
         "problem": {
@@ -80,11 +76,7 @@ def build_report(
             "Ax": cache.norm_Ax,
             "x": cache.norm_x,
         },
-        "estimates": {
-            name: {"chi_A_lower": est.chi_A_lower, "chi_A": est.chi_A,
-                   "chi_A_upper": est.chi_A_upper, "chi_b": est.chi_b}
-            for name, est in bounds.items()
-        },
+        "estimates": {name: dataclasses.asdict(est) for name, est in bounds.items()},
         "projection": {
             "chi_Ax_lower": proj.chi_A_lower,
             "chi_Ax_upper": proj.chi_A_upper,

@@ -8,11 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from lsqcond import mmio, report, verify
+from lsqcond import cli, errors, mmio, report, verify
 from lsqcond.cli import main
-from lsqcond.conditioning import ScaleFactors, residual_condition_bounds, scale_preset
+from lsqcond.conditioning import ScaleFactors, residual_condition_bounds
 from lsqcond.core import LsProblem, solve_least_squares
-from lsqcond.errors import InvalidGeometry
+from lsqcond.errors import InvalidGeometry, LsqCondError
 from lsqcond.jacobian import Rank2Adjoint
 
 
@@ -386,7 +386,7 @@ def test_analyze_all_scale_presets(gvl_case, tmp_path, preset):
     est = json.loads(out.read_text())["estimates"][preset]
     assert est["chi_A_lower"] <= est["chi_A"] <= est["chi_A_upper"] * (1.0 + 1e-8)
     cache = solve_least_squares(LsProblem(mmio.read_matrix(matrix), mmio.read_vector(rhs)))
-    assert est["chi_A"] == residual_condition_bounds(cache, scale_preset(preset, cache)).chi_A
+    assert est["chi_A"] == residual_condition_bounds(cache, ScaleFactors.presets(cache)[preset]).chi_A
 
 
 def test_analyze_rejects_the_scales_option(gvl_case, capsys):
@@ -569,6 +569,55 @@ def test_gvl_out_of_range_exits_2_before_writing(tmp_path, capsys, params):
     assert code == 2
     assert capsys.readouterr().err.startswith("ParamOutOfRange:")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gvl_record_with_a_large_quotient_exits_0(tmp_path):
+    # beta / alpha overflows, but no value of the record does
+    out = tmp_path / "case"
+    code = run_cli("generate", "gvl", "--alpha", "1e-300", "--beta", "1e10", "--phi", "1e-300", "--out-dir", str(out))
+    assert code == 0
+    assert json.loads((out / "expected.json").read_text())["expected"]["x"] == [1e10, 1e10]
+
+
+def test_sweep_gvl_with_a_large_quotient_reaches_the_solver(capsys):
+    # kappa = 1e300: a numerical failure, no longer a parameter error
+    code = run_cli("sweep", "gvl", "--param", "beta", "--values", "1e10", "--alpha", "1e-300", "--phi", "1e-300")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("NonFullRank:")
+
+
+# the exit status of each library error: a usage error is 2, a failed
+# numerical precondition or invariant 3
+EXIT_CODES = {
+    "DegenerateDirection": 3,
+    "DimensionMismatch": 3,
+    "InvalidGeometry": 3,
+    "LsqCondError": 3,
+    "NonFullRank": 3,
+    "ParamOutOfRange": 2,
+    "ZeroColumn": 3,
+    "ZeroResidual": 3,
+    "ZeroSolution": 3,
+}
+
+
+def test_every_error_carries_its_exit_code():
+    defined = {name: obj for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert {name: error.exit_code for name, error in defined.items() if issubclass(error, LsqCondError)} == EXIT_CODES
+
+
+@pytest.mark.parametrize("name", list(EXIT_CODES))
+def test_cli_exits_with_the_error_exit_code(gvl_case, monkeypatch, capsys, name):
+    error = getattr(errors, name)
+    assert error.exit_code == EXIT_CODES[name]
+
+    def failing(args):
+        raise error("probe")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", failing)
+    code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
+    assert code == EXIT_CODES[name]
+    assert capsys.readouterr().err == f"{name}: probe\n"
 
 
 def test_sweep_gvl_record_overflow_exits_2(capsys):

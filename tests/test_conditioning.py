@@ -14,7 +14,7 @@ SQRT2 = math.sqrt(2.0)
 
 def bounds_for(cache, preset="relative"):
     geom = lc.geometry(cache)
-    return lc.residual_condition_bounds(cache, lc.scale_preset(preset, cache)), geom
+    return lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)[preset]), geom
 
 
 # --- residual bounds ---------------------------------------------------------
@@ -202,9 +202,29 @@ def test_error_bound_dominates_measured_change(e1_cache):
         assert measured <= lc.error_bound_rhs(est, 1e-6, 0.0, scales) + 1e-10
 
 
-def test_scale_preset_rejects_unknown(e1_cache):
-    with pytest.raises(ValueError):
-        lc.scale_preset("bogus", e1_cache)
+def test_error_bound_rhs_reads_the_exact_value():
+    # at m = n + 1 the exact chi_A lies strictly inside its sandwich
+    cache = lc.solve_least_squares(gvl_example(0.1, 10.0, 0.7).problem)
+    scales = lc.ScaleFactors.relative(cache)
+    est = lc.residual_condition_bounds(cache, scales)
+    assert est.chi_A < est.chi_A_upper * (1.0 - 1e-6)
+    assert lc.error_bound_rhs(est, 1.0, 0.0, scales) == pytest.approx(est.chi_A / scales.scale_A, rel=1e-15)
+
+
+def test_scale_presets_in_report_order(gvl_cache):
+    presets = lc.ScaleFactors.presets(gvl_cache)
+    assert list(presets) == ["relative", "b-relative", "absolute"]
+    assert presets["relative"] == lc.ScaleFactors.relative(gvl_cache)
+    assert presets["b-relative"] == lc.ScaleFactors.b_relative(gvl_cache)
+    assert presets["absolute"] == lc.ScaleFactors.absolute()
+
+
+def test_estimates_lower_end_is_the_upper_over_sqrt2():
+    # a field now, with the bits of the former property
+    for cache in both_branches(20, 47):
+        for scales in lc.ScaleFactors.presets(cache).values():
+            est = lc.residual_condition_bounds(cache, scales)
+            assert est.chi_A_lower == est.chi_A_upper / SQRT2
 
 
 def test_scale_factors_must_be_positive():

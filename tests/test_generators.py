@@ -63,6 +63,13 @@ def test_gvl_expected_matches_computed(alpha, beta, phi):
     assert est.chi_A_upper == pytest.approx(ex.expected.chi_A_upper, rel=1e-12)
 
 
+def test_gvl_record_holds_x_whose_quotient_would_overflow():
+    # beta / alpha = 1e310 overflows, but x[1] = beta sin(phi) / alpha = 1e10
+    ex = gvl_example(1e-300, 1e10, 1e-300)
+    assert ex.expected.x[1] == 1e10
+    assert ex.expected.x[0] == 1e10
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -63,6 +63,14 @@ def test_build_report_structure(e1_cache):
     assert dump_json(rep) == dump_json(rep)
 
 
+def test_estimates_blocks_are_the_records_whole(gvl_cache):
+    rep = build_report(gvl_cache)
+    presets = lc.ScaleFactors.presets(gvl_cache)
+    assert list(rep["estimates"]) == list(presets)
+    for name, scales in presets.items():
+        assert rep["estimates"][name] == dataclasses.asdict(lc.residual_condition_bounds(gvl_cache, scales))
+
+
 def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
     upper = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
     for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):

@@ -39,7 +39,7 @@ def test_generators_does_not_import_conditioning():
 AWAITING_CONSUMER = {
     "error_bound_rhs",  # item 5, `lsqcond perturb`
     "projector_difference_norm",  # item 5, `lsqcond perturb`
-    "equilibrate_columns",  # item 6, the componentwise condition numbers
+    "equilibrate_columns",  # item 13, the structured condition numbers
 }
 
 
@@ -85,6 +85,7 @@ def test_every_public_name_has_a_consumer():
 # dataclasses whose instances are written out whole by dataclasses.asdict
 # or astuple, which read every field without naming it
 WRITTEN_WHOLE = {
+    "ConditionEstimates",  # report, each "estimates" block of `analyze`
     "GvlExpected",  # cli, `generate gvl` writes expected.json
     "Geometry",  # report, the "geometry" block of `analyze`
     "LanczosStep",  # cli, the rows of `lanczos`

@@ -16,7 +16,8 @@ commands never load either.
 Exit codes: 0 success, 1 verification failure (a raising suite is one),
 2 I/O or parameter errors, 3 failed numerical preconditions or
 invariants. A library error carries its own code as exit_code (2 for
-ParamOutOfRange, 3 for the rest), and its name goes to stderr.
+ParamOutOfRange and DimensionMismatch, 3 for the rest), and its name
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from . import mmio
 from .conditioning import ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
-from .errors import LsqCondError
+from .errors import LsqCondError, ParamOutOfRange
 from .prior_bounds import compare_table
 from .report import build_report, dump_json, write_csv
 
@@ -258,15 +259,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_lanczos(args: argparse.Namespace) -> int:
     from . import generators
 
-    T = mmio.read_matrix(args.matrix)
-    v1 = np.ones(T.shape[0]) / math.sqrt(T.shape[0])
-    _write_records(args.out, generators.lanczos_demo(T, v1, args.steps))
+    _write_records(args.out, generators.lanczos_demo(mmio.read_matrix(args.matrix), args.steps))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
+    if args.seed < 0:
+        raise ParamOutOfRange(f"--seed must be non-negative, got {args.seed}")
     failures = 0
     for offset, (suite, count) in enumerate(verify.SUITES):
         try:

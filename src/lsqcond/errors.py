@@ -1,7 +1,9 @@
 """Exception types raised by the library.
 
 The class names double as diagnostic identifiers: the CLI prints
-``type(exc).__name__`` on stderr and exits with the error's exit_code.
+``type(exc).__name__`` on stderr and exits with the error's exit_code:
+2 for the input errors ParamOutOfRange and DimensionMismatch, 3 for the
+rest.
 """
 
 
@@ -14,7 +16,11 @@ class LsqCondError(Exception):
 
 
 class DimensionMismatch(LsqCondError):
-    """Array shapes are inconsistent with each other or with the problem."""
+    """Array shapes are inconsistent with each other or with the problem.
+    On the CLI only input files have shapes, so this is an input error,
+    exit code 2."""
+
+    exit_code = 2
 
 
 class InvalidGeometry(LsqCondError):
@@ -36,8 +42,8 @@ class ZeroSolution(LsqCondError):
 
 
 class ParamOutOfRange(LsqCondError):
-    """Generator parameter outside its documented domain: a usage error,
-    exit code 2."""
+    """Generator or command parameter outside its documented domain: a
+    usage error, exit code 2."""
 
     exit_code = 2
 

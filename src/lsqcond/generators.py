@@ -103,6 +103,7 @@ def gvl_example(alpha: float, beta: float, phi: float, epsilon: float = 0.0) -> 
 class EnsembleSpec:
     """Recipe for a seeded random problem with prescribed spectrum and angle.
 
+    seed is a non-negative integer, as np.random.default_rng requires.
     mix steers the alignment ratio: 0 puts the projection of b along the
     top left singular vector (ratio near kappa), 1 along the bottom one
     (ratio near 1), interpolating spherically in between.
@@ -128,6 +129,8 @@ class EnsembleSpec:
             raise ParamOutOfRange(f"theta must be in (0, pi/2), got {self.theta}")
         if not 0.0 <= self.mix <= 1.0:
             raise ParamOutOfRange(f"mix must be in [0, 1], got {self.mix}")
+        if not self.seed >= 0:
+            raise ParamOutOfRange(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "singular_values", sv)
 
 
@@ -233,8 +236,9 @@ class LanczosStep:
     breakdown: bool
 
 
-def lanczos_demo(T: np.ndarray, v1: np.ndarray, steps: int) -> list[LanczosStep]:
-    """Run the symmetric three-term recurrence and rate each step's projection.
+def lanczos_demo(T: np.ndarray, steps: int) -> list[LanczosStep]:
+    """Run the symmetric three-term recurrence from the normalized ones
+    vector and rate each step's projection.
 
     Each step projects b = T v_j onto span{v_{j-1}, v_j} (just {v_1} at the
     first step) and records the angle, its cosecant, and the worst
@@ -243,22 +247,18 @@ def lanczos_demo(T: np.ndarray, v1: np.ndarray, steps: int) -> list[LanczosStep]
     1e-12 ||T||_2; breakdown is reported, not raised.
     """
     T = np.asarray(T, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {T.shape}")
+    if T.ndim != 2 or T.shape[0] != T.shape[1] or T.size == 0:
+        raise DimensionMismatch(f"matrix must be square and non-empty, got shape {T.shape}")
     if not np.isfinite(T).all():
         raise ValueError("matrix entries must be finite")
     norm_T = float(np.linalg.norm(T, 2))
     if norm_T > 0.0 and float(np.linalg.norm(T - T.T, 2)) > 1e-12 * norm_T:
         raise ParamOutOfRange("matrix must be symmetric to 1e-12 relative")
-    v = np.asarray(v1, dtype=float).ravel()
-    if v.shape != (T.shape[0],):
-        raise DimensionMismatch(f"start vector length {v.size} != {T.shape[0]}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise ParamOutOfRange("start vector must have unit norm")
     if steps < 1:
         raise ParamOutOfRange("need at least one step")
 
-    basis = [v.copy()]
+    v = np.ones(T.shape[0]) / math.sqrt(T.shape[0])
+    basis = [v]
     v_prev = np.zeros_like(v)
     beta_prev = 0.0
     records: list[LanczosStep] = []

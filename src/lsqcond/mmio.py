@@ -115,8 +115,8 @@ def read_vector(path: str | Path) -> np.ndarray:
     """Real vector from a Matrix Market array file or plain text.
 
     Plain text means one decimal value per line, ASCII, '.' radix; blank
-    lines and '#' comments are skipped. A file with no value raises
-    ValueError naming it.
+    lines and '#' comments are skipped. A file with no value, or one that
+    does not parse, raises ValueError, its message starting with the path.
     """
     path = Path(path)
     if path.suffix.lower() in _MM_SUFFIXES:
@@ -125,12 +125,15 @@ def read_vector(path: str | Path) -> np.ndarray:
             raise ValueError(f"{path}: expected a vector, got shape {M.shape}")
         return M.ravel()
     lines = path.read_text(encoding="latin-1").splitlines()
-    # np.loadtxt only warns on an input with no data
-    if not any(line.split("#", 1)[0].strip() for line in lines):
-        raise ValueError(f"{path}: no values")
-    v = np.loadtxt(lines, dtype=float, ndmin=1)
-    if v.ndim != 1:
-        raise ValueError(f"{path}: expected one value per line, got shape {v.shape}")
+    try:
+        # np.loadtxt only warns on an input with no data
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError("no values")
+        v = np.loadtxt(lines, dtype=float, ndmin=1)
+        if v.ndim != 1:
+            raise ValueError(f"expected one value per line, got shape {v.shape}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return v
 
 

@@ -586,11 +586,11 @@ def test_sweep_gvl_with_a_large_quotient_reaches_the_solver(capsys):
     assert capsys.readouterr().err.startswith("NonFullRank:")
 
 
-# the exit status of each library error: a usage error is 2, a failed
-# numerical precondition or invariant 3
+# the exit status of each library error: a usage or input-shape error is 2, a
+# failed numerical precondition or invariant 3
 EXIT_CODES = {
     "DegenerateDirection": 3,
-    "DimensionMismatch": 3,
+    "DimensionMismatch": 2,
     "InvalidGeometry": 3,
     "LsqCondError": 3,
     "NonFullRank": 3,
@@ -624,6 +624,54 @@ def test_sweep_gvl_record_overflow_exits_2(capsys):
     code = run_cli("sweep", "gvl", "--param", "beta", "--values", "1e300", "--alpha", "1e-300", "--phi", "0.5")
     assert code == 2
     assert capsys.readouterr().err.startswith("ParamOutOfRange:")
+
+
+def test_analyze_rhs_of_the_wrong_length_exits_2(tmp_path, capsys):
+    mmio.write_matrix(tmp_path / "A.mtx", np.eye(3)[:, :2])
+    mmio.write_vector(tmp_path / "b.txt", np.ones(2))
+    code = run_cli("analyze", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt"))
+    assert code == 2
+    assert capsys.readouterr().err == "DimensionMismatch: rhs has length 2, expected 3\n"
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0)], ids=["2x3", "empty"])
+def test_lanczos_on_a_matrix_that_is_not_square_exits_2(tmp_path, shape):
+    path = tmp_path / "T.mtx"
+    mmio.write_matrix(path, np.ones(shape))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lsqcond", "lanczos", "--matrix", str(path), "--steps", "2"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"DimensionMismatch: matrix must be square and non-empty, got shape {shape}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    ("argv", "seed"),
+    [
+        (["generate", "ensemble", "--m", "12", "--n", "4", "--sigmas", "1,0.1,0.01,0.001", "--theta", "0.7",
+          "--out-dir", "out"], "-1"),
+        (["sweep", "ensemble", "--param", "theta", "--values", "0.4,0.8", "--out", "out"], "-2"),
+    ],
+    ids=["generate", "sweep"],
+)
+def test_a_negative_ensemble_seed_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--seed", seed) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ParamOutOfRange: seed must be non-negative, got {seed}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_verify_rejects_a_negative_seed_before_any_suite(monkeypatch, capsys):
+    def runs(seed, count):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES", [(runs, 1)])
+    assert run_cli("verify", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ParamOutOfRange: --seed must be non-negative, got -1\n" and captured.out == ""
 
 
 def test_module_entry_point(tmp_path):

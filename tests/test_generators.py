@@ -143,6 +143,8 @@ def test_ensemble_spec_validation():
         EnsembleSpec(5, 2, (1.0, 0.5), 0.0, 0.5, 1)
     with pytest.raises(lc.ParamOutOfRange):
         EnsembleSpec(5, 2, (1.0, 0.5), 0.5, 1.5, 1)
+    with pytest.raises(lc.ParamOutOfRange, match=r"^seed must be non-negative, got -1$"):
+        EnsembleSpec(5, 2, (1.0, 0.5), 0.5, 0.5, -1)
     for sv in ((1.0,), (1.0, 0.5, 0.25), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, "x"), 1.0):
         with pytest.raises(lc.ParamOutOfRange):
             EnsembleSpec(5, 2, sv, 0.5, 0.5, 1)
@@ -178,7 +180,7 @@ def _dense_angle_oracle(basis_cols, b):
 def test_lanczos_angles_match_dense_oracle():
     T = np.diag([1.0, 2.0, 3.0])
     v1 = np.ones(3) / math.sqrt(3.0)
-    records = lanczos_demo(T, v1, 2)
+    records = lanczos_demo(T, 2)
     assert len(records) == 2 and not records[0].breakdown
 
     # replay the recurrence independently to rebuild the per-step bases
@@ -196,8 +198,9 @@ def test_lanczos_angles_match_dense_oracle():
 
 
 def test_lanczos_eigenvector_breaks_down_immediately():
-    T = np.diag([1.0, 2.0, 3.0])
-    records = lanczos_demo(T, np.array([1.0, 0.0, 0.0]), 4)
+    # equal row sums make the ones vector, the start vector, an eigenvector
+    T = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    records = lanczos_demo(T, 4)
     assert len(records) == 1
     assert records[0].breakdown
     assert math.isnan(records[0].theta)
@@ -209,9 +212,8 @@ def test_lanczos_orthonormal_basis_collapses_to_cosecant():
     rng = np.random.default_rng(31)
     T = rng.standard_normal((8, 8))
     T = (T + T.T) / 2.0
-    v1 = rng.standard_normal(8)
-    v1 /= np.linalg.norm(v1)
-    records = lanczos_demo(T, v1, 4)
+    v1 = np.ones(8) / math.sqrt(8.0)
+    records = lanczos_demo(T, 4)
 
     v_prev, v, beta_prev = np.zeros(8), v1.copy(), 0.0
     for rec in records:
@@ -234,8 +236,7 @@ def test_lanczos_orthonormal_basis_collapses_to_cosecant():
 
 def test_lanczos_orthogonality_defect_small_for_separated_spectrum():
     T = np.diag(np.arange(1.0, 51.0))
-    v1 = np.ones(50) / math.sqrt(50.0)
-    records = lanczos_demo(T, v1, 20)
+    records = lanczos_demo(T, 20)
     for rec in records:
         if rec.breakdown:
             break
@@ -244,7 +245,12 @@ def test_lanczos_orthogonality_defect_small_for_separated_spectrum():
 
 def test_lanczos_rejects_asymmetric():
     with pytest.raises(lc.ParamOutOfRange):
-        lanczos_demo(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1)
+        lanczos_demo(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+
+def test_lanczos_rejects_an_empty_matrix():
+    with pytest.raises(lc.DimensionMismatch, match=r"non-empty, got shape \(0, 0\)"):
+        lanczos_demo(np.zeros((0, 0)), 1)
 
 
 # --- equilibration -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -74,6 +75,13 @@ def test_read_vector_rejects_a_text_file_without_values(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"b\.txt: no values"):
             mmio.read_vector(path)
+
+
+def test_read_vector_names_the_text_file_that_does_not_parse(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("1\nx\n3\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: could not convert string 'x'"):
+        mmio.read_vector(path)
 
 
 # --- the NumPy reader and writer against scipy.io ------------------------------------

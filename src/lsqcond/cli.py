@@ -135,8 +135,11 @@ def _write_records(out: str | None, records: list) -> None:
     _write_text(out, buf.getvalue())
 
 
-def _parse_values(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+def _parse_values(option: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ParamOutOfRange(f"{option} must be comma-separated numbers, got {text!r}") from None
 
 
 def _write_case(out_dir: str, problem: LsProblem, delta_A: np.ndarray | None, kind: str, **blocks) -> None:
@@ -199,7 +202,7 @@ def _cmd_generate_gvl(args: argparse.Namespace) -> int:
 def _cmd_generate_ensemble(args: argparse.Namespace) -> int:
     from . import generators
 
-    sigmas = _parse_values(args.sigmas)
+    sigmas = _parse_values("--sigmas", args.sigmas)
     spec = generators.EnsembleSpec(args.m, args.n, sigmas, args.theta, args.mix, args.seed)
     problem = generators.random_problem(spec)
     cache = solve_least_squares(problem)
@@ -237,12 +240,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from . import generators
 
     rows = []
-    for value in _parse_values(args.values):
+    for value in _parse_values("--values", args.values):
         p = {**vars(args), args.param: value}
         if args.kind == "gvl":
             problem = generators.gvl_example(p["alpha"], p["beta"], p["phi"]).problem
         else:
-            sigmas = _parse_values(p["sigmas"])
+            sigmas = _parse_values("--sigmas", p["sigmas"])
             spec = generators.EnsembleSpec(p["m"], p["n"], sigmas, p["theta"], p["mix"], p["seed"])
             problem = generators.random_problem(spec)
         cache = solve_least_squares(problem)

@@ -152,7 +152,9 @@ def write_matrix(path: str | Path, M: np.ndarray) -> None:
 
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
-    """Vector to Matrix Market (by suffix) or plain text, one value per line."""
+    """Vector to Matrix Market (by suffix) or plain text, one value per
+    line as repr writes it, the shortest decimal that reads back to the
+    same double."""
     v = np.asarray(v, dtype=float).ravel()
     path = Path(path)
     if path.suffix.lower() in _MM_SUFFIXES:
@@ -160,4 +162,4 @@ def write_vector(path: str | Path, v: np.ndarray) -> None:
         return
     with open(path, "w", encoding="ascii") as fh:
         for value in v:
-            fh.write(format(value, ".17g") + "\n")
+            fh.write(repr(float(value)) + "\n")

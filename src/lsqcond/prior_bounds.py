@@ -16,21 +16,31 @@ the scale convention its source assumes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .conditioning import SQRT2, ScaleFactors, residual_condition_bounds
 from .core import LsCache, geometry
+from .errors import InvalidGeometry
 
 
 @dataclass(frozen=True)
 class PriorBoundRow:
-    """One published estimate with its own convention and overestimation ratio."""
+    """One published estimate with its own convention and overestimation
+    ratio. A value or ratio that is not a positive finite double, e.g. an
+    overflowing ||b|| / sigma_min, raises InvalidGeometry naming the row."""
 
     source: str  # "wedin" | "stewart" | "gvlh"
     value: float
     scale_convention: str
     ratio_to_tight: float
     max_ratio: float  # theoretical worst-case overestimation factor
+
+    def __post_init__(self):
+        for name in ("value", "ratio_to_tight", "max_ratio"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidGeometry(f"{self.source} {name} = {value} is not a positive finite double")
 
 
 def compare_table(cache: LsCache) -> list[PriorBoundRow]:

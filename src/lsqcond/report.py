@@ -1,9 +1,10 @@
 """Condition report assembly and deterministic JSON/CSV serialization.
 
-Reports must be byte-identical for identical inputs, so floats
-are always written with 17 significant digits (enough to round-trip a
-double exactly) and key order is fixed by construction. Timings are only
-filled in when explicitly requested, since they would break reproducibility.
+Reports must be byte-identical for identical inputs, so floats are
+always written as repr writes them, the shortest decimal that reads back
+to the same double, and key order is fixed by construction. Timings are
+only filled in when explicitly requested, since they would break
+reproducibility.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import InvalidGeometry
 from .prior_bounds import compare_table
 
 SCHEMA = "lsq-cond/2"
-INDENT = 2
 
 
 def file_sha256(path: str | Path) -> str:
@@ -94,7 +94,8 @@ def build_report(
 
 
 def format_number(x: Any) -> str:
-    """Fixed 17-significant-digit rendering for floats; ints pass through."""
+    """A float as repr writes it, the shortest decimal that reads back to
+    the same double; ints and bools as JSON writes them."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -102,54 +103,23 @@ def format_number(x: Any) -> str:
     value = float(x)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value} in report")
-    return format(value, ".17g")
+    return repr(value)
 
 
 def dump_json(obj: Any) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats,
-    INDENT spaces per level."""
-    pieces: list[str] = []
-    _emit(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Deterministic JSON text: insertion-ordered keys, shortest round-trip
+    floats, two spaces per level."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
-def _emit(obj: Any, out: list[str], level: int) -> None:
-    pad = " " * (INDENT * (level + 1))
-    end_pad = " " * (INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        out.append(format_number(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(value, out, level + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(end_pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, value in enumerate(seq):
-            out.append(pad)
-            _emit(value, out, level + 1)
-            out.append(",\n" if k < len(seq) - 1 else "\n")
-        out.append(end_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj: Any) -> Any:
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_csv(fh, header: list[str], rows: list[Sequence[Any]]) -> None:
-    """Comma-separated output with '.' radix and 17-digit floats."""
+    """Comma-separated output with '.' radix and shortest round-trip floats."""
     fh.write(",".join(header) + "\n")
     for row in rows:
         fh.write(",".join(_csv_cell(value) for value in row) + "\n")

@@ -81,6 +81,28 @@ def test_analyze_round_trip(gvl_case, tmp_path):
     )
 
 
+def test_analyze_writes_every_float_as_a_json_float(gvl_case, capsys):
+    # kappa = 2 exactly: a float that must not read back as a JSON integer
+    assert run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["geometry"]["kappa"] == 2.0
+
+    def numbers(obj, path):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                yield from numbers(value, f"{path}.{key}")
+        elif isinstance(obj, list):
+            for k, value in enumerate(obj):
+                yield from numbers(value, f"{path}[{k}]")
+        elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            yield path, obj
+
+    found = dict(numbers(report, ""))
+    assert {path: type(value) for path, value in found.items() if type(value) is not float} == {
+        ".problem.m": int, ".problem.n": int,
+    }
+
+
 def test_analyze_deterministic_bytes(gvl_case, tmp_path):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for path in paths:
@@ -662,6 +684,40 @@ def test_a_negative_ensemble_seed_exits_2_naming_it(tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.err == f"ParamOutOfRange: seed must be non-negative, got {seed}\n"
     assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "option", "text"),
+    [
+        (["sweep", "ensemble", "--param", "theta", "--values", ""], "--values", ""),
+        (["sweep", "gvl", "--param", "alpha", "--values", "0.5,,0.1"], "--values", "0.5,,0.1"),
+        (["generate", "ensemble", "--m", "12", "--n", "2", "--sigmas", "1,x", "--theta", "0.7", "--out-dir", "out"],
+         "--sigmas", "1,x"),
+    ],
+    ids=["empty-values", "empty-entry", "sigmas"],
+)
+def test_a_bad_list_option_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, option, text):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ParamOutOfRange: {option} must be comma-separated numbers, got {text!r}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["compare", "--format", "csv"]], ids=" ".join)
+def test_an_overflowing_published_value_exits_3_naming_it(tmp_path, argv):
+    # full rank and every ConditionEstimates finite, but Stewart's
+    # ||b|| / sigma_min = 1e299 / 1e-10 overflows
+    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", np.array([1e299, 0.0, 1e290]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", *argv,
+         "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "InvalidGeometry: stewart value = inf is not a positive finite double\n"
+    assert result.stdout == ""
 
 
 def test_verify_rejects_a_negative_seed_before_any_suite(monkeypatch, capsys):

@@ -2,8 +2,12 @@ import dataclasses
 import io
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lsqcond as lc
 from lsqcond import report
@@ -11,16 +15,30 @@ from lsqcond.errors import InvalidGeometry
 from lsqcond.report import build_report, dump_json, format_number, write_csv
 
 
-def test_format_number_17_digits():
-    assert format_number(0.1) == "0.10000000000000001"
-    assert format_number(2.0 * math.sqrt(2.0)) == "2.8284271247461903"
-    assert format_number(3) == "3"
-    assert format_number(True) == "true"
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_floats_are_written_as_the_shortest_round_trip_decimal(x):
+    text = format_number(x)
+    assert text == repr(x)
+    assert _bits(float(text)) == _bits(x)  # bitwise: -0.0 keeps its sign
+    parsed = json.loads(dump_json({"v": x, "scalar": np.float64(x), "array": np.array([x])}))
+    for value in (parsed["v"], parsed["scalar"], parsed["array"][0]):
+        assert type(value) is float and _bits(value) == _bits(x)
+
+
+def test_format_number_writes_ints_and_bools_as_json():
+    assert format_number(3) == "3" and format_number(np.int64(-7)) == "-7"
+    assert format_number(True) == "true" and format_number(False) == "false"
 
 
 def test_format_number_rejects_non_finite():
     with pytest.raises(ValueError):
         format_number(float("nan"))
+    with pytest.raises(ValueError):
+        dump_json({"v": math.inf})
 
 
 def test_dump_json_round_trips_and_is_stable():

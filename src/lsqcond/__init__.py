@@ -14,7 +14,6 @@ if "LSQCOND_THREADS" in os.environ:
 from .conditioning import (
     ConditionEstimates,
     ScaleFactors,
-    error_bound_rhs,
     exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
@@ -26,7 +25,6 @@ from .core import (
     LsProblem,
     geometry,
     nuclear_norm,
-    projector_difference_norm,
     solve_least_squares,
 )
 from .errors import (
@@ -36,7 +34,6 @@ from .errors import (
     LsqCondError,
     NonFullRank,
     ParamOutOfRange,
-    ZeroColumn,
     ZeroResidual,
     ZeroSolution,
 )

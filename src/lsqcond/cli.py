@@ -14,10 +14,10 @@ and `verify` the verify module, inside the command, so that the analysis
 commands never load either.
 
 Exit codes: 0 success, 1 verification failure (a raising suite is one),
-2 I/O or parameter errors, 3 failed numerical preconditions or
-invariants. A library error carries its own code as exit_code (2 for
-ParamOutOfRange and DimensionMismatch, 3 for the rest), and its name
-goes to stderr.
+2 I/O or parameter errors and inputs too large for memory, 3 failed
+numerical preconditions or invariants. A library error carries its own
+code as exit_code (2 for ParamOutOfRange and DimensionMismatch, 3 for
+the rest), and its name goes to stderr.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except LsqCondError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

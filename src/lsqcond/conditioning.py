@@ -199,15 +199,3 @@ def worst_case_direction(cache: LsCache) -> np.ndarray:
     Wt = cache.bordered_svd[2]
     return Wt[0, 0] * rhat + cache.U @ Wt[0, 1:]
 
-
-def error_bound_rhs(
-    est: ConditionEstimates, dA_norm: float, db_norm: float, scales: ScaleFactors
-) -> float:
-    """First-order perturbation bound on the scaled output change.
-
-    Returns chi_A * (dA_norm / scale_A) + chi_b * (db_norm / scale_b) with
-    the exact chi_A, excluding the higher-order remainder.
-    """
-    if dA_norm < 0.0 or db_norm < 0.0:
-        raise ValueError("perturbation norms must be nonnegative")
-    return est.chi_A * (dA_norm / scales.scale_A) + est.chi_b * (db_norm / scales.scale_b)

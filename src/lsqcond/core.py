@@ -266,21 +266,3 @@ def nuclear_norm(M: np.ndarray) -> float | np.ndarray:
     values = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
     return float(values) if M.ndim == 2 else values
 
-
-def projector_difference_norm(A: np.ndarray, B: np.ndarray) -> float:
-    """Spectral norm of P_A - P_B, the orthogonal projectors onto the column spaces.
-
-    The sine of the largest principal angle, ||Q_B - Q_A (Q_A^t Q_B)||_2 over thin
-    bases, in [0, 1] and never from sqrt(1 - cos^2). Raises NonFullRank for either.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
-        raise DimensionMismatch(f"need m >= n, got shape {A.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("matrix entries must be finite")
-    Qa = _thin_svd(A)[0]
-    Qb = _thin_svd(B)[0]
-    return min(float(np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2)), 1.0)

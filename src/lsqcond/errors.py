@@ -3,7 +3,8 @@
 The class names double as diagnostic identifiers: the CLI prints
 ``type(exc).__name__`` on stderr and exits with the error's exit_code:
 2 for the input errors ParamOutOfRange and DimensionMismatch, 3 for the
-rest.
+rest. Unreadable input (OSError, ValueError) and input too large for
+memory (MemoryError) are not library errors: `error: <message>`, exit 2.
 """
 
 
@@ -51,6 +52,3 @@ class ParamOutOfRange(LsqCondError):
 class DegenerateDirection(LsqCondError):
     """Direction with zero objective value; no attaining perturbation exists."""
 
-
-class ZeroColumn(LsqCondError):
-    """Matrix has a zero column and cannot be equilibrated."""

@@ -3,9 +3,9 @@
 Covers the parametric 3x2 family (a diagonal matrix with tunable
 conditioning, angle, and alignment, after the classic Golub & Van Loan
 textbook example), seeded random ensembles with prescribed singular values
-and angle, a Lanczos projection demo, column equilibration, and the exact
-two-block joint norm behind the joint-versus-separate condition number
-inequalities (block_norm_cases).
+and angle, a Lanczos projection demo, and the exact two-block joint norm
+behind the joint-versus-separate condition number inequalities
+(block_norm_cases).
 
 The module builds problems and solves them; it computes no condition
 number, so it imports only core and errors.
@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     NonFullRank,
     ParamOutOfRange,
-    ZeroColumn,
     ZeroResidual,
     ZeroSolution,
 )
@@ -305,22 +304,6 @@ def lanczos_demo(T: np.ndarray, steps: int) -> list[LanczosStep]:
         basis.append(v_next)
         v_prev, v, beta_prev = v, v_next, beta_next
     return records
-
-
-def equilibrate_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal entries d with d_j = 1 / ||A e_j||_2 and the scaled matrix A diag(d).
-
-    Every column of the result has unit 2-norm. Raises ZeroColumn when a
-    column vanishes.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DimensionMismatch(f"matrix must be 2-D, got shape {A.shape}")
-    norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0.0):
-        raise ZeroColumn(f"columns {np.flatnonzero(norms == 0.0).tolist()} are zero")
-    d = 1.0 / norms
-    return d, A * d
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,12 @@ def read_matrix(path: str | Path) -> np.ndarray:
     """Dense real matrix from a Matrix Market file (array or coordinate).
 
     Raises ValueError, its message starting with the path, on any file
-    outside the subset described in the module docstring.
+    outside the subset of the module docstring or too large to allocate.
     """
     try:
         with open(path, encoding="latin-1") as fh:
             return _parse(fh)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -74,9 +74,10 @@ def _parse(fh: TextIO) -> np.ndarray:
             # row-major: BLAS rounds differently on a column-major view,
             # and reports must not depend on the file format
             return np.ascontiguousarray(values.reshape(n, m).T)
-        # column-major lower triangle, the diagonal omitted when skew
-        cols, rows = np.triu_indices(n, k=0 if symmetry == "symmetric" else 1)
-        _check_count(values.size, rows.size)
+        # column-major lower triangle, no diagonal when skew; counted before its O(n^2) indices
+        k = 0 if symmetry == "symmetric" else 1
+        _check_count(values.size, n * (n + 1 - 2 * k) // 2)
+        cols, rows = np.triu_indices(n, k=k)
         _check_integers(field, values)
         M = np.zeros((n, n))
         M[cols, rows] = sign * values

@@ -247,8 +247,7 @@ def dense_svd_perturbation(cache, d):
 
 def dense_projector_difference(A, B):
     """||P_A - P_B||_2 from the two m x m projectors and the SVD of their
-    difference: the O(m^3) construction the thin principal-angle form
-    replaced."""
+    difference."""
     Qa = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)[0]
     Qb = np.linalg.svd(np.asarray(B, dtype=float), full_matrices=False)[0]
     return float(np.linalg.norm(Qa @ Qa.T - Qb @ Qb.T, 2))

@@ -561,6 +561,43 @@ def test_complex_matrix_exits_2(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+def run_cli_process(*args):
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", *args], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # 8e18 bytes of float64, more than any 64-bit address space holds
+        ("coordinate real general\n1000000000 1000000000 1\n1 1 1.0\n", "allocate"),
+        # counted before the triangle's 931 GiB of indices are built
+        ("array real symmetric\n1000000 1000000\n1.0\n", "expected 500000500000 numbers after the size line, got 1"),
+    ],
+    ids=["coordinate", "symmetric"],
+)
+def test_a_matrix_too_large_for_memory_exits_2_naming_the_file(tmp_path, body, message):
+    path = tmp_path / "A.mtx"
+    path.write_text("%%MatrixMarket matrix " + body)
+    mmio.write_vector(tmp_path / "b.txt", np.ones(3))
+    result = run_cli_process("analyze", "--matrix", str(path), "--rhs", str(tmp_path / "b.txt"))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {path}: ") and message in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_an_ensemble_too_large_for_memory_exits_2_before_writing(tmp_path):
+    out = tmp_path / "D"
+    result = run_cli_process(
+        "generate", "ensemble", "--m", "1000000000000000000", "--n", "1", "--sigmas", "1", "--theta", "0.5",
+        "--out-dir", str(out),
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_rank_deficient_exits_3(tmp_path, capsys):
     mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     mmio.write_vector(tmp_path / "b.txt", np.ones(3))
@@ -617,7 +654,6 @@ EXIT_CODES = {
     "LsqCondError": 3,
     "NonFullRank": 3,
     "ParamOutOfRange": 2,
-    "ZeroColumn": 3,
     "ZeroResidual": 3,
     "ZeroSolution": 3,
 }

@@ -11,7 +11,6 @@ from lsqcond.generators import (
     _geometric,
     block_norm_cases,
     ensemble_specs,
-    equilibrate_columns,
     gvl_example,
     lanczos_demo,
     random_problem,
@@ -251,39 +250,6 @@ def test_lanczos_rejects_asymmetric():
 def test_lanczos_rejects_an_empty_matrix():
     with pytest.raises(lc.DimensionMismatch, match=r"non-empty, got shape \(0, 0\)"):
         lanczos_demo(np.zeros((0, 0)), 1)
-
-
-# --- equilibration -------------------------------------------------------------------
-
-
-def test_equilibrate_diagonal():
-    A = np.array([[1.0, 0.0], [0.0, 10.0], [0.0, 0.0]])
-    d, AD = equilibrate_columns(A)
-    np.testing.assert_allclose(d, [1.0, 0.1])
-    assert np.linalg.cond(AD) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_equilibrate_unit_columns_is_fixed_point():
-    rng = np.random.default_rng(37)
-    A = rng.standard_normal((6, 3))
-    A /= np.linalg.norm(A, axis=0)
-    d, AD = equilibrate_columns(A)
-    np.testing.assert_allclose(d, np.ones(3), rtol=1e-14)
-    np.testing.assert_allclose(AD, A, rtol=1e-14)
-
-
-def test_equilibrate_rejects_zero_column():
-    with pytest.raises(lc.ZeroColumn):
-        equilibrate_columns(np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
-def test_equilibration_experiment_ill_scaled():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((10, 4)) * np.array([1.0, 1e2, 1e-3, 1e4])
-    _, AD = equilibrate_columns(A)
-    before, after = (lc.solve_least_squares(lc.LsProblem(M, np.ones(10))).s for M in (A, AD))
-    assert after[0] / after[-1] <= before[0] / before[-1]
-    np.testing.assert_allclose(np.linalg.norm(AD, axis=0), np.ones(4), atol=1e-14)
 
 
 # --- block norms ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -83,6 +84,29 @@ def test_read_vector_names_the_text_file_that_does_not_parse(tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: could not convert string 'x'"):
         mmio.read_vector(path)
 
+
+
+def test_read_matrix_names_a_file_too_large_to_allocate(tmp_path):
+    # 8e18 bytes of float64, more than any 64-bit address space holds
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 1\n1 1 1.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "):
+        mmio.read_matrix(path)
+
+
+@pytest.mark.parametrize("symmetry, count", [("symmetric", 500000500000), ("skew-symmetric", 499999500000)])
+def test_read_matrix_checks_a_triangle_count_before_building_indices(tmp_path, symmetry, count):
+    # the triangle's indices would take O(n^2) memory, 931 GiB at n = 1e6
+    path = tmp_path / "tri.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real {symmetry}\n1000000 1000000\n1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"tri.mtx: expected {count} numbers after the size line, got 1$"):
+            mmio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 # --- the NumPy reader and writer against scipy.io ------------------------------------
 

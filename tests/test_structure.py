@@ -35,14 +35,6 @@ def test_generators_does_not_import_conditioning():
     assert [module for importer, module, _ in _relative_imports() if importer == "generators"] == ["core", "errors"]
 
 
-# public names that wait for the ROADMAP item that gives them a consumer
-AWAITING_CONSUMER = {
-    "error_bound_rhs",  # item 5, `lsqcond perturb`
-    "projector_difference_norm",  # item 5, `lsqcond perturb`
-    "equilibrate_columns",  # item 13, the structured condition numbers
-}
-
-
 def _public_definitions(tree):
     """(name, node, kinds) for each public module-level function or class,
     and each public method or property of a public class; kinds are the
@@ -78,8 +70,7 @@ def test_every_public_name_has_a_consumer():
         for name, node, kinds in _public_definitions(tree)
         if all(everywhere[kind, name] == _references(node)[kind, name] for kind in kinds)
     )
-    assert [name for name in unused if name not in AWAITING_CONSUMER] == []
-    assert sorted(AWAITING_CONSUMER - set(unused)) == []  # a consumer came: drop the entry
+    assert unused == []
 
 
 # dataclasses whose instances are written out whole by dataclasses.asdict

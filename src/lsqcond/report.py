@@ -24,7 +24,7 @@ from .core import LsCache, geometry
 from .errors import InvalidGeometry
 from .prior_bounds import compare_table
 
-SCHEMA = "lsq-cond/2"
+SCHEMA = "lsq-cond/3"
 
 
 def file_sha256(path: str | Path) -> str:
@@ -40,24 +40,26 @@ def build_report(
 
     The geometry, the estimates and the published-bounds table all come
     from the solved cache. "estimates" holds, for each of
-    ScaleFactors.presets, its ConditionEstimates record whole, in field
-    order; InvalidGeometry is raised if an exact value chi_A escapes its
-    sandwich, so a report can never assert an inconsistent value.
-    "empirical" repeats the relative preset's. "geometry" is the Geometry
-    record whole, in field order. "timings" is None; the caller fills it in
-    when asked to, since it breaks reproducibility.
+    ScaleFactors.presets, the residual's ConditionEstimates record whole,
+    in field order, and "projection" the projection's under the relative
+    preset; InvalidGeometry is raised if an exact value chi_A in any of
+    them escapes its sandwich, so a report can never assert an
+    inconsistent value. "empirical" repeats the relative preset's residual
+    values. "geometry" is the Geometry record whole, in field order.
+    "timings" is None; the caller fills it in when asked to, since it
+    breaks reproducibility.
     """
     problem = cache.problem
     geom = geometry(cache)
     presets = ScaleFactors.presets(cache)
     bounds = {name: residual_condition_bounds(cache, scales) for name, scales in presets.items()}
-    for name, est in bounds.items():
+    proj = projection_condition_bounds(cache, presets["relative"])
+    checked = {f"estimates.{name}": est for name, est in bounds.items()} | {"projection": proj}
+    for block, est in checked.items():
         if not est.sandwich_holds():
             raise InvalidGeometry(
-                f"exact value {est.chi_A} outside [{est.chi_A_lower}, {est.chi_A_upper}] under the {name} preset"
+                f"exact value {est.chi_A} outside [{est.chi_A_lower}, {est.chi_A_upper}] in {block}"
             )
-
-    proj = projection_condition_bounds(cache, presets["relative"])
     return {
         "schema": SCHEMA,
         "problem": {
@@ -77,11 +79,7 @@ def build_report(
             "x": cache.norm_x,
         },
         "estimates": {name: dataclasses.asdict(est) for name, est in bounds.items()},
-        "projection": {
-            "chi_Ax_lower": proj.chi_A_lower,
-            "chi_Ax_upper": proj.chi_A_upper,
-            "chi_Ax_b": proj.chi_b,
-        },
+        "projection": dataclasses.asdict(proj),
         "empirical": {
             "scales": "relative",
             "value": bounds["relative"].chi_A,

@@ -151,4 +151,4 @@ def test_criterion_10_byte_identical_reports(tmp_path):
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
         report = json.loads(payloads[0])
-        assert report["schema"] == "lsq-cond/2"
+        assert report["schema"] == "lsq-cond/3"

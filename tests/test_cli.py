@@ -81,6 +81,16 @@ def test_analyze_round_trip(gvl_case, tmp_path):
     )
 
 
+def test_analyze_keeps_the_keys_the_benchmark_reads(gvl_case, capsys):
+    # perfbench's analyze checker reads these paths; renaming or dropping
+    # one breaks the benchmark, not just this report
+    assert run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")) == 0
+    report = json.loads(capsys.readouterr().out)
+    geom, relative = report["geometry"], report["estimates"]["relative"]
+    values = [geom["kappa"], geom["theta"], relative["chi_A_lower"], relative["chi_A_upper"], relative["chi_b"]]
+    assert all(type(value) is float for value in [*values, report["empirical"]["value"]])
+
+
 def test_analyze_writes_every_float_as_a_json_float(gvl_case, capsys):
     # kappa = 2 exactly: a float that must not read back as a JSON integer
     assert run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")) == 0

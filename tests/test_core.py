@@ -106,8 +106,10 @@ def test_self_check_is_scale_free(a_exp, b_exp):
         assert defects == unscaled
 
 
-def test_solve_rejects_rank_deficient():
-    A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+@pytest.mark.parametrize(
+    "A", [[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]], ids=["multiple", "equal"]
+)
+def test_solve_rejects_rank_deficient(A):
     with pytest.raises(lc.NonFullRank):
         lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
 
@@ -143,12 +145,6 @@ def test_spectral_reconstruction():
     assert err <= 1e-13 * np.linalg.norm(A, 2)
     s = cache.s
     assert np.all(s[:-1] >= s[1:]) and s[-1] > 0.0
-
-
-def test_spectral_rejects_rank_deficient():
-    A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(lc.NonFullRank):
-        lc.solve_least_squares(lc.LsProblem(A, np.ones(3)))
 
 
 # --- geometry ----------------------------------------------------------------

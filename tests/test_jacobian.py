@@ -364,22 +364,26 @@ def test_gvl_exact_matches_eigenvalue_closed_form():
                 assert chi_A == pytest.approx(math.sqrt(lam), rel=1e-14)
 
 
-def test_empirical_matches_exhaustive_circle_in_2d(e1_cache):
+def _exhaustive_best(cache, directions):
+    """Largest SVD-evaluated objective over the unit columns of directions,
+    in blocks of 5,000: each block is one stack of dense rank-2 matrices."""
+    return max(
+        float(lc.nuclear_norm(lc.adjoint_rank2(cache, directions[:, k : k + 5000]).matrix()).max())
+        for k in range(0, directions.shape[1], 5000)
+    )
+
+
+def test_exact_value_matches_exhaustive_circle_in_2d(e1_cache):
     # for m = 2 the unit sphere is a circle: brute-force the objective with
     # SVD-based nuclear norms (independent of the closed form) and compare
     angles = np.linspace(0.0, 2.0 * math.pi, 200_001)
-    directions = np.vstack([np.cos(angles), np.sin(angles)])
-    best = 0.0
-    for k in range(0, directions.shape[1], 5000):
-        block = directions[:, k : k + 5000]
-        for d in block.T:
-            best = max(best, lc.nuclear_norm(lc.adjoint_rank2(e1_cache, d).matrix()))
+    best = _exhaustive_best(e1_cache, np.vstack([np.cos(angles), np.sin(angles)]))
     exact = exact_value(e1_cache)
     assert best <= exact * (1.0 + 1e-12)
     assert exact == pytest.approx(best, rel=1e-8)
 
 
-def test_empirical_agrees_with_exhaustive_grid_in_3d():
+def test_exact_value_agrees_with_exhaustive_grid_in_3d():
     # independent oracle: a dense 3-d grid of SVD-evaluated objectives. The
     # maximizer need not lie in the span of rhat and a'' (m = n + 1 here), so
     # the grid lands between the upper estimate's lower end and the exact value
@@ -388,9 +392,7 @@ def test_empirical_agrees_with_exhaustive_grid_in_3d():
     rng = np.random.default_rng(12)
     grid = rng.standard_normal((3, 40_000))
     grid /= np.linalg.norm(grid, axis=0)
-    grid_best = 0.0
-    for d in grid.T:
-        grid_best = max(grid_best, lc.nuclear_norm(lc.adjoint_rank2(cache, d).matrix()))
+    grid_best = _exhaustive_best(cache, grid)
     exact = exact_value(cache)
     upper = math.hypot(cache.norm_r / cache.s[-1], cache.norm_x)
     assert grid_best <= exact * (1.0 + 1e-12)

@@ -13,6 +13,7 @@ import lsqcond as lc
 from lsqcond import report
 from lsqcond.errors import InvalidGeometry
 from lsqcond.report import build_report, dump_json, format_number, write_csv
+from conftest import both_branches
 
 
 def _bits(x):
@@ -62,10 +63,10 @@ def test_write_csv_quotes_commas():
 
 def test_build_report_structure(e1_cache):
     rep = build_report(e1_cache)
-    assert rep["schema"] == "lsq-cond/2"
+    assert rep["schema"] == "lsq-cond/3"
     assert rep["problem"]["m"] == 2 and rep["problem"]["n"] == 1
     assert list(rep["estimates"]) == ["relative", "b-relative", "absolute"]
-    for est in rep["estimates"].values():
+    for est in [*rep["estimates"].values(), rep["projection"]]:
         assert list(est) == ["chi_A_lower", "chi_A", "chi_A_upper", "chi_b"]
         assert est["chi_A_lower"] <= est["chi_A"] <= est["chi_A_upper"] * (1.0 + 1e-8)
     emp_block = rep["empirical"]
@@ -87,15 +88,33 @@ def test_estimates_blocks_are_the_records_whole(gvl_cache):
     assert list(rep["estimates"]) == list(presets)
     for name, scales in presets.items():
         assert rep["estimates"][name] == dataclasses.asdict(lc.residual_condition_bounds(gvl_cache, scales))
+    proj = lc.projection_condition_bounds(gvl_cache, presets["relative"])
+    assert rep["projection"] == dataclasses.asdict(proj)
+
+
+def test_projection_chi_A_scales_to_the_residual_value():
+    # the two Jacobians differ only in sign, so the unscaled exact values agree
+    for cache in both_branches(6, 26):
+        rep = build_report(cache)
+        proj, norms = rep["projection"], rep["norms"]
+        residual = rep["estimates"]["relative"]["chi_A"] * norms["r"]
+        assert proj["chi_A"] * norms["Ax"] == pytest.approx(residual, rel=1e-12, abs=0.0)
+        if cache.problem.m >= cache.problem.n + 2:
+            assert proj["chi_A"] == proj["chi_A_upper"]
 
 
 def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
-    upper = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
-    for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
+    # the projection's record passes the same guard as the residual's
+    targets = {"residual_condition_bounds": "estimates.relative", "projection_condition_bounds": "projection"}
+    for target, block in targets.items():
+        bounds = getattr(lc, target)
+        upper = bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
+        for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
 
-        def escaped(cache, scales, value=value):
-            return dataclasses.replace(lc.residual_condition_bounds(cache, scales), chi_A=value)
+            def escaped(cache, scales, bounds=bounds, value=value):
+                return dataclasses.replace(bounds(cache, scales), chi_A=value)
 
-        monkeypatch.setattr(report, "residual_condition_bounds", escaped)
-        with pytest.raises(InvalidGeometry):
-            build_report(e1_cache)
+            with monkeypatch.context() as patch:
+                patch.setattr(report, target, escaped)
+                with pytest.raises(InvalidGeometry, match=f" in {block}$"):
+                    build_report(e1_cache)

@@ -294,7 +294,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -785,3 +786,67 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (out / "A.mtx").exists()
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path, monkeypatch, capsys):
+    # only lsqcond.__main__.run freezes; library and test callers keep their GC state
+    monkeypatch.setattr(verify, "SUITES", [(suite, min(count, 2)) for suite, count in verify.SUITES])
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli("generate", "gvl", "--alpha", "0.5", "--beta", "2", "--phi", "0", "--out-dir", str(tmp_path)) == 0
+    assert run_cli("analyze", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert run_cli("verify", "--seed", "1") == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_run_freezes_the_collector_once_the_command_is_done(tmp_path):
+    # the console script imports lsqcond.__main__ and calls run()
+    code = (
+        "import gc, sys; from lsqcond.__main__ import run; "
+        "sys.argv = ['lsqcond', 'generate', 'gvl', '--alpha', '0.5', '--beta', '2', '--phi', '0', "
+        f"'--out-dir', {str(tmp_path / 'case')!r}]; "
+        "assert gc.get_freeze_count() == 0; status = run(); print(status, gc.get_freeze_count() > 0)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 True\n"
+
+
+def _theta_values(count):
+    return ",".join(repr(0.1 + 1.3 * i / (count - 1)) for i in range(count))
+
+
+def test_sweep_to_a_pipe_matches_the_out_file(tmp_path):
+    values = _theta_values(200)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "ensemble", "--param", "theta", "--values", values, "--out", str(out)) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "lsqcond", "sweep", "ensemble", "--param", "theta", "--values", values],
+        capture_output=True,
+    )
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout.count(b"\n") == 201
+    assert result.stdout == out.read_bytes()
+
+
+def test_a_closed_pipe_exits_2_with_one_error_line():
+    # 2,000 rows fill the pipe; the reader takes one line and goes away. Buffered
+    # stdout, the default: unbuffered, a cut-short write loses the rest silently
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "lsqcond", "sweep", "ensemble", "--param", "theta", "--values", _theta_values(2000)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert first.startswith(b"param,value,")
+    assert proc.returncode == 2
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_a_usage_error_exits_2_through_run():
+    result = subprocess.run([sys.executable, "-m", "lsqcond", "analyze"], capture_output=True, text=True)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("usage: lsqcond analyze")
+    assert "the following arguments are required: --matrix, --rhs" in result.stderr

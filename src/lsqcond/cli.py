@@ -122,8 +122,15 @@ def _load_problem(matrix_path: str, rhs_path: str) -> LsProblem:
 def _write_text(out: str | None, text: str) -> None:
     if out:
         Path(out).write_text(text, encoding="ascii")
-    else:
+    elif not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
         sys.stdout.write(text)
+    else:
+        # unbuffered, stdout.buffer is a raw file whose write may take only
+        # part: write the rest until all is taken or a closed reader raises
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data) :]
 
 
 def _write_records(out: str | None, records: list) -> None:

@@ -3,9 +3,10 @@
 Covers the parametric 3x2 family (a diagonal matrix with tunable
 conditioning, angle, and alignment, after the classic Golub & Van Loan
 textbook example), seeded random ensembles with prescribed singular values
-and angle, a Lanczos projection demo, and the exact two-block joint norm
-behind the joint-versus-separate condition number inequalities
-(block_norm_cases).
+and angle (random_problems builds many at once, one stacked QR per exact
+block shape, each problem bitwise the one its spec builds alone), a Lanczos
+projection demo, and the exact two-block joint norm behind the
+joint-versus-separate condition number inequalities (block_norm_cases).
 
 The module builds problems and solves them; it computes no condition
 number, so it imports only core and errors.
@@ -133,39 +134,59 @@ class EnsembleSpec:
         object.__setattr__(self, "singular_values", sv)
 
 
-def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    Z = rng.standard_normal((rows, cols))
-    Q, R = np.linalg.qr(Z)
-    # sign fix makes the factor unique, hence bit-reproducible per seed
-    return Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+def _haar_orthonormal(blocks: list[np.ndarray]) -> None:
+    """Replace each Gaussian block of the list by the Q factor of its QR,
+    in place, so each block is dropped once factored. The blocks of one
+    exact shape go through one stacked QR; LAPACK factors each matrix of a
+    stack on its own, so each factor is bitwise that of its block alone."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, Z in enumerate(blocks):
+        groups.setdefault(Z.shape, []).append(k)
+    for idx in groups.values():
+        # a lone block goes in as a view, so it is not copied
+        Q, R = np.linalg.qr(blocks[idx[0]][None] if len(idx) == 1 else np.stack([blocks[k] for k in idx]))
+        # sign fix makes the factor unique, hence bit-reproducible per seed
+        Q *= np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[:, None, :]
+        for j, k in enumerate(idx):
+            blocks[k] = Q[j]
 
 
-def random_problem(spec: EnsembleSpec) -> LsProblem:
-    """Build A = U diag(sigma) V^t and b = cos(theta) uhat + sin(theta) what.
+def random_problems(specs: list[EnsembleSpec]) -> list[LsProblem]:
+    """Build A = U diag(sigma) V^t and b = cos(theta) uhat + sin(theta) what
+    for each spec, bitwise the problem that spec builds alone.
 
     uhat interpolates between the extreme left singular vectors per
     spec.mix; what is a seeded random unit vector orthogonal to col(A).
     The construction reproduces the prescribed singular values to 1e-12
-    and the target angle to 1e-10; ||b|| = 1.
+    and the target angle to 1e-10; ||b|| = 1. Each spec's own stream draws
+    its m x n block, its n x n block, then what; the blocks of one exact
+    shape, across all specs, are factored by one stacked QR.
     """
-    sv = np.sort(np.asarray(spec.singular_values, dtype=float))[::-1]
-    rng = np.random.default_rng(spec.seed)
-    U = _haar_orthonormal(rng, spec.m, spec.n)
-    V = _haar_orthonormal(rng, spec.n, spec.n)
-    A = (U * sv) @ V.T
+    rngs = [np.random.default_rng(spec.seed) for spec in specs]
+    blocks = [rng.standard_normal(shape) for s, rng in zip(specs, rngs) for shape in ((s.m, s.n), (s.n, s.n))]
+    _haar_orthonormal(blocks)
+    problems = []
+    for spec, rng, U, V in zip(specs, rngs, blocks[::2], blocks[1::2]):
+        sv = np.sort(np.asarray(spec.singular_values, dtype=float))[::-1]
+        A = (U * sv) @ V.T
+        t = spec.mix * math.pi / 2.0
+        uhat = U[:, 0] if spec.n == 1 else math.cos(t) * U[:, 0] + math.sin(t) * U[:, -1]
+        for _ in range(64):
+            z = rng.standard_normal(spec.m)
+            w = z - U @ (U.T @ z)
+            nw = np.linalg.norm(w)
+            if nw > 1e-8 * np.linalg.norm(z):
+                break
+        else:  # pragma: no cover - probability zero for m > n
+            raise ParamOutOfRange("could not draw a direction orthogonal to col(A)")
+        b = math.cos(spec.theta) * uhat + math.sin(spec.theta) * (w / nw)
+        problems.append(LsProblem(A, b))
+    return problems
 
-    t = spec.mix * math.pi / 2.0
-    uhat = U[:, 0] if spec.n == 1 else math.cos(t) * U[:, 0] + math.sin(t) * U[:, -1]
-    for _ in range(64):
-        z = rng.standard_normal(spec.m)
-        w = z - U @ (U.T @ z)
-        nw = np.linalg.norm(w)
-        if nw > 1e-8 * np.linalg.norm(z):
-            break
-    else:  # pragma: no cover - probability zero for m > n
-        raise ParamOutOfRange("could not draw a direction orthogonal to col(A)")
-    b = math.cos(spec.theta) * uhat + math.sin(spec.theta) * (w / nw)
-    return LsProblem(A, b)
+
+def random_problem(spec: EnsembleSpec) -> LsProblem:
+    """The problem random_problems builds for spec alone."""
+    return random_problems([spec])[0]
 
 
 def _geometric(stop: float, n: int) -> tuple[float, ...]:

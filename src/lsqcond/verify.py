@@ -8,6 +8,8 @@ from --seed, and the acceptance criteria run them with their own seeds and
 counts, so each check has one implementation. SUITES lists the ten as
 (function, count) pairs; `lsqcond verify` names a suite after its function
 and offsets its seed by its position, and a suite that raises fails.
+Each ensemble suite builds its problems with one random_problems call,
+which stacks the Haar blocks per exact shape, bitwise as spec by spec.
 
 The kernels the suites check (the dual-norm objective g, its bounds and
 the sign canonicalization) live in the jacobian module.
@@ -27,13 +29,13 @@ from .conditioning import (
     worst_case_direction,
 )
 from .core import LsProblem, geometry, nuclear_norm, solve_least_squares
-from .generators import EnsembleSpec, block_norm_cases, ensemble_specs, random_problem
+from .generators import block_norm_cases, ensemble_specs, random_problems
 from .jacobian import adjoint_rank2, apply_residual_jacobian, attaining_perturbation, canonicalize_direction
 from .prior_bounds import compare_table
 
 
-def _solved(spec: EnsembleSpec):
-    cache = solve_least_squares(random_problem(spec))
+def _solved(problem: LsProblem):
+    cache = solve_least_squares(problem)
     return cache, geometry(cache)
 
 
@@ -48,8 +50,8 @@ def solve_invariants(seed: int, count: int) -> tuple[bool, str]:
     # the 1e-12 orthogonality/Pythagoras budget needs eps * kappa below it,
     # so this suite caps kappa at 1e3; the sandwich suite still goes to 1e6
     worst = 0.0
-    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0):
-        cache, _ = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed, max_kappa_exp=3.0)):
+        cache, _ = _solved(problem)
         worst = max(worst, *cache.self_check().values())
     return worst <= 1e-12, f"worst solve defect {worst:.2e} (tol 1e-12)"
 
@@ -58,8 +60,9 @@ def sandwich_containment(seed: int, count: int) -> tuple[bool, str]:
     """The exact value lies in [upper / sqrt(2), upper], and its attaining
     perturbation has unit norm and attains it to first order."""
     lo, hi, worst_norm, worst_cert = math.inf, 0.0, 0.0, 0.0
-    for spec in ensemble_specs(count, seed):
-        cache, _ = _solved(spec)
+    specs = ensemble_specs(count, seed)
+    for spec, problem in zip(specs, random_problems(specs)):
+        cache, _ = _solved(problem)
         est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
         ratio = est.chi_A / est.chi_A_upper
         lo, hi = min(lo, ratio), max(hi, ratio)
@@ -85,8 +88,8 @@ def adjoint_identity(seed: int, count: int) -> tuple[bool, str]:
     # the magnitudes of those terms, the scale at which rounding occurs
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0):
-        cache, _ = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed, max_kappa_exp=3.0)):
+        cache, _ = _solved(problem)
         m, n = cache.problem.m, cache.problem.n
         # row k: the k-th direction, then the k-th perturbation row by row
         draws = rng.standard_normal((20, m + m * n))
@@ -109,8 +112,8 @@ def dual_norm_identity(seed: int, count: int) -> tuple[bool, str]:
     problem."""
     rng = np.random.default_rng(seed)
     worst_eq = 0.0
-    for spec in ensemble_specs(count, seed):
-        cache, _ = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed)):
+        cache, _ = _solved(problem)
         D = _unit_columns(rng.standard_normal((25, cache.problem.m)))
         adj = adjoint_rank2(cache, D)
         g, nn = adj.objective(), nuclear_norm(adj.matrix())
@@ -130,9 +133,8 @@ def jacobian_remainder(seed: int, count: int) -> tuple[bool, str]:
     halving the step divides it by 3.5 to 4.5."""
     rng = np.random.default_rng(seed)
     ratios = []
-    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, geom = _solved(spec)
-        problem = cache.problem
+    for problem in random_problems(ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4))):
+        cache, geom = _solved(problem)
         E = rng.standard_normal(problem.A.shape)
         E /= np.linalg.svd(E, compute_uv=False)[0]
         d0 = 1e-3 * geom.sigma_min
@@ -152,8 +154,8 @@ def chi_b_attainment(seed: int, count: int) -> tuple[bool, str]:
     """Perturbing b along r changes the residual by csc(theta) times the
     relative step, to 1e-10."""
     worst = 0.0
-    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, geom = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4))):
+        cache, geom = _solved(problem)
         delta = 1e-2 * cache.norm_b
         db = delta * cache.r / cache.norm_r
         perturbed = solve_least_squares(LsProblem(cache.problem.A, cache.problem.b + db))
@@ -167,8 +169,8 @@ def prior_dominance(seed: int, count: int) -> tuple[bool, str]:
     max_ratio times it."""
     # the gvlh stated value can exceed kappa times the tight sum at small
     # kappa; the provable pointwise bound is kappa + 1/2 (tight sum >= 2)
-    for spec in ensemble_specs(count, seed):
-        cache, _ = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed)):
+        cache, _ = _solved(problem)
         for row in compare_table(cache):
             cap = row.max_ratio + (0.5 if row.source == "gvlh" else 0.0)
             if not 1.0 - 1e-12 <= row.ratio_to_tight <= cap + 1e-9:
@@ -179,8 +181,8 @@ def prior_dominance(seed: int, count: int) -> tuple[bool, str]:
 def scaling_variants(seed: int, count: int) -> tuple[bool, str]:
     """The b-scaled tight estimate is the r-scaled one times sin(theta)."""
     worst = 0.0
-    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4)):
-        cache, geom = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.4))):
+        cache, geom = _solved(problem)
         by_r = residual_condition_bounds(cache, ScaleFactors.relative(cache)).chi_A_upper
         by_b = residual_condition_bounds(cache, ScaleFactors.b_relative(cache)).chi_A_upper
         worst = max(worst, abs(by_b - by_r * math.sin(geom.theta)) / by_r)
@@ -191,8 +193,8 @@ def projection_consistency(seed: int, count: int) -> tuple[bool, str]:
     """chi_Ax(A) ||Ax|| = chi_r(A) ||r|| for scale_A = 1 and ||A||, and
     chi_Ax(b) = ||b|| / ||Ax|| = sec(theta), each to 1e-12."""
     worst = 0.0
-    for spec in ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
-        cache, geom = _solved(spec)
+    for problem in random_problems(ensemble_specs(count, seed, max_kappa_exp=3.0, theta_range=(0.1, 1.3))):
+        cache, geom = _solved(problem)
         for scale_A in (1.0, float(cache.s[0])):
             scales = ScaleFactors(scale_A, cache.norm_b, cache.norm_r, cache.norm_Ax)
             res = residual_condition_bounds(cache, scales)

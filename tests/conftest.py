@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lsqcond as lc
-from lsqcond.generators import ensemble_specs, gvl_example, random_problem
+from lsqcond.generators import ensemble_specs, gvl_example, random_problems
 
 
 @pytest.fixture
@@ -37,18 +37,44 @@ def oracle_solve():
 
 
 def solved_ensemble(count, seed, **kwargs):
-    """Stream of (cache, geometry) pairs over a seeded ensemble."""
-    for spec in ensemble_specs(count, seed, **kwargs):
-        cache = lc.solve_least_squares(random_problem(spec))
+    """Stream of (cache, geometry) pairs over a seeded ensemble, its
+    problems built by one random_problems call."""
+    for problem in random_problems(ensemble_specs(count, seed, **kwargs)):
+        cache = lc.solve_least_squares(problem)
         yield cache, lc.geometry(cache)
 
 
 def both_branches(count, seed, **kwargs):
     """Solved ensemble problems and, for each, the same recipe with m = n + 1,
-    so both branches of the closed form are exercised."""
-    for spec in ensemble_specs(count, seed, **kwargs):
-        for s in (spec, dataclasses.replace(spec, m=spec.n + 1)):
-            yield lc.solve_least_squares(random_problem(s))
+    so both branches of the closed form are exercised; all built by one
+    random_problems call."""
+    specs = ensemble_specs(count, seed, **kwargs)
+    paired = [s for spec in specs for s in (spec, dataclasses.replace(spec, m=spec.n + 1))]
+    for problem in random_problems(paired):
+        yield lc.solve_least_squares(problem)
+
+
+def one_spec_problem(spec):
+    """Independent oracle for random_problems: the construction for one
+    spec alone, each Haar factor from its own unstacked QR with the sign
+    fix, then the complement draw from the same stream."""
+
+    def haar(rng, rows, cols):
+        Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
+        return Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+
+    rng = np.random.default_rng(spec.seed)
+    U, V = haar(rng, spec.m, spec.n), haar(rng, spec.n, spec.n)
+    A = (U * np.sort(np.asarray(spec.singular_values, dtype=float))[::-1]) @ V.T
+    t = spec.mix * math.pi / 2.0
+    uhat = U[:, 0] if spec.n == 1 else math.cos(t) * U[:, 0] + math.sin(t) * U[:, -1]
+    for _ in range(64):
+        z = rng.standard_normal(spec.m)
+        w = z - U @ (U.T @ z)
+        nw = np.linalg.norm(w)
+        if nw > 1e-8 * np.linalg.norm(z):
+            return lc.LsProblem(A, math.cos(spec.theta) * uhat + math.sin(spec.theta) * (w / nw))
+    raise AssertionError("no direction orthogonal to col(A) in 64 draws")
 
 
 def reconstruct(cache):

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
@@ -269,6 +271,17 @@ def test_compare_text_and_csv(gvl_case, capsys):
     csv_text = capsys.readouterr().out
     header = csv_text.splitlines()[0]
     assert header == "source,value,scale_convention,ratio_to_tight,max_ratio"
+
+
+def test_stdout_redirected_to_a_text_stream_gets_the_same_text(gvl_case, capsys):
+    # in-process callers may swap stdout for a stream with no binary buffer
+    argv = ["compare", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")]
+    assert run_cli(*argv) == 0
+    expected = capsys.readouterr().out
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        assert run_cli(*argv) == 0
+    assert stream.getvalue() == expected
 
 
 def test_sweep_gvl_csv(tmp_path):
@@ -829,10 +842,13 @@ def test_sweep_to_a_pipe_matches_the_out_file(tmp_path):
     assert result.stdout == out.read_bytes()
 
 
-def test_a_closed_pipe_exits_2_with_one_error_line():
-    # 2,000 rows fill the pipe; the reader takes one line and goes away. Buffered
-    # stdout, the default: unbuffered, a cut-short write loses the rest silently
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_exits_2_with_one_error_line(unbuffered):
+    # 2,000 rows fill the pipe; the reader takes one line and goes away.
+    # Unbuffered, stdout writes to the raw file, which may take only part
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen(
         [sys.executable, "-m", "lsqcond", "sweep", "ensemble", "--param", "theta", "--values", _theta_values(2000)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,

@@ -14,8 +14,10 @@ from lsqcond.generators import (
     gvl_example,
     lanczos_demo,
     random_problem,
+    random_problems,
 )
-from conftest import golden_section_block_norm, sampled_block_norm
+from lsqcond import verify
+from conftest import golden_section_block_norm, one_spec_problem, sampled_block_norm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,6 +133,61 @@ def test_random_problem_round_trip_ensemble():
         )
         geom = lc.geometry(cache)
         assert geom.theta == pytest.approx(spec.theta, abs=1e-10)
+
+
+def _assert_one_spec_problems(specs, problems):
+    assert len(problems) == len(specs)
+    for spec, problem in zip(specs, problems):
+        expected = one_spec_problem(spec)
+        assert np.array_equal(problem.A, expected.A) and np.array_equal(problem.b, expected.b), spec
+
+
+@pytest.mark.parametrize("seed", [1, 57])
+def test_random_problems_match_one_spec_on_every_suite_stream(monkeypatch, seed):
+    streams = []
+
+    def recording(specs):
+        streams.append((specs, random_problems(specs)))
+        return streams[-1][1]
+
+    monkeypatch.setattr(verify, "random_problems", recording)
+    for offset, (suite, count) in enumerate(verify.SUITES):
+        assert suite(seed + offset, count)[0]
+    assert len(streams) == 9  # every suite but block_norm_band
+    for specs, problems in streams:
+        _assert_one_spec_problems(specs, problems)
+
+
+def _spec(m, n, seed):
+    return EnsembleSpec(m, n, _geometric(1e-3, n) if n > 1 else (1.0,), 0.7, 0.3, seed)
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [_spec(12, 4, 1), _spec(7, 3, 2), _spec(12, 4, 3), _spec(7, 4, 4), _spec(12, 4, 5), _spec(7, 3, 6)],
+        [_spec(2, 1, 7), _spec(5, 1, 8), _spec(5, 4, 9), _spec(11, 10, 10), _spec(2, 1, 11), _spec(30, 1, 12)],
+        [_spec(9, 3, 13)],
+    ],
+    ids=["repeated-shapes", "n-1-and-m-n-plus-1", "one-spec"],
+)
+def test_random_problems_match_one_spec(specs):
+    _assert_one_spec_problems(specs, random_problems(specs))
+    _assert_one_spec_problems(specs, [random_problem(spec) for spec in specs])
+
+
+def test_random_problems_factor_each_block_shape_once(monkeypatch):
+    specs = ensemble_specs(200, 19)
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    random_problems(specs)
+    assert len(shapes) == len({(s.m, s.n) for s in specs}) + len({s.n for s in specs}) < len(specs)
 
 
 def test_ensemble_spec_validation():

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import io
 import math
 import sys
@@ -125,12 +126,13 @@ def _write_text(out: str | None, text: str) -> None:
     elif not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
         sys.stdout.write(text)
     else:
-        # unbuffered, stdout.buffer is a raw file whose write may take only
-        # part: write the rest until all is taken or a closed reader raises
+        # unbuffered, stdout.buffer is a raw file whose write may take only part
         sys.stdout.flush()
         data = memoryview(text.encode(sys.stdout.encoding))
         while data:
-            data = data[sys.stdout.buffer.write(data) :]
+            if (n := sys.stdout.buffer.write(data)) is None:  # non-blocking and full
+                raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
+            data = data[n:]
 
 
 def _write_records(out: str | None, records: list) -> None:

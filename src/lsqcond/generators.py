@@ -3,10 +3,9 @@
 Covers the parametric 3x2 family (a diagonal matrix with tunable
 conditioning, angle, and alignment, after the classic Golub & Van Loan
 textbook example), seeded random ensembles with prescribed singular values
-and angle (random_problems builds many at once, one stacked QR per exact
-block shape, each problem bitwise the one its spec builds alone), a Lanczos
-projection demo, and the exact two-block joint norm behind the
-joint-versus-separate condition number inequalities (block_norm_cases).
+and angle (random_problems: one stacked QR per exact block shape, bitwise
+the one-spec build), a Lanczos projection demo, and block_norm_cases, the
+exact two-block joint norm behind the joint-versus-separate inequalities.
 
 The module builds problems and solves them; it computes no condition
 number, so it imports only core and errors.
@@ -135,10 +134,9 @@ class EnsembleSpec:
 
 
 def _haar_orthonormal(blocks: list[np.ndarray]) -> None:
-    """Replace each Gaussian block of the list by the Q factor of its QR,
-    in place, so each block is dropped once factored. The blocks of one
-    exact shape go through one stacked QR; LAPACK factors each matrix of a
-    stack on its own, so each factor is bitwise that of its block alone."""
+    """Replace each Gaussian block, in place so it is dropped once factored,
+    by its Q factor. One stacked QR per exact shape; LAPACK factors each
+    matrix of a stack on its own, so each factor is bitwise its block's alone."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, Z in enumerate(blocks):
         groups.setdefault(Z.shape, []).append(k)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import gc
 import io
 import json
@@ -859,6 +860,24 @@ def test_a_closed_pipe_exits_2_with_one_error_line(unbuffered):
     assert first.startswith(b"param,value,")
     assert proc.returncode == 2
     assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_an_unbuffered_non_blocking_stdout_that_fills_exits_2():
+    # nobody reads the pipe, so it fills; the raw file's write then returns
+    # None, which must end the command instead of being retried forever
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    r, w = os.pipe()
+    os.set_blocking(w, False)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lsqcond", "sweep", "ensemble", "--param", "theta", "--values", _theta_values(2000)],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(w)
+        os.close(r)
+    assert result.returncode == 2
+    assert result.stderr == f"error: [Errno {errno.EAGAIN}] write could not complete without blocking\n".encode()
 
 
 def test_a_usage_error_exits_2_through_run():

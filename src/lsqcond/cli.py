@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import io
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -121,18 +121,24 @@ def _load_problem(matrix_path: str, rhs_path: str) -> LsProblem:
 
 
 def _write_text(out: str | None, text: str) -> None:
+    """Write text to the file out, or else to stdout. Stdout's text layer is
+    flushed and the encoded text goes to its file descriptor with os.write
+    until every byte is taken, so no bytes are left in a buffer for the
+    interpreter's last flush: a reader that has gone, or a full non-blocking
+    pipe, raises here, buffered or not. A stdout with no file descriptor,
+    such as io.StringIO, gets sys.stdout.write."""
     if out:
         Path(out).write_text(text, encoding="ascii")
-    elif not hasattr(sys.stdout, "buffer"):  # a text stream, such as io.StringIO
+        return
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):
         sys.stdout.write(text)
-    else:
-        # unbuffered, stdout.buffer is a raw file whose write may take only part
-        sys.stdout.flush()
-        data = memoryview(text.encode(sys.stdout.encoding))
-        while data:
-            if (n := sys.stdout.buffer.write(data)) is None:  # non-blocking and full
-                raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
-            data = data[n:]
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _write_records(out: str | None, records: list) -> None:
@@ -287,7 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except LsqCondError as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         status = " ok " if ok else "FAIL"
-        print(f"[{status}] {suite.__name__.replace('_', '-')}: {detail}")
+        _write_text(None, f"[{status}] {suite.__name__.replace('_', '-')}: {detail}\n")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1
 

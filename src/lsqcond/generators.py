@@ -3,9 +3,10 @@
 Covers the parametric 3x2 family (a diagonal matrix with tunable
 conditioning, angle, and alignment, after the classic Golub & Van Loan
 textbook example), seeded random ensembles with prescribed singular values
-and angle (random_problems: one stacked QR per exact block shape, bitwise
-the one-spec build), a Lanczos projection demo, and block_norm_cases, the
-exact two-block joint norm behind the joint-versus-separate inequalities.
+and angle (random_problems: yielded one at a time, one stacked QR per
+exact block shape, bitwise the one-spec build), a Lanczos projection
+demo, and block_norm_cases, the exact two-block joint norm behind the
+joint-versus-separate inequalities.
 
 The module builds problems and solves them; it computes no condition
 number, so it imports only core and errors.
@@ -14,6 +15,7 @@ number, so it imports only core and errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -149,42 +151,65 @@ def _haar_orthonormal(blocks: list[np.ndarray]) -> None:
             blocks[k] = Q[j]
 
 
-def random_problems(specs: list[EnsembleSpec]) -> list[LsProblem]:
-    """Build A = U diag(sigma) V^t and b = cos(theta) uhat + sin(theta) what
-    for each spec, bitwise the problem that spec builds alone.
+# a complement draw this close to col(A), relative to its norm, is redrawn
+_REJECT_TOL = 1e-8
+
+
+def _draws(rng: np.random.Generator, spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first three draws of spec's stream: its m x n block, its n x n
+    block and its first complement draw."""
+    return rng.standard_normal((spec.m, spec.n)), rng.standard_normal((spec.n, spec.n)), rng.standard_normal(spec.m)
+
+
+def _complement_draws(spec: EnsembleSpec, first: np.ndarray) -> Iterator[np.ndarray]:
+    """first, then up to 63 more complement draws from spec's stream,
+    re-created from its seed and past its first three draws."""
+    yield first
+    rng = np.random.default_rng(spec.seed)
+    _draws(rng, spec)
+    for _ in range(63):
+        yield rng.standard_normal(spec.m)
+
+
+def random_problems(specs: list[EnsembleSpec]) -> Iterator[LsProblem]:
+    """Yield A = U diag(sigma) V^t and b = cos(theta) uhat + sin(theta) what
+    for each spec in order, bitwise the problem that spec builds alone.
 
     uhat interpolates between the extreme left singular vectors per
     spec.mix; what is a seeded random unit vector orthogonal to col(A).
     The construction reproduces the prescribed singular values to 1e-12
     and the target angle to 1e-10; ||b|| = 1. Each spec's own stream draws
-    its m x n block, its n x n block, then what; the blocks of one exact
-    shape, across all specs, are factored by one stacked QR.
+    its m x n block, its n x n block, then what, and its Generator lives
+    only through those three draws; the blocks of one exact shape, across
+    all specs, are then factored by one stacked QR. A complement draw
+    that lies in col(A) (probability zero for m > n) is redrawn from the
+    stream re-created from spec.seed. The problems are built as they are
+    taken, so a caller that iterates holds one at a time.
     """
-    rngs = [np.random.default_rng(spec.seed) for spec in specs]
-    blocks = [rng.standard_normal(shape) for s, rng in zip(specs, rngs) for shape in ((s.m, s.n), (s.n, s.n))]
+    # each Generator is a temporary, dropped once its three draws are taken
+    draws = [_draws(np.random.default_rng(spec.seed), spec) for spec in specs]
+    blocks = [Z for d in draws for Z in d[:2]]
+    firsts = [d[2] for d in draws]
+    del draws  # blocks alone holds each Gaussian block, so it is dropped once factored
     _haar_orthonormal(blocks)
-    problems = []
-    for spec, rng, U, V in zip(specs, rngs, blocks[::2], blocks[1::2]):
+    for spec, U, V, first in zip(specs, blocks[::2], blocks[1::2], firsts):
         sv = np.sort(np.asarray(spec.singular_values, dtype=float))[::-1]
         A = (U * sv) @ V.T
         t = spec.mix * math.pi / 2.0
         uhat = U[:, 0] if spec.n == 1 else math.cos(t) * U[:, 0] + math.sin(t) * U[:, -1]
-        for _ in range(64):
-            z = rng.standard_normal(spec.m)
+        for z in _complement_draws(spec, first):
             w = z - U @ (U.T @ z)
             nw = np.linalg.norm(w)
-            if nw > 1e-8 * np.linalg.norm(z):
+            if nw > _REJECT_TOL * np.linalg.norm(z):
                 break
         else:  # pragma: no cover - probability zero for m > n
             raise ParamOutOfRange("could not draw a direction orthogonal to col(A)")
-        b = math.cos(spec.theta) * uhat + math.sin(spec.theta) * (w / nw)
-        problems.append(LsProblem(A, b))
-    return problems
+        yield LsProblem(A, math.cos(spec.theta) * uhat + math.sin(spec.theta) * (w / nw))
 
 
 def random_problem(spec: EnsembleSpec) -> LsProblem:
-    """The problem random_problems builds for spec alone."""
-    return random_problems([spec])[0]
+    """The problem random_problems yields for spec alone."""
+    return next(random_problems([spec]))
 
 
 def _geometric(stop: float, n: int) -> tuple[float, ...]:

@@ -8,8 +8,9 @@ from --seed, and the acceptance criteria run them with their own seeds and
 counts, so each check has one implementation. SUITES lists the ten as
 (function, count) pairs; `lsqcond verify` names a suite after its function
 and offsets its seed by its position, and a suite that raises fails.
-Each ensemble suite builds its problems with one random_problems call,
-which stacks the Haar blocks per exact shape, bitwise as spec by spec.
+Each ensemble suite takes its problems one at a time from one
+random_problems call, which stacks the Haar blocks per exact shape,
+bitwise as spec by spec, so a suite holds one problem at a time.
 
 The kernels the suites check (the dual-norm objective g, its bounds and
 the sign canonicalization) live in the jacobian module.

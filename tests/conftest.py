@@ -38,7 +38,7 @@ def oracle_solve():
 
 def solved_ensemble(count, seed, **kwargs):
     """Stream of (cache, geometry) pairs over a seeded ensemble, its
-    problems built by one random_problems call."""
+    problems taken one at a time from one random_problems call."""
     for problem in random_problems(ensemble_specs(count, seed, **kwargs)):
         cache = lc.solve_least_squares(problem)
         yield cache, lc.geometry(cache)
@@ -46,7 +46,7 @@ def solved_ensemble(count, seed, **kwargs):
 
 def both_branches(count, seed, **kwargs):
     """Solved ensemble problems and, for each, the same recipe with m = n + 1,
-    so both branches of the closed form are exercised; all built by one
+    so both branches of the closed form are exercised; all taken from one
     random_problems call."""
     specs = ensemble_specs(count, seed, **kwargs)
     paired = [s for spec in specs for s in (spec, dataclasses.replace(spec, m=spec.n + 1))]
@@ -54,10 +54,11 @@ def both_branches(count, seed, **kwargs):
         yield lc.solve_least_squares(problem)
 
 
-def one_spec_problem(spec):
+def one_spec_problem(spec, tol=1e-8):
     """Independent oracle for random_problems: the construction for one
     spec alone, each Haar factor from its own unstacked QR with the sign
-    fix, then the complement draw from the same stream."""
+    fix, then the complement draws from the same stream until one lies
+    farther than tol times its norm from col(A)."""
 
     def haar(rng, rows, cols):
         Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
@@ -72,7 +73,7 @@ def one_spec_problem(spec):
         z = rng.standard_normal(spec.m)
         w = z - U @ (U.T @ z)
         nw = np.linalg.norm(w)
-        if nw > 1e-8 * np.linalg.norm(z):
+        if nw > tol * np.linalg.norm(z):
             return lc.LsProblem(A, math.cos(spec.theta) * uhat + math.sin(spec.theta) * (w / nw))
     raise AssertionError("no direction orthogonal to col(A) in 64 draws")
 

@@ -843,16 +843,20 @@ def test_sweep_to_a_pipe_matches_the_out_file(tmp_path):
     assert result.stdout == out.read_bytes()
 
 
+def _stdout_env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_closed_pipe_exits_2_with_one_error_line(unbuffered):
     # 2,000 rows fill the pipe; the reader takes one line and goes away.
     # Unbuffered, stdout writes to the raw file, which may take only part
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen(
         [sys.executable, "-m", "lsqcond", "sweep", "ensemble", "--param", "theta", "--values", _theta_values(2000)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_stdout_env(unbuffered),
     ) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -862,22 +866,44 @@ def test_a_closed_pipe_exits_2_with_one_error_line(unbuffered):
     assert stderr == b"error: [Errno 32] Broken pipe\n"
 
 
-def test_an_unbuffered_non_blocking_stdout_that_fills_exits_2():
-    # nobody reads the pipe, so it fills; the raw file's write then returns
-    # None, which must end the command instead of being retried forever
-    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_a_pipe_closed_before_a_short_output_exits_2_with_one_error_line(command, unbuffered, gvl_case):
+    # the output fits stdout's buffer, so a buffered write would hold it
+    # for the interpreter's last flush; the reader is gone before any write
+    if command == "verify":
+        argv = ["verify", "--seed", "1"]
+    else:
+        argv = ["compare", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lsqcond", *argv],
+            stdout=w, stderr=subprocess.PIPE, env=_stdout_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert result.returncode == 2
+    assert result.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_non_blocking_stdout_that_fills_exits_2(unbuffered):
+    # nobody reads the pipe, so it fills; the write then fails with EAGAIN,
+    # which must end the command instead of being retried forever
     r, w = os.pipe()
     os.set_blocking(w, False)
     try:
         result = subprocess.run(
             [sys.executable, "-m", "lsqcond", "sweep", "ensemble", "--param", "theta", "--values", _theta_values(2000)],
-            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=w, stderr=subprocess.PIPE, env=_stdout_env(unbuffered), timeout=60,
         )
     finally:
         os.close(w)
         os.close(r)
     assert result.returncode == 2
-    assert result.stderr == f"error: [Errno {errno.EAGAIN}] write could not complete without blocking\n".encode()
+    assert result.stderr == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n".encode()
 
 
 def test_a_usage_error_exits_2_through_run():

@@ -16,7 +16,7 @@ from lsqcond.generators import (
     random_problem,
     random_problems,
 )
-from lsqcond import verify
+from lsqcond import generators, verify
 from conftest import golden_section_block_norm, one_spec_problem, sampled_block_norm
 
 SQRT2 = math.sqrt(2.0)
@@ -135,10 +135,11 @@ def test_random_problem_round_trip_ensemble():
         assert geom.theta == pytest.approx(spec.theta, abs=1e-10)
 
 
-def _assert_one_spec_problems(specs, problems):
+def _assert_one_spec_problems(specs, problems, tol=1e-8):
+    problems = list(problems)
     assert len(problems) == len(specs)
     for spec, problem in zip(specs, problems):
-        expected = one_spec_problem(spec)
+        expected = one_spec_problem(spec, tol)
         assert np.array_equal(problem.A, expected.A) and np.array_equal(problem.b, expected.b), spec
 
 
@@ -147,7 +148,7 @@ def test_random_problems_match_one_spec_on_every_suite_stream(monkeypatch, seed)
     streams = []
 
     def recording(specs):
-        streams.append((specs, random_problems(specs)))
+        streams.append((specs, list(random_problems(specs))))
         return streams[-1][1]
 
     monkeypatch.setattr(verify, "random_problems", recording)
@@ -186,8 +187,59 @@ def test_random_problems_factor_each_block_shape_once(monkeypatch):
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting)
-    random_problems(specs)
+    list(random_problems(specs))
     assert len(shapes) == len({(s.m, s.n) for s in specs}) + len({s.n for s in specs}) < len(specs)
+
+
+class _CountedRngs:
+    """Stands in for np.random.default_rng: records the seed of each
+    Generator it makes and the most that were alive at once."""
+
+    def __init__(self):
+        self.seeds, self.live, self.peak = [], 0, 0
+        counter = self
+
+        class Counted(np.random.Generator):
+            def __del__(self):
+                counter.live -= 1
+
+        self._counted = Counted
+
+    def __call__(self, seed):
+        self.seeds.append(seed)
+        self.live += 1
+        self.peak = max(self.peak, self.live)
+        return self._counted(np.random.PCG64(seed))
+
+
+@pytest.fixture
+def counted_rngs(monkeypatch):
+    rngs = _CountedRngs()
+    monkeypatch.setattr(np.random, "default_rng", rngs)
+    return rngs
+
+
+def test_random_problems_keep_at_most_one_generator_alive(counted_rngs):
+    specs = ensemble_specs(200, 19)
+    counted_rngs.seeds.clear()
+    counted_rngs.peak = counted_rngs.live
+    for _ in random_problems(specs):
+        assert counted_rngs.live == 0
+    assert counted_rngs.peak == 1
+    assert counted_rngs.seeds == [spec.seed for spec in specs]
+
+
+def test_random_problems_redraw_a_complement_draw_near_col_a(monkeypatch, counted_rngs):
+    # at tolerance 0.5 about a third of the first draws at m = n + 1 are
+    # rejected, and none at m = 30, n = 1, where ||w|| / ||z|| is near 1
+    tol = 0.5
+    monkeypatch.setattr(generators, "_REJECT_TOL", tol)
+    specs = [_spec(m, n, seed) for seed, (m, n) in enumerate([(2, 1), (5, 4), (11, 10), (30, 1)] * 4, start=40)]
+    problems = list(random_problems(specs))
+    redrawn = {seed for seed in counted_rngs.seeds if counted_rngs.seeds.count(seed) == 2}
+    assert redrawn and {s.seed for s in specs if s.m == 30}.isdisjoint(redrawn)
+    assert len(counted_rngs.seeds) == len(specs) + len(redrawn)
+    _assert_one_spec_problems(specs, problems, tol)
 
 
 def test_ensemble_spec_validation():

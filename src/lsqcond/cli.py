@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_problem(matrix_path: str, rhs_path: str) -> LsProblem:
-    return LsProblem(mmio.read_matrix(matrix_path), mmio.read_vector(rhs_path))
-
-
 def _write_text(out: str | None, text: str) -> None:
     """Write text to the file out, or else to stdout. Stdout's text layer is
     flushed and the encoded text goes to its file descriptor with os.write
@@ -175,17 +171,19 @@ def _write_case(out_dir: str, problem: LsProblem, delta_A: np.ndarray | None, ki
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cache = solve_least_squares(_load_problem(args.matrix, args.rhs))
-    solve_s = time.perf_counter() - t0
-    rep = build_report(cache, matrix_file=args.matrix, rhs_file=args.rhs)
+    (A, matrix_sha256), (b, rhs_sha256) = mmio.read_matrix(args.matrix), mmio.read_vector(args.rhs)
+    t1 = time.perf_counter()
+    cache = solve_least_squares(LsProblem(A, b))
+    t2 = time.perf_counter()
+    rep = build_report(cache, (args.matrix, matrix_sha256), (args.rhs, rhs_sha256))
     if args.timings:
-        rep["timings"] = {"solve_s": solve_s, "total_s": time.perf_counter() - t0}
+        rep["timings"] = {"read_s": t1 - t0, "solve_s": t2 - t1, "total_s": time.perf_counter() - t0}
     _write_text(args.out, dump_json(rep))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cache = solve_least_squares(_load_problem(args.matrix, args.rhs))
+    cache = solve_least_squares(LsProblem(mmio.read_matrix(args.matrix)[0], mmio.read_vector(args.rhs)[0]))
     rows = compare_table(cache)
     if args.format == "csv":
         _write_records(args.out, rows)
@@ -222,12 +220,7 @@ def _cmd_generate_ensemble(args: argparse.Namespace) -> int:
     problem = generators.random_problem(spec)
     cache = solve_least_squares(problem)
     geom = geometry(cache)
-    realized = {
-        "kappa": geom.kappa,
-        "theta": geom.theta,
-        "vds": geom.vds,
-        "sigma_min": geom.sigma_min,
-    }
+    realized = {key: getattr(geom, key) for key in ("kappa", "theta", "vds", "sigma_min")}
     _write_case(args.out_dir, problem, None, "ensemble", parameters=dataclasses.asdict(spec), realized=realized)
     return 0
 
@@ -277,7 +270,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_lanczos(args: argparse.Namespace) -> int:
     from . import generators
 
-    _write_records(args.out, generators.lanczos_demo(mmio.read_matrix(args.matrix), args.steps))
+    _write_records(args.out, generators.lanczos_demo(mmio.read_matrix(args.matrix)[0], args.steps))
     return 0
 
 

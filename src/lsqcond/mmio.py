@@ -8,12 +8,17 @@ only) and symmetry `general`, `symmetric` or `skew-symmetric`. Comment and
 blank lines may precede the size line. Coordinate files may repeat an
 entry; repeats are summed. Every other file, `complex` and `hermitian`
 ones included, raises ValueError naming the file.
+
+The readers are the package's only file input: one read per file, values
+returned with the SHA-256 of the bytes parsed, and of a Matrix Market file
+only the header decoded (latin-1); NumPy parses the body's bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
+import re
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -24,21 +29,24 @@ _FIELDS = ("real", "integer", "pattern")
 _SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 
 
-def read_matrix(path: str | Path) -> np.ndarray:
-    """Dense real matrix from a Matrix Market file (array or coordinate).
+def read_matrix(path: str | Path) -> tuple[np.ndarray, str]:
+    """Dense real matrix from a Matrix Market file (array or coordinate)
+    and the SHA-256 hex digest of its bytes.
 
     Raises ValueError, its message starting with the path, on any file
     outside the subset of the module docstring or too large to allocate.
     """
     try:
-        with open(path, encoding="latin-1") as fh:
-            return _parse(fh)
+        data = Path(path).read_bytes()
+        return _parse(data), hashlib.sha256(data).hexdigest()
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse(fh: TextIO) -> np.ndarray:
-    tokens = fh.readline().split()
+def _parse(data: bytes) -> np.ndarray:
+    # lines as text mode ends them; a last, empty match ends the size-line loop
+    lines = re.finditer(rb"[^\r\n]*(?:\r\n?|\n)?", data)
+    tokens = next(lines)[0].decode("latin-1").split()
     if len(tokens) != 5 or tokens[0] != _BANNER:
         raise ValueError(f"expected a '{_BANNER} matrix <format> <field> <symmetry>' banner")
     obj, fmt, field, symmetry = (t.lower() for t in tokens[1:])
@@ -50,9 +58,10 @@ def _parse(fh: TextIO) -> np.ndarray:
         or (fmt, field) == ("array", "pattern")
     ):
         raise ValueError(f"unsupported Matrix Market type '{' '.join(tokens[1:])}'")
-    line = fh.readline()
-    while line.startswith("%") or (line and line.isspace()):
-        line = fh.readline()
+    for match in lines:
+        line = match[0].decode("latin-1")
+        if not (line.startswith("%") or (line and line.isspace())):
+            break
     try:
         dims = [int(t) for t in line.split()]
     except ValueError:
@@ -62,7 +71,7 @@ def _parse(fh: TextIO) -> np.ndarray:
     m, n = dims[0], dims[1]
     if symmetry != "general" and m != n:
         raise ValueError(f"a {symmetry} matrix must be square, got {m}x{n}")
-    body = fh.read()
+    body = data[match.end():]
     # NumPy's C parser; it reads a whitespace-only string as [-1.0]
     values = np.empty(0) if body.isspace() else np.fromstring(body, sep=" ")
     sign = -1.0 if symmetry == "skew-symmetric" else 1.0
@@ -112,8 +121,9 @@ def _check_integers(field: str, values: np.ndarray) -> None:
         raise ValueError("a value in an integer file is not an integer")
 
 
-def read_vector(path: str | Path) -> np.ndarray:
-    """Real vector from a Matrix Market array file or plain text.
+def read_vector(path: str | Path) -> tuple[np.ndarray, str]:
+    """Real vector from a Matrix Market array file or plain text and the
+    SHA-256 hex digest of its bytes.
 
     Plain text means one decimal value per line, ASCII, '.' radix; blank
     lines and '#' comments are skipped. A file with no value, or one that
@@ -121,11 +131,12 @@ def read_vector(path: str | Path) -> np.ndarray:
     """
     path = Path(path)
     if path.suffix.lower() in _MM_SUFFIXES:
-        M = read_matrix(path)
+        M, digest = read_matrix(path)
         if min(M.shape) != 1:
             raise ValueError(f"{path}: expected a vector, got shape {M.shape}")
-        return M.ravel()
-    lines = path.read_text(encoding="latin-1").splitlines()
+        return M.ravel(), digest
+    data = path.read_bytes()
+    lines = data.decode("latin-1").splitlines()
     try:
         # np.loadtxt only warns on an input with no data
         if not any(line.split("#", 1)[0].strip() for line in lines):
@@ -135,7 +146,7 @@ def read_vector(path: str | Path) -> np.ndarray:
             raise ValueError(f"expected one value per line, got shape {v.shape}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return v
+    return v, hashlib.sha256(data).hexdigest()
 
 
 def write_matrix(path: str | Path, M: np.ndarray) -> None:

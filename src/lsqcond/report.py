@@ -4,17 +4,15 @@ Reports must be byte-identical for identical inputs, so floats are
 always written as repr writes them, the shortest decimal that reads back
 to the same double, and key order is fixed by construction. Timings are
 only filled in when explicitly requested, since they would break
-reproducibility.
+reproducibility. No file is read here: input digests come from mmio.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from collections.abc import Sequence
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -27,18 +25,15 @@ from .prior_bounds import compare_table
 SCHEMA = "lsq-cond/3"
 
 
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def build_report(
     cache: LsCache,
-    matrix_file: str | None = None,
-    rhs_file: str | None = None,
+    matrix: tuple[str, str] | None = None,
+    rhs: tuple[str, str] | None = None,
 ) -> dict[str, Any]:
     """Assemble the full analysis record as a plain nested dict.
 
-    The geometry, the estimates and the published-bounds table all come
+    "problem" names the input files given as matrix and rhs, (path, SHA-256)
+    pairs whose digests mmio returned for the bytes it parsed. The geometry, the estimates and the published-bounds table all come
     from the solved cache. "estimates" holds, for each of
     ScaleFactors.presets, the residual's ConditionEstimates record whole,
     in field order, and "projection" the projection's under the relative
@@ -50,6 +45,7 @@ def build_report(
     breaks reproducibility.
     """
     problem = cache.problem
+    (matrix_file, matrix_sha256), (rhs_file, rhs_sha256) = matrix or (None, None), rhs or (None, None)
     geom = geometry(cache)
     presets = ScaleFactors.presets(cache)
     bounds = {name: residual_condition_bounds(cache, scales) for name, scales in presets.items()}
@@ -67,8 +63,8 @@ def build_report(
             "n": problem.n,
             "matrix_file": matrix_file,
             "rhs_file": rhs_file,
-            "matrix_sha256": file_sha256(matrix_file) if matrix_file else None,
-            "rhs_sha256": file_sha256(rhs_file) if rhs_file else None,
+            "matrix_sha256": matrix_sha256,
+            "rhs_sha256": rhs_sha256,
         },
         "geometry": dataclasses.asdict(geom),
         "norms": {

@@ -1,7 +1,10 @@
+import builtins
+import collections
 import contextlib
 import dataclasses
 import errno
 import gc
+import hashlib
 import io
 import json
 import math
@@ -350,6 +353,21 @@ def test_empty_text_rhs_exits_2(tmp_path):
     assert result.stderr == f"error: {rhs}: no values\n" and result.stdout == ""
 
 
+def test_a_non_ascii_byte_in_the_matrix_body_exits_2_naming_the_file(tmp_path):
+    # NumPy's parser stops at the byte 0xE9; under -W error too the exit is 2, not a traceback
+    matrix = tmp_path / "A.mtx"
+    matrix.write_bytes(b"%%MatrixMarket matrix array real general\n2 1\n1\n\xe9\n")
+    mmio.write_vector(tmp_path / "b.txt", np.ones(2))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lsqcond", "analyze",
+         "--matrix", str(matrix), "--rhs", str(tmp_path / "b.txt")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    message = "string or file could not be read to its end due to unmatched data"
+    assert result.stderr == f"error: {matrix}: {message}\n" and result.stdout == ""
+
+
 def test_verify_reports_failures_with_exit_1(monkeypatch, capsys):
     def always_fails(seed, count):
         return False, "boom"
@@ -419,9 +437,49 @@ def test_analyze_timings_leave_the_rest_of_the_report_unchanged(gvl_case, tmp_pa
     timings = timed.pop("timings")
     assert plain.pop("timings") is None
     assert timed == plain
-    assert set(timings) == {"solve_s", "total_s"}
-    assert all(math.isfinite(t) for t in timings.values())
-    assert 0.0 <= timings["solve_s"] <= timings["total_s"]
+    assert list(timings) == ["read_s", "solve_s", "total_s"]
+    assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
+    assert timings["read_s"] + timings["solve_s"] <= timings["total_s"]
+
+
+def test_analyze_reads_each_input_file_once(gvl_case, tmp_path, monkeypatch):
+    # every file read goes through open, built in or io's (pathlib's read_bytes and read_text)
+    opened = collections.Counter()
+
+    def counting_open(file, mode="r", *args, open=io.open, **kwargs):
+        if "r" in mode:
+            opened[os.fspath(file)] += 1
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    matrix, rhs = str(gvl_case / "A.mtx"), str(gvl_case / "b.txt")
+    assert run_cli("analyze", "--matrix", matrix, "--rhs", rhs, "--out", str(tmp_path / "report.json")) == 0
+    assert (opened[matrix], opened[rhs]) == (1, 1)
+
+
+def test_a_file_rewritten_after_reading_keeps_the_digest_of_the_bytes_parsed(gvl_case, tmp_path, monkeypatch):
+    matrix, rhs = gvl_case / "A.mtx", gvl_case / "b.txt"
+    parsed = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (matrix, rhs)]
+    argv = ["analyze", "--matrix", str(matrix), "--rhs", str(rhs), "--out", str(tmp_path / "report.json")]
+    assert run_cli(*argv) == 0
+    expected = json.loads((tmp_path / "report.json").read_text())
+    assert [expected["problem"]["matrix_sha256"], expected["problem"]["rhs_sha256"]] == parsed
+
+    def read_then_rewrite(reader):
+        def read(path):
+            result = reader(path)
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+            return result
+
+        return read
+
+    for name in ("read_matrix", "read_vector"):
+        monkeypatch.setattr(mmio, name, read_then_rewrite(getattr(mmio, name)))
+    assert run_cli(*argv) == 0
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (matrix, rhs)] != parsed
+    assert json.loads((tmp_path / "report.json").read_text()) == expected
 
 
 @pytest.mark.parametrize("preset", ["relative", "b-relative", "absolute"])
@@ -432,7 +490,7 @@ def test_analyze_all_scale_presets(gvl_case, tmp_path, preset):
     assert run_cli("analyze", "--matrix", str(matrix), "--rhs", str(rhs), "--out", str(out)) == 0
     est = json.loads(out.read_text())["estimates"][preset]
     assert est["chi_A_lower"] <= est["chi_A"] <= est["chi_A_upper"] * (1.0 + 1e-8)
-    cache = solve_least_squares(LsProblem(mmio.read_matrix(matrix), mmio.read_vector(rhs)))
+    cache = solve_least_squares(LsProblem(mmio.read_matrix(matrix)[0], mmio.read_vector(rhs)[0]))
     assert est["chi_A"] == residual_condition_bounds(cache, ScaleFactors.presets(cache)[preset]).chi_A
 
 
@@ -475,8 +533,8 @@ def test_analyze_is_scale_invariant_across_the_double_range(tmp_path, capsys, sc
         "generate", "ensemble", "--m", "12", "--n", "4", "--sigmas", "1,0.1,0.01,0.001",
         "--theta", "0.7", "--mix", "0.3", "--seed", "9", "--out-dir", str(base),
     ) == 0
-    mmio.write_matrix(tmp_path / "A.mtx", scale_A * mmio.read_matrix(base / "A.mtx"))
-    mmio.write_vector(tmp_path / "b.txt", scale_b * mmio.read_vector(base / "b.txt"))
+    mmio.write_matrix(tmp_path / "A.mtx", scale_A * mmio.read_matrix(base / "A.mtx")[0])
+    mmio.write_vector(tmp_path / "b.txt", scale_b * mmio.read_vector(base / "b.txt")[0])
     reports = []
     for case in (base, tmp_path):
         out = case / "report.json"

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -12,11 +13,18 @@ import pytest
 from lsqcond import mmio
 
 
+def read(reader, path):
+    """The values a reader returns, once its digest is checked against the file's bytes."""
+    values, digest = reader(path)
+    assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return values
+
+
 def test_matrix_round_trip(tmp_path):
     A = np.array([[1.0, -2.5], [0.0, 1e-13], [3.0, 4.0]])
     path = tmp_path / "A.mtx"
     mmio.write_matrix(path, A)
-    np.testing.assert_array_equal(mmio.read_matrix(path), A)
+    np.testing.assert_array_equal(read(mmio.read_matrix, path), A)
 
 
 def test_read_coordinate_format(tmp_path):
@@ -29,7 +37,7 @@ def test_read_coordinate_format(tmp_path):
         "3 1 -2.0\n"
     )
     expected = np.array([[1.0, 0.0], [0.0, 0.5], [-2.0, 0.0]])
-    np.testing.assert_array_equal(mmio.read_matrix(path), expected)
+    np.testing.assert_array_equal(read(mmio.read_matrix, path), expected)
 
 
 def test_vector_text_round_trip(tmp_path):
@@ -37,14 +45,14 @@ def test_vector_text_round_trip(tmp_path):
     path = tmp_path / "b.txt"
     mmio.write_vector(path, v)
     assert path.read_text().count("\n") == 3
-    np.testing.assert_array_equal(mmio.read_vector(path), v)
+    np.testing.assert_array_equal(read(mmio.read_vector, path), v)
 
 
 def test_vector_matrix_market_round_trip(tmp_path):
     v = np.array([2.0, 0.5])
     path = tmp_path / "b.mtx"
     mmio.write_vector(path, v)
-    np.testing.assert_array_equal(mmio.read_vector(path), v)
+    np.testing.assert_array_equal(read(mmio.read_vector, path), v)
 
 
 def test_read_vector_rejects_matrix(tmp_path):
@@ -127,11 +135,12 @@ def _token(rng, field):
 
 def _mm_text(fmt, field, symmetry, seed):
     """A Matrix Market file with comment and blank lines before the size
-    line and blank lines in the body; coordinate files repeat entries."""
+    line, one comment holding the non-ASCII character U+00E9, and blank
+    lines in the body; coordinate files repeat entries."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     m = n if symmetry != "general" else int(rng.integers(1, 8))
-    lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}", "% a comment", "", "%another"]
+    lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}", "% a comment", "", "%caf\xe9"]
     if fmt == "array":
         if symmetry == "general":
             cells = [(i, j) for j in range(n) for i in range(m)]
@@ -163,11 +172,12 @@ def test_read_matches_scipy_mmread(tmp_path, fmt, field, symmetry, seed):
     import scipy.sparse
 
     path = tmp_path / "M.mtx"
-    path.write_text(_mm_text(fmt, field, symmetry, seed))
+    # latin-1: the comment's U+00E9 is the one byte 0xE9
+    path.write_bytes(_mm_text(fmt, field, symmetry, seed).encode("latin-1"))
     expected = scipy.io.mmread(str(path))
     if scipy.sparse.issparse(expected):
         expected = expected.toarray()
-    got = mmio.read_matrix(path)
+    got = read(mmio.read_matrix, path)
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, np.asarray(expected, dtype=float))
 
@@ -182,7 +192,7 @@ def test_write_matches_scipy_mmwrite_bytes(tmp_path, shape):
     mmio.write_matrix(ours, M)
     scipy.io.mmwrite(str(theirs), M, precision=17)
     assert ours.read_bytes() == theirs.read_bytes()
-    got = mmio.read_matrix(ours)
+    got = read(mmio.read_matrix, ours)
     np.testing.assert_array_equal(got, M)
     assert np.array_equal(np.signbit(got), np.signbit(M))
 
@@ -190,9 +200,12 @@ def test_write_matches_scipy_mmwrite_bytes(tmp_path, shape):
 MALFORMED = {
     "truncated body": "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
     "whitespace-only body": "%%MatrixMarket matrix array real general\n1 1\n\n",
+    # NumPy reads blank text as [-1.0], which a 1x1 count would accept
+    "whitespace-only body with a tab and CRLF": "%%MatrixMarket matrix array real general\r\n1 1\r\n \t\r\n",
     "extra entries": "%%MatrixMarket matrix array real general\n2 1\n1\n2\n3\n",
     "extra coordinate entry": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 1\n",
     "bad token": "%%MatrixMarket matrix array real general\n2 1\n1\n1,5\n",
+    "non-ASCII byte in body": "%%MatrixMarket matrix array real general\n2 1\n1\n\xe9\n",
     "comment in body": "%%MatrixMarket matrix array real general\n2 1\n1\n% note\n2\n",
     "row index out of range": "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n",
     "column index out of range": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1\n",
@@ -216,7 +229,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_read_matrix_rejects_malformed(tmp_path, case):
     path = tmp_path / "bad.mtx"
-    path.write_text(MALFORMED[case])
+    path.write_bytes(MALFORMED[case].encode("latin-1"))
     with pytest.raises(ValueError, match="bad.mtx"):
         mmio.read_matrix(path)
 

@@ -482,6 +482,31 @@ def test_a_file_rewritten_after_reading_keeps_the_digest_of_the_bytes_parsed(gvl
     assert json.loads((tmp_path / "report.json").read_text()) == expected
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_analyze_digests_inputs_read_from_pipes(gvl_case):
+    # a pipe can be read only once: a second read for the digest would hash no bytes
+    paths, fds, digests = [], [], []
+    for name in ("A.mtx", "b.txt"):
+        data = (gvl_case / name).read_bytes()
+        r, w = os.pipe()
+        os.write(w, data)  # a few hundred bytes, inside the pipe's buffer
+        os.close(w)
+        paths.append(f"/dev/fd/{r}")
+        fds.append(r)
+        digests.append(hashlib.sha256(data).hexdigest())
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lsqcond", "analyze", "--matrix", paths[0], "--rhs", paths[1]],
+            capture_output=True, text=True, pass_fds=fds, timeout=60,
+        )
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert result.returncode == 0, result.stderr
+    problem = json.loads(result.stdout)["problem"]
+    assert [problem["matrix_sha256"], problem["rhs_sha256"]] == digests
+
+
 @pytest.mark.parametrize("preset", ["relative", "b-relative", "absolute"])
 def test_analyze_all_scale_presets(gvl_case, tmp_path, preset):
     # one report carries every preset's exact value, bitwise the library's

@@ -258,7 +258,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             problem = generators.random_problem(spec)
         cache = solve_least_squares(problem)
         geom = geometry(cache)
-        est = residual_condition_bounds(cache, ScaleFactors.relative(cache))
+        est = residual_condition_bounds(cache, ScaleFactors.presets(cache)["relative"])
         rows.append(SweepRow(
             args.param, value, problem.m, problem.n, geom.kappa, geom.theta, geom.vds, geom.sigma_min,
             est.chi_b, est.chi_A_lower, est.chi_A_upper, est.chi_A,

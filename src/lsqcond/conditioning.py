@@ -12,7 +12,7 @@ direction that attains it; jacobian.attaining_perturbation turns that
 direction into a matrix perturbation.
 
 The condition number with respect to the right-hand side is exactly
-scale_b / scale_r. Scale factors are free; ScaleFactors.presets names the
+scale_b / scale_r. Scale factors are free; ScaleFactors.presets builds the
 three conventions found in the literature, in report order.
 """
 
@@ -35,6 +35,8 @@ class ScaleFactors:
 
     scale_A divides ||dA||_2, scale_b divides ||db||_2, scale_r divides
     ||dr||_2, and scale_p divides changes to the projection ||d(Ax)||_2.
+    Each field defaults to 1, the unscaled norm; presets builds the three
+    named conventions of a solved problem.
     """
 
     scale_A: float = 1.0
@@ -49,24 +51,17 @@ class ScaleFactors:
                 raise ValueError(f"{field.name} must be positive and finite, got {value}")
 
     @classmethod
-    def relative(cls, cache: LsCache) -> "ScaleFactors":
-        """Fully relative scaling: ||A||, ||b||, ||r||, ||Ax||."""
-        return cls(float(cache.s[0]), cache.norm_b, cache.norm_r, cache.norm_Ax)
-
-    @classmethod
-    def b_relative(cls, cache: LsCache) -> "ScaleFactors":
-        """Residual changes measured against ||b|| instead of ||r||."""
-        return cls(float(cache.s[0]), cache.norm_b, cache.norm_b, cache.norm_Ax)
-
-    @classmethod
-    def absolute(cls) -> "ScaleFactors":
-        """Unscaled norms (the convention of the older perturbation bounds)."""
-        return cls(1.0, 1.0, 1.0, 1.0)
-
-    @classmethod
     def presets(cls, cache: LsCache) -> dict[str, "ScaleFactors"]:
-        """The named scale conventions, in report order."""
-        return {"relative": cls.relative(cache), "b-relative": cls.b_relative(cache), "absolute": cls.absolute()}
+        """The three named scale conventions, in report order: "relative"
+        (||A||, ||b||, ||r||, ||Ax||), "b-relative" (residual changes
+        measured against ||b|| instead of ||r||) and "absolute" (unscaled
+        norms, the convention of the older perturbation bounds)."""
+        norm_A = float(cache.s[0])
+        return {
+            "relative": cls(norm_A, cache.norm_b, cache.norm_r, cache.norm_Ax),
+            "b-relative": cls(norm_A, cache.norm_b, cache.norm_b, cache.norm_Ax),
+            "absolute": cls(),
+        }
 
 
 @dataclass(frozen=True)

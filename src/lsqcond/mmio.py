@@ -125,9 +125,10 @@ def read_vector(path: str | Path) -> tuple[np.ndarray, str]:
     """Real vector from a Matrix Market array file or plain text and the
     SHA-256 hex digest of its bytes.
 
-    Plain text means one decimal value per line, ASCII, '.' radix; blank
-    lines and '#' comments are skipped. A file with no value, or one that
-    does not parse, raises ValueError, its message starting with the path.
+    Plain text means one decimal value per line, ASCII, '.' radix, lines
+    ending in LF, CRLF or CR; blank lines and '#' comments are skipped. A
+    file with no value, a line with two, or one that does not parse raises
+    ValueError, its message starting with the path.
     """
     path = Path(path)
     if path.suffix.lower() in _MM_SUFFIXES:
@@ -136,17 +137,18 @@ def read_vector(path: str | Path) -> tuple[np.ndarray, str]:
             raise ValueError(f"{path}: expected a vector, got shape {M.shape}")
         return M.ravel(), digest
     data = path.read_bytes()
-    lines = data.decode("latin-1").splitlines()
+    # str.splitlines also breaks at 0x85, 0x0C and others, inside a line
+    lines = re.split(r"\r\n?|\n", data.decode("latin-1"))
     try:
         # np.loadtxt only warns on an input with no data
         if not any(line.split("#", 1)[0].strip() for line in lines):
             raise ValueError("no values")
-        v = np.loadtxt(lines, dtype=float, ndmin=1)
-        if v.ndim != 1:
+        v = np.loadtxt(lines, dtype=float, ndmin=2)
+        if v.shape[1] != 1:
             raise ValueError(f"expected one value per line, got shape {v.shape}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return v, hashlib.sha256(data).hexdigest()
+    return v[:, 0], hashlib.sha256(data).hexdigest()
 
 
 def write_matrix(path: str | Path, M: np.ndarray) -> None:

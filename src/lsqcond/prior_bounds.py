@@ -51,8 +51,9 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
     never mixed.
     """
     geom = geometry(cache)
-    absolute = residual_condition_bounds(cache, ScaleFactors.absolute())
-    b_rel = residual_condition_bounds(cache, ScaleFactors.b_relative(cache))
+    presets = ScaleFactors.presets(cache)
+    absolute = residual_condition_bounds(cache, presets["absolute"])
+    b_rel = residual_condition_bounds(cache, presets["b-relative"])
     tight_abs = absolute.chi_A_upper
     tight_sum = b_rel.chi_A_upper + b_rel.chi_b
 

@@ -33,16 +33,17 @@ def build_report(
     """Assemble the full analysis record as a plain nested dict.
 
     "problem" names the input files given as matrix and rhs, (path, SHA-256)
-    pairs whose digests mmio returned for the bytes it parsed. The geometry, the estimates and the published-bounds table all come
-    from the solved cache. "estimates" holds, for each of
-    ScaleFactors.presets, the residual's ConditionEstimates record whole,
-    in field order, and "projection" the projection's under the relative
-    preset; InvalidGeometry is raised if an exact value chi_A in any of
-    them escapes its sandwich, so a report can never assert an
-    inconsistent value. "empirical" repeats the relative preset's residual
-    values. "geometry" is the Geometry record whole, in field order.
-    "timings" is None; the caller fills it in when asked to, since it
-    breaks reproducibility.
+    pairs whose digests mmio returned for the bytes it parsed. The geometry,
+    the estimates and the published-bounds table all come from the solved
+    cache. "estimates" holds, for each of ScaleFactors.presets, the
+    residual's ConditionEstimates record whole, in field order, and
+    "projection" the projection's under the relative preset;
+    InvalidGeometry is raised if an exact value chi_A in any of them
+    escapes its sandwich, so a report can never assert an inconsistent
+    value. "empirical" repeats the relative preset's residual values.
+    "geometry" is the Geometry record whole, in field order. "timings" is
+    None; the caller fills it in when asked to, since it breaks
+    reproducibility.
     """
     problem = cache.problem
     (matrix_file, matrix_sha256), (rhs_file, rhs_sha256) = matrix or (None, None), rhs or (None, None)

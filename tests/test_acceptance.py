@@ -78,7 +78,7 @@ def test_criterion_04_dual_norm_identity_and_pointwise_sandwich():
 def test_criterion_05_attainment_at_e1():
     with criterion(5, "E1: exact value equals sqrt(2) to 1e-9; attaining dA realizes it to 1e-5"):
         cache = lc.solve_least_squares(lc.LsProblem([[1.0], [0.0]], [1.0, 1.0]))
-        exact = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache)).chi_A
+        exact = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"]).chi_A
         assert exact == pytest.approx(SQRT2, rel=1e-9)
         dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
@@ -110,7 +110,7 @@ def test_criterion_07_prior_bound_dominance_and_worst_cases():
         stewart_ratio = rows["stewart"].value / tight_abs
         assert abs(stewart_ratio - kappa) / kappa < 0.05
         stated = rows["gvlh"].value
-        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["b-relative"])
         gvlh_ratio = stated / (est.chi_A_upper + est.chi_b)
         assert abs(gvlh_ratio - kappa) / kappa < 0.05
 

@@ -595,8 +595,12 @@ def test_zero_residual_exits_3(tmp_path, capsys):
         ([[1e130], [0.0], [0.0]], [1e-181, 1e-181, 0.0], "InvalidGeometry: chi_A"),
         # U^t b = 1e-200, but x = 1e-400 underflows to zero
         ([[1e200], [0.0], [0.0]], [1e-200, 1e-200, 0.0], "InvalidGeometry: ||x||"),
+        # the projection's relative chi_A carries ||A|| / ||Ax|| = 1e300 times
+        # kappa = 1e10; the residual's estimates are finite (the case of
+        # `generate gvl --alpha 1e-10 --beta 1e-300 --phi 0`)
+        ([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]], [1e-300, 0.0, 1.0], "InvalidGeometry: chi_A = inf"),
     ],
-    ids=["b", "x", "chi_A", "x-underflow"],
+    ids=["b", "x", "chi_A", "x-underflow", "projection-chi_A"],
 )
 def test_unrepresentable_norm_exits_3(tmp_path, A, b, prefix):
     mmio.write_matrix(tmp_path / "A.mtx", np.array(A))
@@ -609,6 +613,24 @@ def test_unrepresentable_norm_exits_3(tmp_path, A, b, prefix):
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith(prefix)
     assert "RuntimeWarning" not in result.stderr and result.stdout == ""
+
+
+def test_an_overflow_confined_to_the_projection_leaves_compare_and_sweep_answering(tmp_path):
+    # analyze exits 3 on this problem (test_unrepresentable_norm_exits_3),
+    # but neither the published-bounds table nor a sweep row holds the
+    # projection's estimates
+    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", np.array([1e-300, 0.0, 1.0]))
+    files = ["--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")]
+    commands = {
+        "compare": (["compare", *files], 4),
+        "compare-csv": (["compare", *files, "--format", "csv"], 4),
+        "sweep": (["sweep", "gvl", "--param", "alpha", "--values", "1e-10", "--beta", "1e-300", "--phi", "0"], 2),
+    }
+    for name, (args, lines) in commands.items():
+        result = run_cli_process(*args)
+        assert result.returncode == 0 and result.stderr == "", (name, result.stderr)
+        assert len(result.stdout.splitlines()) == lines, name
 
 
 def test_broken_geometry_exits_3(gvl_case, monkeypatch, capsys):
@@ -642,7 +664,7 @@ def test_sandwich_escape_under_one_preset_exits_3(gvl_case, monkeypatch, capsys)
 
     def escaped(cache, scales):
         est = real(cache, scales)
-        if scales != ScaleFactors.absolute():
+        if scales != ScaleFactors():
             return est
         return dataclasses.replace(est, chi_A=1.01 * est.chi_A_upper)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_residual_bounds_parametric_closed_form(alpha, beta, phi):
 def test_upper_agrees_with_geometry_form():
     # the two displayed forms of the estimate must coincide
     for cache, geom in solved_ensemble(40, 23, max_kappa_exp=4.0):
-        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"])
         alt = geom.kappa * math.sqrt(1.0 + (geom.cot_theta / geom.vds) ** 2)
         assert est.chi_A_upper == pytest.approx(alt, rel=1e-12)
         assert est.chi_b == pytest.approx(1.0 / math.sin(geom.theta), rel=1e-12)
@@ -80,7 +81,7 @@ def test_chi_wrt_b_equal_scales():
 
 def test_chi_wrt_b_is_cosecant(e1_cache):
     geom = lc.geometry(e1_cache)
-    scales = lc.ScaleFactors.relative(e1_cache)
+    scales = lc.ScaleFactors.presets(e1_cache)["relative"]
     assert chi_b(scales, e1_cache) == pytest.approx(1.0 / math.sin(geom.theta), rel=1e-14)
 
 
@@ -96,7 +97,7 @@ def test_chi_wrt_b_ratio_property(sb, sr):
 
 def test_chi_b_at_least_one_under_defaults():
     for cache, _ in solved_ensemble(40, 29):
-        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"])
         assert est.chi_b >= 1.0 - 1e-12
 
 
@@ -104,14 +105,14 @@ def test_chi_b_at_least_one_under_defaults():
 
 
 def test_projection_bounds_e1(e1_cache):
-    est = lc.projection_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache))
+    est = lc.projection_condition_bounds(e1_cache, lc.ScaleFactors.presets(e1_cache)["relative"])
     assert est.chi_b == pytest.approx(SQRT2, rel=1e-14)
     assert est.chi_A_upper == pytest.approx(SQRT2, rel=1e-14)
 
 
 def test_projection_bounds_parametric(gvl_cache):
     geom = lc.geometry(gvl_cache)
-    est = lc.projection_condition_bounds(gvl_cache, lc.ScaleFactors.relative(gvl_cache))
+    est = lc.projection_condition_bounds(gvl_cache, lc.ScaleFactors.presets(gvl_cache)["relative"])
     # kappa sqrt(tan^2 + 1/vds^2) = 2 sqrt(1/4 + 1/4)
     assert est.chi_A_upper == pytest.approx(SQRT2, rel=1e-12)
     alt = geom.kappa * math.sqrt(math.tan(geom.theta) ** 2 + 1.0 / geom.vds**2)
@@ -122,7 +123,7 @@ def test_projection_residual_consistency():
     # chi_Ax(A) ||Ax|| = chi_r(A) ||r|| when each uses its natural codomain
     # scale, for the upper and the exact values, with m >= n + 2 and m = n + 1
     for cache in both_branches(50, 31, max_kappa_exp=3.0, theta_range=(0.1, 1.3)):
-        scales = lc.ScaleFactors.relative(cache)
+        scales = lc.ScaleFactors.presets(cache)["relative"]
         res = lc.residual_condition_bounds(cache, scales)
         proj = lc.projection_condition_bounds(cache, scales)
         assert proj.chi_A_upper * cache.norm_Ax == pytest.approx(
@@ -137,9 +138,10 @@ def test_projection_residual_consistency():
 
 def _by_r_and_by_b(cache):
     """Residual estimates with changes measured against ||r||, then ||b||."""
+    presets = lc.ScaleFactors.presets(cache)
     return (
-        lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache)),
-        lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache)),
+        lc.residual_condition_bounds(cache, presets["relative"]),
+        lc.residual_condition_bounds(cache, presets["b-relative"]),
     )
 
 
@@ -168,7 +170,7 @@ def test_table2_rows_differ_by_sin_theta():
 
 def test_sum_property_under_b_relative():
     for cache, geom in solved_ensemble(40, 43):
-        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["b-relative"])
         assert est.chi_A_upper + est.chi_b <= geom.kappa + 1.0 + 1e-9
 
 
@@ -178,7 +180,7 @@ def test_sum_property_under_b_relative():
 def test_error_bound_dominates_measured_change(e1_cache):
     # exact perturbed solve stays below the first-order bound plus slack
     est, _ = bounds_for(e1_cache)
-    scales = lc.ScaleFactors.relative(e1_cache)
+    scales = lc.ScaleFactors.presets(e1_cache)["relative"]
     rng = np.random.default_rng(3)
     for _ in range(10):
         E = rng.standard_normal((2, 1))
@@ -193,9 +195,12 @@ def test_error_bound_dominates_measured_change(e1_cache):
 def test_scale_presets_in_report_order(gvl_cache):
     presets = lc.ScaleFactors.presets(gvl_cache)
     assert list(presets) == ["relative", "b-relative", "absolute"]
-    assert presets["relative"] == lc.ScaleFactors.relative(gvl_cache)
-    assert presets["b-relative"] == lc.ScaleFactors.b_relative(gvl_cache)
-    assert presets["absolute"] == lc.ScaleFactors.absolute()
+    c = gvl_cache
+    fields = {name: dataclasses.astuple(scales) for name, scales in presets.items()}
+    assert fields["relative"] == (c.s[0], c.norm_b, c.norm_r, c.norm_Ax)
+    assert fields["b-relative"] == (c.s[0], c.norm_b, c.norm_b, c.norm_Ax)
+    assert fields["absolute"] == (1.0, 1.0, 1.0, 1.0)
+    assert all(type(value) is float for values in fields.values() for value in values)
 
 
 def test_estimates_lower_end_is_the_upper_over_sqrt2():

@@ -60,7 +60,7 @@ def test_gvl_expected_matches_computed(alpha, beta, phi):
     assert geom.kappa == pytest.approx(ex.expected.kappa, rel=1e-12)
     assert geom.vds == pytest.approx(ex.expected.vds, rel=1e-12)
     assert geom.cot_theta == pytest.approx(ex.expected.cot_theta, rel=1e-12)
-    est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
+    est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"])
     assert est.chi_A_upper == pytest.approx(ex.expected.chi_A_upper, rel=1e-12)
 
 
@@ -336,7 +336,7 @@ def test_lanczos_orthonormal_basis_collapses_to_cosecant():
         geom = lc.geometry(cache)
         assert geom.kappa == pytest.approx(1.0, rel=1e-12)
         assert geom.vds == pytest.approx(1.0, rel=1e-10)
-        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"])
         assert est.chi_A_upper == pytest.approx(1.0 / math.sin(geom.theta), rel=1e-10)
         beta_prev = np.linalg.norm(w)
         v_prev, v = v, w / beta_prev

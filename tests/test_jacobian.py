@@ -240,7 +240,7 @@ def test_worst_case_parametric(gvl_cache):
     d = lc.worst_case_direction(gvl_cache)
     # ||r||/sigma_min = 2 and ||x|| = 2 give upper = 2 sqrt(2); m = n + 1, and
     # [V^t x | ||r|| Sigma^{-1}] = [[2, 1, 0], [0, 0, 2]] has sigma_max = sqrt(5)
-    scales = lc.ScaleFactors.absolute()
+    scales = lc.ScaleFactors()
     upper = lc.residual_condition_bounds(gvl_cache, scales).chi_A_upper
     assert upper == pytest.approx(2.0 * SQRT2, rel=1e-12)
     exact = exact_value(gvl_cache)
@@ -273,19 +273,19 @@ def test_worst_case_orthonormal_columns():
 
 
 def test_empirical_e1_attains_upper(e1_cache):
-    chi_A = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A
+    chi_A = lc.residual_condition_bounds(e1_cache, lc.ScaleFactors.presets(e1_cache)["relative"]).chi_A
     assert chi_A == pytest.approx(SQRT2, rel=1e-14)
     assert sampled_condition_wrt_A(e1_cache, n_samples=100, seed=2) <= SQRT2 * (1.0 + 1e-10)
 
 
 def test_empirical_parametric_inside_sandwich(gvl_cache):
-    chi_A = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.relative(gvl_cache)).chi_A
+    chi_A = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.presets(gvl_cache)["relative"]).chi_A
     assert 2.0 - 1e-12 <= chi_A <= 2.0 * SQRT2 * (1.0 + 1e-12)
 
 
 def test_empirical_constructed_only_reaches_lower_bound():
     for cache, _ in solved_ensemble(15, 79):
-        scales = lc.ScaleFactors.relative(cache)
+        scales = lc.ScaleFactors.presets(cache)["relative"]
         bounds = lc.residual_condition_bounds(cache, scales)
         constructed = scales.scale_A / scales.scale_r * sampled_condition_wrt_A(cache, n_samples=0)
         assert constructed >= bounds.chi_A_upper / SQRT2 * (1.0 - 1e-12)
@@ -360,7 +360,7 @@ def test_gvl_exact_matches_eigenvalue_closed_form():
                 x1, x2 = beta * math.cos(phi), beta * math.sin(phi) / alpha
                 p, q, r = x1 * x1 + 1.0, x2 * x2 + 1.0 / alpha**2, x1 * x2
                 lam = (p + q) / 2.0 + math.hypot((p - q) / 2.0, r)
-                chi_A = lc.residual_condition_bounds(cache, lc.ScaleFactors.relative(cache)).chi_A
+                chi_A = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"]).chi_A
                 assert chi_A == pytest.approx(math.sqrt(lam), rel=1e-14)
 
 
@@ -501,7 +501,7 @@ def test_attaining_degenerate_direction(e1_cache):
 
 
 def test_finite_difference_e1(e1_cache):
-    scales = lc.ScaleFactors.relative(e1_cache)
+    scales = lc.ScaleFactors.presets(e1_cache)["relative"]
     value = finite_difference_condition(
         e1_cache.problem, scales, delta=1e-7, samples=200, seed=1
     )
@@ -514,7 +514,7 @@ def test_finite_difference_deviation_first_order_in_step():
     spec = EnsembleSpec(10, 4, (1.0, 0.5, 0.2, 0.05), 0.8, 0.4, 21)
     problem = random_problem(spec)
     cache = lc.solve_least_squares(problem)
-    scales = lc.ScaleFactors.relative(cache)
+    scales = lc.ScaleFactors.presets(cache)["relative"]
     rng = np.random.default_rng(101)
     E = rng.standard_normal((10, 4))
     E /= np.linalg.svd(E, compute_uv=False)[0]
@@ -540,14 +540,14 @@ def test_finite_difference_gvl_displayed_perturbation():
 
 def test_finite_difference_stays_below_upper_bound():
     for cache, _ in solved_ensemble(5, 97, max_kappa_exp=2.0):
-        scales = lc.ScaleFactors.relative(cache)
+        scales = lc.ScaleFactors.presets(cache)["relative"]
         value = finite_difference_condition(cache.problem, scales, samples=40, seed=2)
         upper = lc.residual_condition_bounds(cache, scales).chi_A_upper
         assert value <= upper * (1.0 + 1e-4)
 
 
 def test_finite_difference_rejects_rank_losing_step(e1_cache):
-    scales = lc.ScaleFactors.relative(e1_cache)
+    scales = lc.ScaleFactors.presets(e1_cache)["relative"]
     with pytest.raises(lc.NonFullRank):
         finite_difference_condition(e1_cache.problem, scales, delta=2.0, samples=1, seed=0)
 

@@ -74,6 +74,12 @@ def test_read_vector_rejects_multicolumn_text(tmp_path):
     path.write_text("1.0 2.0\n3.0 4.0\n")
     with pytest.raises(ValueError):
         mmio.read_vector(path)
+    # one line of two values: a space, or a byte that str.splitlines breaks
+    # at but text mode does not (NEL, form feed), or latin-1's no-break space
+    for data in (b"1.0 2.0\n", b"1.0\x852.0\n", b"1.0\x0c2.0\n", b"1.0\xa02.0\n"):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=r"bad\.txt: expected one value per line, got shape \(1, 2\)"):
+            mmio.read_vector(path)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# no values\n"], ids=["empty", "blank", "comment"])

@@ -70,7 +70,7 @@ def test_gvlh_parametric(gvl_cache):
     geom = lc.geometry(gvl_cache)
     stated, sum_bound = published(gvl_cache, "gvlh"), geom.kappa + 1.0
     assert stated == pytest.approx(5.0)
-    est = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.b_relative(gvl_cache))
+    est = lc.residual_condition_bounds(gvl_cache, lc.ScaleFactors.presets(gvl_cache)["b-relative"])
     actual_sum = est.chi_A_upper + est.chi_b
     assert actual_sum == pytest.approx(2.0 * SQRT2 / math.sqrt(5.0) + 1.0, rel=1e-12)
     assert actual_sum <= sum_bound <= stated
@@ -80,14 +80,14 @@ def test_gvlh_worst_case_ratio():
     cache = lc.solve_least_squares(gvl_example(0.01, 1000.0, 0.0).problem)
     geom = lc.geometry(cache)
     stated = published(cache, "gvlh")
-    est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
+    est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["b-relative"])
     ratio = stated / (est.chi_A_upper + est.chi_b)
     assert abs(ratio - geom.kappa) / geom.kappa < 0.05
 
 
 def test_gvlh_chain_on_ensemble():
     for cache, geom in solved_ensemble(40, 109):
-        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.b_relative(cache))
+        est = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["b-relative"])
         assert est.chi_A_upper + est.chi_b <= geom.kappa + 1.0 + 1e-9
         assert geom.kappa + 1.0 <= 2.0 * geom.kappa + 1.0
 

@@ -108,7 +108,7 @@ def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
     targets = {"residual_condition_bounds": "estimates.relative", "projection_condition_bounds": "projection"}
     for target, block in targets.items():
         bounds = getattr(lc, target)
-        upper = bounds(e1_cache, lc.ScaleFactors.relative(e1_cache)).chi_A_upper
+        upper = bounds(e1_cache, lc.ScaleFactors.presets(e1_cache)["relative"]).chi_A_upper
         for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
 
             def escaped(cache, scales, bounds=bounds, value=value):

@@ -188,13 +188,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_records(args.out, rows)
         return 0
-    lines = [
-        f"{'source':<8} {'value':>14} {'ratio_to_tight':>15} {'max_ratio':>10}  scale convention",
-    ]
-    for r in rows:
+    # `.6g` fits the 14- and 15-wide columns, but max_ratio takes 11 characters from 1e10 on
+    max_ratios = [f"{r.max_ratio:.6g}" for r in rows]
+    width = max(10, *map(len, max_ratios))
+    lines = [f"{'source':<8} {'value':>14} {'ratio_to_tight':>15} {'max_ratio':>{width}}  scale convention"]
+    for r, max_ratio in zip(rows, max_ratios):
         lines.append(
-            f"{r.source:<8} {r.value:>14.6g} {r.ratio_to_tight:>15.6g} "
-            f"{r.max_ratio:>10.6g}  {r.scale_convention}"
+            f"{r.source:<8} {r.value:>14.6g} {r.ratio_to_tight:>15.6g} {max_ratio:>{width}}  {r.scale_convention}"
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0

@@ -5,9 +5,14 @@ The reader takes the real subset of the Matrix Market exchange format
 banner `%%MatrixMarket matrix <format> <field> <symmetry>` with format
 `array` or `coordinate`, field `real`, `integer` or `pattern` (coordinate
 only) and symmetry `general`, `symmetric` or `skew-symmetric`. Comment and
-blank lines may precede the size line. Coordinate files may repeat an
-entry; repeats are summed. Every other file, `complex` and `hermitian`
-ones included, raises ValueError naming the file.
+blank lines may precede the size line. Every other file, `complex` and
+`hermitian` ones included, raises ValueError naming the file, as does any
+matrix or vector value that is nan, inf or a decimal past the double range.
+
+An `array general` file is reshaped as it stands. Every other layout is
+summed from (row, column, value) triples into +0.0: the stored entries in
+file order, then the mirror images of those off the diagonal (negated when
+skew). So coordinate repeats add up in file order, and every zero reads +0.
 
 The readers are the package's only file input: one read per file, values
 returned with the SHA-256 of the bytes parsed, and of a Matrix Market file
@@ -41,6 +46,8 @@ def read_matrix(path: str | Path) -> tuple[np.ndarray, str]:
         return _parse(data), hashlib.sha256(data).hexdigest()
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except OverflowError:  # a size past int64, from NumPy's index arithmetic
+        raise ValueError(f"{path}: too large to allocate") from None
 
 
 def _parse(data: bytes) -> np.ndarray:
@@ -50,13 +57,8 @@ def _parse(data: bytes) -> np.ndarray:
     if len(tokens) != 5 or tokens[0] != _BANNER:
         raise ValueError(f"expected a '{_BANNER} matrix <format> <field> <symmetry>' banner")
     obj, fmt, field, symmetry = (t.lower() for t in tokens[1:])
-    if (
-        obj != "matrix"
-        or fmt not in _FORMATS
-        or field not in _FIELDS
-        or symmetry not in _SYMMETRIES
-        or (fmt, field) == ("array", "pattern")
-    ):
+    supported = obj == "matrix" and fmt in _FORMATS and field in _FIELDS and symmetry in _SYMMETRIES
+    if not supported or (fmt, field) == ("array", "pattern"):
         raise ValueError(f"unsupported Matrix Market type '{' '.join(tokens[1:])}'")
     for match in lines:
         line = match[0].decode("latin-1")
@@ -71,44 +73,38 @@ def _parse(data: bytes) -> np.ndarray:
     m, n = dims[0], dims[1]
     if symmetry != "general" and m != n:
         raise ValueError(f"a {symmetry} matrix must be square, got {m}x{n}")
-    body = data[match.end():]
-    # NumPy's C parser; it reads a whitespace-only string as [-1.0]
-    values = np.empty(0) if body.isspace() else np.fromstring(body, sep=" ")
-    sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-
+    start = match.end()
+    # NumPy's C parser, on a copy of the body freed once parsed; it reads blank text as [-1.0]
+    values = np.empty(0) if re.compile(rb"\s*").fullmatch(data, start) else np.fromstring(data[start:], sep=" ")
+    if (fmt, symmetry) == ("array", "general"):
+        _check_count(values.size, m * n)
+        _check_values(field, values)
+        # row-major: BLAS rounds differently on a column-major view,
+        # and reports must not depend on the file format
+        return np.ascontiguousarray(values.reshape(n, m).T)
     if fmt == "array":
-        if symmetry == "general":
-            _check_count(values.size, m * n)
-            _check_integers(field, values)
-            # row-major: BLAS rounds differently on a column-major view,
-            # and reports must not depend on the file format
-            return np.ascontiguousarray(values.reshape(n, m).T)
         # column-major lower triangle, no diagonal when skew; counted before its O(n^2) indices
         k = 0 if symmetry == "symmetric" else 1
         _check_count(values.size, n * (n + 1 - 2 * k) // 2)
-        cols, rows = np.triu_indices(n, k=k)
-        _check_integers(field, values)
-        M = np.zeros((n, n))
-        M[cols, rows] = sign * values
-        M[rows, cols] = values
-        return M
-
-    nnz = dims[2]
-    width = 2 if field == "pattern" else 3
-    _check_count(values.size, nnz * width)
-    entries = values.reshape(nnz, width)
-    idx = entries[:, :2]
-    if not (np.all(idx == np.floor(idx)) and np.all(idx >= 1) and np.all(idx <= (m, n))):
-        raise ValueError(f"an index lies outside 1..{m} x 1..{n} or is not an integer")
-    i, j = (idx - 1).astype(np.intp).T
-    v = entries[:, 2] if width == 3 else np.ones(nnz)
-    _check_integers(field, v)
-    M = np.zeros((m, n))
-    np.add.at(M, (i, j), v)
+        j, i = np.triu_indices(n, k=k)
+    else:
+        nnz, width = dims[2], (2 if field == "pattern" else 3)
+        _check_count(values.size, nnz * width)
+        entries = values.reshape(nnz, width)
+        idx = entries[:, :2]
+        if not (np.all(idx == np.floor(idx)) and np.all(idx >= 1) and np.all(idx <= (m, n))):
+            raise ValueError(f"an index lies outside 1..{m} x 1..{n} or is not an integer")
+        i, j = (idx - 1).astype(np.intp).T
+        values = entries[:, 2] if width == 3 else np.ones(nnz)
+    _check_values(field, values)
+    lin = i * n + j
     if symmetry != "general":
-        off = i != j
-        np.add.at(M, (j[off], i[off]), sign * v[off])
-    return M
+        # after the stored entries, every entry's mirror image, weighted zero on the
+        # diagonal: a sum begun at +0.0 is never -0.0, so a signed zero changes no bit
+        lin = np.r_[lin, j * n + i]
+        values = np.r_[values, (i != j) * (-values if symmetry == "skew-symmetric" else values)]
+    # sums each position's terms in this order from +0.0; with no terms it counts in integers
+    return np.bincount(lin, weights=values, minlength=m * n).astype(float, copy=False).reshape(m, n)
 
 
 def _check_count(got: int, expected: int) -> None:
@@ -116,7 +112,9 @@ def _check_count(got: int, expected: int) -> None:
         raise ValueError(f"expected {expected} numbers after the size line, got {got}")
 
 
-def _check_integers(field: str, values: np.ndarray) -> None:
+def _check_values(field: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("a value is nan, inf or beyond the double range")
     if field == "integer" and not np.all(values == np.trunc(values)):
         raise ValueError("a value in an integer file is not an integer")
 
@@ -146,6 +144,7 @@ def read_vector(path: str | Path) -> tuple[np.ndarray, str]:
         v = np.loadtxt(lines, dtype=float, ndmin=2)
         if v.shape[1] != 1:
             raise ValueError(f"expected one value per line, got shape {v.shape}")
+        _check_values("real", v)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return v[:, 0], hashlib.sha256(data).hexdigest()

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lsqcond.conditioning import ScaleFactors, residual_condition_bounds
 from lsqcond.core import LsProblem, solve_least_squares
 from lsqcond.errors import InvalidGeometry, LsqCondError
 from lsqcond.jacobian import Rank2Adjoint
+from lsqcond.prior_bounds import compare_table
 
 
 def run_cli(*args):
@@ -277,6 +279,28 @@ def test_compare_text_and_csv(gvl_case, capsys):
     assert header == "source,value,scale_convention,ratio_to_tight,max_ratio"
 
 
+@pytest.mark.parametrize(
+    "A, b, width",
+    [
+        ([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]], [1.0, 1.0, 1.0], 10),
+        # stewart's max_ratio is sqrt(2) kappa = 1.41421e+10, 11 characters
+        ([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]], [1e-300, 0.0, 1.0], 11),
+    ],
+    ids=["kappa-2", "kappa-1e10"],
+)
+def test_compare_text_starts_every_convention_at_one_offset(tmp_path, capsys, A, b, width):
+    mmio.write_matrix(tmp_path / "A.mtx", np.array(A))
+    mmio.write_vector(tmp_path / "b.txt", np.array(b))
+    assert run_cli("compare", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    # the max_ratio column is 10 wide unless a cell needs more
+    assert header == f"source            value  ratio_to_tight {'max_ratio':>{width}}  scale convention"
+    offset = header.index("scale convention")
+    rows = compare_table(solve_least_squares(LsProblem(np.array(A), np.array(b))))
+    assert [line[offset:] for line in lines] == [row.scale_convention for row in rows]
+    assert all(line[offset - 3] != " " and line[offset - 2:offset] == "  " for line in lines)
+
+
 def test_stdout_redirected_to_a_text_stream_gets_the_same_text(gvl_case, capsys):
     # in-process callers may swap stdout for a stream with no binary buffer
     argv = ["compare", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")]
@@ -335,7 +359,41 @@ def test_lanczos_rejects_a_non_finite_matrix(tmp_path, entry):
         capture_output=True, text=True,
     )
     assert result.returncode == 2, result.stderr
-    assert result.stderr == "error: matrix entries must be finite\n" and result.stdout == ""
+    assert result.stderr == f"error: {path}: a value is nan, inf or beyond the double range\n" and result.stdout == ""
+
+
+NON_FINITE_INPUTS = {
+    # the dense path, the triple path, and both vector readers
+    "array": ("A.mtx", "%%MatrixMarket matrix array real general\n3 2\n1\n0\n0\n0\n{}\n0\n"),
+    "symmetric": ("A.mtx", "%%MatrixMarket matrix array real symmetric\n2 2\n1\n{}\n1\n"),
+    "coordinate": ("A.mtx", "%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 1\n2 2 {}\n"),
+    "mtx-vector": ("b.mtx", "%%MatrixMarket matrix array real general\n3 1\n1\n{}\n0\n"),
+    "text-vector": ("b.txt", "1\n{}\n0\n"),
+}
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_a_non_finite_input_exits_2_naming_the_file(tmp_path, capsys, case, token):
+    name, text = NON_FINITE_INPUTS[case]
+    bad = tmp_path / name
+    bad.write_text(text.format(token))
+    if name == "A.mtx":
+        matrix, rhs = bad, tmp_path / "b.txt"
+        mmio.write_vector(rhs, np.ones(3))
+    else:
+        matrix, rhs = tmp_path / "A.mtx", bad
+        mmio.write_matrix(matrix, np.eye(3)[:, :2])
+    files = ["--matrix", str(matrix), "--rhs", str(rhs)]
+    commands = [["analyze", *files], ["compare", *files]]
+    if bad == matrix:
+        commands.append(["lanczos", "--matrix", str(matrix), "--steps", "1"])
+    for args in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(*args) == 2, args
+        out = capsys.readouterr()
+        assert out.err == f"error: {bad}: a value is nan, inf or beyond the double range\n" and out.out == "", args
 
 
 def test_empty_text_rhs_exits_2(tmp_path):
@@ -702,10 +760,12 @@ def run_cli_process(*args):
     [
         # 8e18 bytes of float64, more than any 64-bit address space holds
         ("coordinate real general\n1000000000 1000000000 1\n1 1 1.0\n", "allocate"),
+        # 1e20 entries: past int64, which NumPy's index arithmetic raises as OverflowError
+        ("coordinate real general\n10000000000 10000000000 1\n1 1 1.0\n", "too large to allocate"),
         # counted before the triangle's 931 GiB of indices are built
         ("array real symmetric\n1000000 1000000\n1.0\n", "expected 500000500000 numbers after the size line, got 1"),
     ],
-    ids=["coordinate", "symmetric"],
+    ids=["coordinate", "coordinate-past-int64", "symmetric"],
 )
 def test_a_matrix_too_large_for_memory_exits_2_naming_the_file(tmp_path, body, message):
     path = tmp_path / "A.mtx"

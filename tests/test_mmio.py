@@ -122,6 +122,46 @@ def test_read_matrix_checks_a_triangle_count_before_building_indices(tmp_path, s
         tracemalloc.stop()
     assert peak < 1_000_000
 
+# --- one assembly for every layout but `array general` ------------------------------
+
+@pytest.mark.parametrize("terms, expected", [(("1e16", "-1e16", "1"), 1.0), (("1e16", "1", "-1e16"), 0.0)])
+def test_coordinate_repeats_sum_in_file_order(tmp_path, terms, expected):
+    path = tmp_path / "rep.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 3\n" + "".join(f"1 1 {t}\n" for t in terms))
+    assert read(mmio.read_matrix, path)[0, 0] == expected
+
+
+def test_a_symmetric_coordinate_file_sums_stored_entries_before_mirrored_ones(tmp_path):
+    # (1, 2) is listed twice and (2, 1) once; a stored entry's mirror image is
+    # added after every stored entry, so (2, 1) sums -1e16 + 1e16 + 1 = 1 and
+    # (1, 2) sums 1e16 + 1 - 1e16 = 0
+    path = tmp_path / "both.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 2 1e16\n1 2 1\n2 1 -1e16\n")
+    np.testing.assert_array_equal(read(mmio.read_matrix, path), [[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("symmetry", ["symmetric", "skew-symmetric"])
+def test_array_and_coordinate_encodings_read_to_the_same_bits(tmp_path, symmetry):
+    n, k, sign = 5, (0 if symmetry == "symmetric" else 1), (1.0 if symmetry == "symmetric" else -1.0)
+    cols, rows = np.triu_indices(n, k=k)
+    values = np.random.default_rng(3).standard_normal(cols.size)
+    values[:2] = -0.0, 0.0  # a stored zero of either sign reads +0.0, as do its mirror images
+    array, coordinate = tmp_path / "array.mtx", tmp_path / "coordinate.mtx"
+    array.write_text(
+        f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n" + "".join(f"{v!r}\n" for v in values.tolist())
+    )
+    coordinate.write_text(
+        f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {values.size}\n"
+        + "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist()))
+    )
+    expected = np.zeros((n, n))
+    expected[rows, cols] += values
+    expected[cols, rows] += sign * values * (rows != cols)
+    got = read(mmio.read_matrix, array)
+    assert got.tobytes() == read(mmio.read_matrix, coordinate).tobytes() == expected.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
 # --- the NumPy reader and writer against scipy.io ------------------------------------
 
 SUPPORTED = [

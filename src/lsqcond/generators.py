@@ -392,8 +392,7 @@ def block_norm_cases(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[BlockNo
     narrower than 1e-15 stops moving, so each pair takes the steps of its
     own search.
     """
-    cases = []
-    searches = []  # (index into cases, scale, scaled Gram matrices of A and B)
+    norms, searches = [], []  # searches: scale and scaled Grams of each pair with two nonzero blocks
     for A, B in pairs:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -402,28 +401,26 @@ def block_norm_cases(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[BlockNo
         if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise ValueError("block entries must be finite")
         norm_A, norm_B = _spectral(A), _spectral(B)
-        cases.append(BlockNormCase(norm_A=norm_A, norm_B=norm_B, norm_joint=max(norm_A, norm_B)))
+        norms.append((norm_A, norm_B))
         if norm_A > 0.0 and norm_B > 0.0:
             # blocks scaled to norm at most 1, so the Grams cannot overflow
             scale = max(norm_A, norm_B)
-            searches.append((len(cases) - 1, scale, (A / scale) @ (A / scale).T, (B / scale) @ (B / scale).T))
-    if not searches:
-        return cases
-    size = max(ga.shape[0] for _, _, ga, _ in searches)
+            searches.append((scale, (A / scale) @ (A / scale).T, (B / scale) @ (B / scale).T))
+    # with no search, eigvalsh gets an empty stack of 1x1 matrices, which it accepts
+    size = max((ga.shape[0] for _, ga, _ in searches), default=1)
     GA = np.zeros((len(searches), size, size))
     GB = np.zeros_like(GA)
-    for k, (_, _, ga, gb) in enumerate(searches):
+    for k, (_, ga, gb) in enumerate(searches):
         GA[k, : ga.shape[0], : ga.shape[0]] = ga
         GB[k, : gb.shape[0], : gb.shape[0]] = gb
 
-    def dual(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def dual(t: np.ndarray) -> np.ndarray:
         t = t[:, None, None]
-        return np.linalg.eigvalsh(GA[idx] / t + GB[idx] / (1.0 - t))[:, -1]
+        return np.linalg.eigvalsh(GA / t + GB / (1.0 - t))[:, -1]
 
-    every = np.arange(len(searches))
     lo, hi = np.zeros(len(searches)), np.ones(len(searches))
     c, d = np.full(len(searches), 1.0 - _INVPHI), np.full(len(searches), _INVPHI)
-    fc, fd = dual(c, every), dual(d, every)
+    fc, fd = dual(c), dual(d)
     while (on := hi - lo > 1e-15).any():
         left = on & (fc <= fd)
         right = on & ~left
@@ -433,11 +430,8 @@ def block_norm_cases(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[BlockNo
         # right: the minimizer lies in [c, hi]; c becomes lo and d becomes c
         lo[right], c[right], fc[right] = c[right], d[right], fd[right]
         d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
-        idx = np.flatnonzero(on)
-        f = dual(np.where(left, c, d)[idx], idx)
-        fc[idx] = np.where(left[idx], f, fc[idx])
-        fd[idx] = np.where(left[idx], fd[idx], f)
-    for k, (i, scale, _, _) in enumerate(searches):
-        joint = scale * math.sqrt(min(fc[k], fd[k]))
-        cases[i] = BlockNormCase(norm_A=cases[i].norm_A, norm_B=cases[i].norm_B, norm_joint=joint)
-    return cases
+        # every pair is evaluated; a closed pair keeps its values
+        f = dual(np.where(left, c, d))
+        fc, fd = np.where(left, f, fc), np.where(right, f, fd)
+    joints = iter([scale * math.sqrt(min(a, b)) for (scale, _, _), a, b in zip(searches, fc, fd)])
+    return [BlockNormCase(a, b, next(joints) if a > 0.0 and b > 0.0 else max(a, b)) for a, b in norms]

@@ -1,17 +1,23 @@
 """Classical textbook condition estimates and their overestimation ratios.
 
 Three published values are compared against the tight estimate, each under
-the scale convention its source assumes:
+the scale convention its source assumes. Each row's max_ratio is a proven
+upper bound on its ratio_to_tight, stated here and nowhere else:
 
 * Wedin (1973; also Bjorck 1996): ||r|| / sigma_min + ||x||, unscaled
-  norms, db = 0. Exceeds the tight value by at most sqrt(2).
+  norms, db = 0. Exceeds the tight value by at most sqrt(2), the
+  supremum, attained when the two terms are equal.
 * Stewart (1977; Stewart & Sun 1990): ||b|| / sigma_min, unscaled norms,
-  db = 0. Can overestimate by as much as the van der Sluis ratio, i.e. up
-  to a factor near kappa.
+  db = 0. The ratio is at most the van der Sluis ratio, itself at most
+  kappa, so its supremum is kappa; the stated max_ratio, sqrt(2) kappa,
+  is a valid but looser bound.
 * Golub & Van Loan / Higham: 2 kappa + 1 against the sum of both condition
-  numbers under scale_b = scale_r = ||b||. That sum never exceeds the
-  sharper kappa + 1; the stated value can overestimate it by a factor near
-  kappa.
+  numbers under scale_A = ||A||, scale_b = scale_r = ||b||. That sum never
+  exceeds the sharper kappa + 1. It is at least 2: chi_b = 1, and
+  chi_A_upper = hypot(kappa ||r||, ||A|| ||x||) / ||b|| is at least
+  hypot(||r||, ||Ax||) / ||b|| = 1. So the ratio is at most
+  (2 kappa + 1) / 2 = kappa + 1/2, with equality at kappa = 1, and it can
+  come near kappa at large kappa.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class PriorBoundRow:
     value: float
     scale_convention: str
     ratio_to_tight: float
-    max_ratio: float  # theoretical worst-case overestimation factor
+    max_ratio: float  # proven upper bound on ratio_to_tight
 
     def __post_init__(self):
         for name in ("value", "ratio_to_tight", "max_ratio"):
@@ -82,6 +88,6 @@ def compare_table(cache: LsCache) -> list[PriorBoundRow]:
             value=stated,
             scale_convention="scale_A = ||A||, scale_b = scale_r = ||b||, joint eps",
             ratio_to_tight=stated / tight_sum,
-            max_ratio=geom.kappa,
+            max_ratio=geom.kappa + 0.5,
         ),
     ]

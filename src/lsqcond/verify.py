@@ -165,13 +165,10 @@ def chi_b_attainment(seed: int, count: int) -> tuple[bool, str]:
 def prior_dominance(seed: int, count: int) -> tuple[bool, str]:
     """Every published estimate lies between the tight value and its row's
     max_ratio times it."""
-    # the gvlh stated value can exceed kappa times the tight sum at small
-    # kappa; the provable pointwise bound is kappa + 1/2 (tight sum >= 2)
     for _, cache, _ in _solved(ensemble_specs(count, seed)):
         for row in compare_table(cache):
-            cap = row.max_ratio + (0.5 if row.source == "gvlh" else 0.0)
-            if not 1.0 - 1e-12 <= row.ratio_to_tight <= cap + 1e-9:
-                return False, f"{row.source} ratio {row.ratio_to_tight} outside [1, {cap}]"
+            if not 1.0 - 1e-12 <= row.ratio_to_tight <= row.max_ratio + 1e-9:
+                return False, f"{row.source} ratio {row.ratio_to_tight} outside [1, {row.max_ratio}]"
     return True, "all published-estimate ratios inside their provable bands"
 
 

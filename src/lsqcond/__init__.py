@@ -17,7 +17,7 @@ from .conditioning import (
     exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
-    worst_case_direction,
+    worst_case_perturbation,
 )
 from .core import (
     Geometry,
@@ -28,7 +28,6 @@ from .core import (
     solve_least_squares,
 )
 from .errors import (
-    DegenerateDirection,
     DimensionMismatch,
     InvalidGeometry,
     LsqCondError,
@@ -40,7 +39,6 @@ from .errors import (
 from .jacobian import (
     adjoint_rank2,
     apply_residual_jacobian,
-    attaining_perturbation,
 )
 from .prior_bounds import (
     PriorBoundRow,

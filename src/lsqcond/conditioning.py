@@ -7,9 +7,9 @@ lies in a sandwich between upper/sqrt(2) and upper, where
 
 When m >= n + 2 the exact value is upper itself. When m = n + 1 it is the
 largest singular value of the n x (n + 1) matrix [V^t x | ||r|| Sigma^{-1}],
-scaled the same way. worst_case_direction returns the residual-space
-direction that attains it; jacobian.attaining_perturbation turns that
-direction into a matrix perturbation.
+scaled the same way. worst_case_perturbation certifies it: a unit-norm
+matrix perturbation, in closed form from the cached SVD, whose first-order
+residual change has that norm.
 
 The condition number with respect to the right-hand side is exactly
 scale_b / scale_r. Scale factors are free; ScaleFactors.presets builds the
@@ -100,8 +100,9 @@ def _upper_value(cache: LsCache) -> float:
 
 
 def exact_value(cache: LsCache) -> float:
-    """The unscaled exact condition number wrt the matrix, the maximum of g
-    that worst_case_direction attains.
+    """The unscaled exact condition number wrt the matrix: the maximum of
+    the dual-norm objective g, and the norm of the first-order residual
+    change of worst_case_perturbation.
 
     It is the upper value when m >= n + 2 and sigma_max(M) when m = n + 1;
     M is factorized once per cache (LsCache.bordered_svd).
@@ -157,40 +158,41 @@ def _complement_direction(cache: LsCache, rhat: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def worst_case_direction(cache: LsCache) -> np.ndarray:
-    """Unit residual-space direction at which the dual-norm objective g
-    attains its maximum, the unscaled exact value chi_A.
+def worst_case_perturbation(cache: LsCache) -> np.ndarray:
+    """Unit-spectral-norm matrix perturbation dA whose first-order residual
+    change dr has norm exact_value(cache); dr / ||dr|| is the unit
+    direction at which g attains its maximum.
 
     Split a unit direction into u orthogonal to col(A) and p inside it.
     Then a = ||x|| ||u|| and b = ||r|| ||Sigma^{-1} U^t p|| <= ||r|| ||p|| / sigma_min,
-    so g <= a + b <= sqrt((||r|| / sigma_min)^2 + ||x||^2). The maximizer
-    depends on the dimension m - n of the complement of col(A):
+    so g <= a + b <= sqrt((||r|| / sigma_min)^2 + ||x||^2). With
+    rhat = r / ||r|| and v_min, u_min the last right and left singular
+    vectors, dA is a partial isometry whose factors depend on the dimension
+    m - n of the complement of col(A):
 
-    * m >= n + 2: with a = ||x||, b = ||r|| / sigma_min,
-      c = v_min^t x / ||x||, s = sqrt(1 - c^2) and a unit w orthogonal to
-      r and col(A), the direction d = (a (c rhat + s w) + b a'') / hypot(a, b)
-      gives theta_u = theta_v = arccos(c) and maximal a + b, so the upper
-      estimate is attained.
-    * m = n + 1: the complement is spanned by rhat, so d = alpha rhat + U c
-      and the adjoint collapses to rhat (alpha x + ||r|| V Sigma^{-1} c)^t.
-      Its nuclear norm is ||M (alpha, c)|| with M = [V^t x | ||r|| Sigma^{-1}],
-      maximized by the top right singular vector of the n x (n + 1) matrix M.
+    * m >= n + 2: dA = -(rhat v_min^t + w y^t), with w a unit vector
+      orthogonal to r and col(A) and y = V[:, :-1] z / ||z||,
+      z = (V^t x)[:-1]; the second term is dropped when z = 0, as it always
+      is when n = 1. Then dr = ||x|| (c rhat + s w) + (||r|| / sigma_min) u_min,
+      c and s the cosine and sine between x and v_min, whose norm is the
+      upper value. z is the rejection of x from v_min in V's coordinates,
+      so y is orthogonal to v_min to rounding even when x is nearly
+      parallel to v_min, where x - (v_min^t x) v_min would cancel.
+    * m = n + 1: the complement is spanned by rhat, and dA = -rhat (V y)^t
+      with y the top left singular vector of the n x (n + 1) matrix
+      M = [V^t x | ||r|| Sigma^{-1}]. Then dr = [rhat | U] M^t y, whose
+      norm is sigma_max(M).
 
     Raises what geometry raises: ZeroResidual when r is zero to the
     residual tolerance and ZeroSolution when x = 0.
     """
-    smin = geometry(cache).sigma_min
+    geometry(cache)  # for its ZeroResidual and ZeroSolution checks
     rhat = cache.r / cache.norm_r
-    if cache.problem.m >= cache.problem.n + 2:
-        a = cache.norm_x
-        b = cache.norm_r / smin
-        vmin = cache.V[:, -1]
-        xv = float(vmin @ cache.x)
-        c = xv / a
-        # rejection-based sine, accurate when x is nearly parallel to v_min
-        s = vector_norm(cache.x - xv * vmin, "x - (v_min^t x) v_min") / a
-        u = c * rhat + s * _complement_direction(cache, rhat)
-        return (a * u + b * cache.U[:, -1]) / math.hypot(a, b)
-    Wt = cache.bordered_svd[2]
-    return Wt[0, 0] * rhat + cache.U @ Wt[0, 1:]
-
+    V = cache.V
+    if cache.problem.m == cache.problem.n + 1:
+        return -np.outer(rhat, V @ cache.bordered_svd[0][:, 0])
+    dA = -np.outer(rhat, V[:, -1])
+    z = (V.T @ cache.x)[:-1]
+    if z.any():
+        dA -= np.outer(_complement_direction(cache, rhat), V[:, :-1] @ (z / vector_norm(z, "z")))
+    return dA

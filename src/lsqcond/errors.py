@@ -48,7 +48,3 @@ class ParamOutOfRange(LsqCondError):
 
     exit_code = 2
 
-
-class DegenerateDirection(LsqCondError):
-    """Direction with zero objective value; no attaining perturbation exists."""
-

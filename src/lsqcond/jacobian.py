@@ -1,6 +1,5 @@
 """Residual Jacobian machinery: the Jacobian, its rank-2 adjoint and the
-dual-norm objective it carries, and the perturbation that attains the
-condition number wrt the matrix.
+dual-norm objective it carries.
 
 The derivative of the residual with respect to the matrix acts on a
 perturbation dA as
@@ -11,11 +10,11 @@ Its adjoint maps a residual-space direction dr to minus the rank-2
 matrix u1 v1^t + u2 v2^t with u1 = (I - P) dr, v1 = x, u2 = r,
 v2 = (A^t A)^{-1} A^t dr. The induced condition number is therefore the
 maximum over unit directions of the nuclear norm g of that matrix. The
-conditioning module holds that maximum in closed form and the direction
-attaining it (worst_case_direction). Rank2Adjoint.core factors the rank-2
-matrix as Qu C Qv^t with a 2x2 core C: g is the nuclear norm of C, and
-attaining_perturbation builds a unit-norm matrix perturbation from the
-SVD of C. The R factors of the same QR pair give g's two-sided bounds and
+conditioning module holds that maximum in closed form and the matrix
+perturbation attaining it (worst_case_perturbation). Rank2Adjoint keeps
+the R factors Ru and Rv of the QR factorizations of [u1 u2] and [v1 v2]:
+the rank-2 matrix is Qu (Ru Rv^t) Qv^t, so g is the nuclear norm of the
+2x2 matrix Ru Rv^t, and the same R factors give g's two-sided bounds and
 the sign test of canonicalize_direction.
 
 apply_residual_jacobian evaluates dr for one perturbation or a (k, m, n)
@@ -31,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import LsCache, nuclear_norm
-from .errors import DegenerateDirection, DimensionMismatch
+from .errors import DimensionMismatch
 
 
 def apply_residual_jacobian(cache: LsCache, dA: np.ndarray) -> np.ndarray:
@@ -60,9 +59,9 @@ def _value(v) -> float | np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Rank2Adjoint:
     """Rank-2 representation of the transposed residual Jacobian applied to
-    a direction: the adjoint image is -vec(u1 v1^t + u2 v2^t). core() is
-    its one factorization, and bounds() and flips() read its R factors;
-    matrix() forms it densely."""
+    a direction: the adjoint image is -vec(u1 v1^t + u2 v2^t). objective(),
+    bounds() and flips() read the R factors of its one QR pair; matrix()
+    forms it densely."""
 
     u1: np.ndarray
     v1: np.ndarray
@@ -74,32 +73,27 @@ class Rank2Adjoint:
         return self.u1.T[..., :, None] * self.v1 + self.u2[:, None] * self.v2.T[..., None, :]
 
     @cached_property
-    def _qr(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """(Qu, Ru) and (Qv, Rv), the QR factorizations of [u1 u2] and [v1 v2];
-        stacks for a block. LAPACK scales the column norms it takes, so R
-        is finite wherever the columns' norms are."""
+    def _qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ru and Rv, the R factors of the QR factorizations of [u1 u2] and
+        [v1 v2]; stacks for a block. LAPACK scales the column norms it
+        takes, so R is finite wherever the columns' norms are."""
         batch = self.u1.shape[1:]
         Su = np.empty(batch + (self.u1.shape[0], 2))
         Su[..., 0], Su[..., 1] = self.u1.T, self.u2
         Sv = np.empty(batch + (self.v2.shape[0], 2))
         Sv[..., 0], Sv[..., 1] = self.v1, self.v2.T
-        return np.linalg.qr(Su), np.linalg.qr(Sv)
-
-    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Qu, C, Qv) with u1 v1^t + u2 v2^t = Qu C Qv^t, from the QR
-        factorizations Qu Ru of [u1 u2] and Qv Rv of [v1 v2]: C = Ru Rv^t
-        is 2x2, or 2x1 when n = 1. A block of k directions gives stacks.
-        """
-        (Qu, Ru), (Qv, Rv) = self._qr
-        return Qu, Ru @ np.swapaxes(Rv, -1, -2), Qv
+        return np.linalg.qr(Su, mode="r"), np.linalg.qr(Sv, mode="r")
 
     def objective(self) -> float | np.ndarray:
-        """The dual-norm objective g, the nuclear norm of the rank-2 matrix,
-        taken from its 2x2 core; the condition number is its maximum over
-        unit directions. Householder QR is columnwise backward stable, so g
-        does not cancel when the two rank-1 terms nearly cancel: it agrees
-        with an SVD of the rank-2 matrix to a few eps (a + b)."""
-        return nuclear_norm(self.core()[1])
+        """The dual-norm objective g, the nuclear norm of the rank-2 matrix;
+        the condition number is its maximum over unit directions. With
+        [u1 u2] = Qu Ru and [v1 v2] = Qv Rv the matrix is Qu (Ru Rv^t) Qv^t,
+        so g is the nuclear norm of Ru Rv^t, 2x2 or 2x1 when n = 1.
+        Householder QR is columnwise backward stable, so g does not cancel
+        when the two rank-1 terms nearly cancel: it agrees with an SVD of
+        the rank-2 matrix to a few eps (a + b)."""
+        Ru, Rv = self._qr
+        return nuclear_norm(Ru @ np.swapaxes(Rv, -1, -2))
 
     def bounds(self) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
         """Two-sided bounds (L, U) on the objective:
@@ -112,7 +106,7 @@ class Rank2Adjoint:
         the norms of the second columns, taken with hypot (Rv has one row
         when n = 1).
         """
-        (_, Ru), (_, Rv) = self._qr
+        Ru, Rv = self._qr
         a = np.abs(Ru[..., 0, 0] * Rv[..., 0, 0])
         norm_r, norm_v2 = (np.hypot.reduce(R[..., 1], axis=-1, initial=0.0) for R in (Ru, Rv))
         b = norm_r * norm_v2
@@ -125,7 +119,7 @@ class Rank2Adjoint:
         rows of R hold u1^t r = Ru[0,0] Ru[0,1] and x^t v2 = Rv[0,0] Rv[0,1],
         so only the signs of those four entries are compared and no product
         that could overflow is formed."""
-        (_, Ru), (_, Rv) = self._qr
+        Ru, Rv = self._qr
         return np.prod(np.sign(Ru[..., 0, :]) * np.sign(Rv[..., 0, :]), axis=-1) < 0.0
 
 
@@ -159,25 +153,3 @@ def canonicalize_direction(cache: LsCache, delta_r: np.ndarray, adj: Rank2Adjoin
     rhat = cache.r / cache.norm_r
     D = np.asarray(delta_r, dtype=float).T
     return np.where(adj.flips()[..., None], D - 2.0 * (D @ rhat)[..., None] * rhat, D).T
-
-
-def attaining_perturbation(cache: LsCache, delta_r: np.ndarray) -> np.ndarray:
-    """Unit-spectral-norm matrix perturbation attaining the objective value.
-
-    With the core u1 v1^t + u2 v2^t = Qu C Qv^t and the SVD C = W Sh Z^t,
-    the matrix dA = -(Qu W)(Qv Z)^t has ||dA||_2 = 1 and satisfies
-    <apply_residual_jacobian(dA), delta_r> = g(delta_r), which forces
-    ||dr|| >= g(delta_r) for a unit direction. Takes one direction, not a
-    block.
-    """
-    if np.ndim(delta_r) != 1:
-        raise DimensionMismatch(f"need one direction, got shape {np.shape(delta_r)}")
-    adj = adjoint_rank2(cache, delta_r)
-    Qu, C, Qv = adj.core()
-    # full_matrices=False: C is 2x1 when n = 1
-    W, sh, Zt = np.linalg.svd(C, full_matrices=False)
-    upper = adj.bounds()[1]
-    if sh[0] <= 1e-14 * max(upper, 1e-300):
-        raise DegenerateDirection("objective value is zero at this direction")
-    keep = sh > 1e-13 * sh[0]
-    return -(Qu @ W[:, keep]) @ (Qv @ Zt[keep].T).T

@@ -28,11 +28,11 @@ from .conditioning import (
     exact_value,
     projection_condition_bounds,
     residual_condition_bounds,
-    worst_case_direction,
+    worst_case_perturbation,
 )
 from .core import LsProblem, geometry, nuclear_norm, solve_least_squares
 from .generators import EnsembleSpec, block_norm_cases, ensemble_specs, random_problems
-from .jacobian import adjoint_rank2, apply_residual_jacobian, attaining_perturbation, canonicalize_direction
+from .jacobian import adjoint_rank2, apply_residual_jacobian, canonicalize_direction
 from .prior_bounds import compare_table
 
 
@@ -72,7 +72,7 @@ def sandwich_containment(seed: int, count: int) -> tuple[bool, str]:
             return False, f"exact value {est.chi_A} outside sandwich for seed {spec.seed}"
         # the first-order change attains the unscaled value
         g = exact_value(cache)
-        dA = attaining_perturbation(cache, worst_case_direction(cache))
+        dA = worst_case_perturbation(cache)
         dr = apply_residual_jacobian(cache, dA)
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(dA, 2)) - 1.0))
         worst_cert = max(worst_cert, abs(float(np.linalg.norm(dr)) - g) / g)

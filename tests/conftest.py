@@ -155,7 +155,7 @@ def finite_difference_condition(problem, scales, delta=None, samples=200, seed=0
     Maximizes (||dr|| / scale_r) / (delta / scale_A) over unit-spectral-norm
     perturbation shapes: alternating dense Gaussian and rank-1 samples
     (sample i drawn from a stream seeded with (seed, i)), plus the
-    attaining perturbation of the exact worst-case direction. The
+    certificate worst_case_perturbation. The
     default step is sqrt(machine epsilon) * scale_A; the step must stay
     below sigma_min so every perturbed problem keeps full rank.
     """
@@ -168,8 +168,8 @@ def finite_difference_condition(problem, scales, delta=None, samples=200, seed=0
     m, n = problem.m, problem.n
     shapes = []
     try:
-        shapes.append(lc.attaining_perturbation(cache, lc.worst_case_direction(cache)))
-    except (lc.ZeroResidual, lc.ZeroSolution, lc.DegenerateDirection):
+        shapes.append(lc.worst_case_perturbation(cache))
+    except (lc.ZeroResidual, lc.ZeroSolution):
         pass
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
@@ -263,10 +263,13 @@ def golden_section_block_norm(A, B):
 
 
 def dense_svd_perturbation(cache, d):
-    """The attaining perturbation from a dense SVD of the m x n rank-2
-    adjoint matrix, -(Uh Vh^t) over the singular pairs it keeps, and the
-    kept singular values: the construction the 2x2 core replaced. For a
-    direction with a nonzero objective only."""
+    """The perturbation attaining the objective g at a direction d, from a
+    dense SVD of the m x n rank-2 adjoint matrix: -(Uh Vh^t) over the
+    singular pairs it keeps, and the kept singular values. It has unit
+    spectral norm and <dr(dA), d> = g(d), so ||dr(dA)|| >= g(d) (weak
+    duality); at the maximizer it attains the exact value, as
+    worst_case_perturbation does. For a direction with a nonzero
+    objective only."""
     Uh, sh, Vht = np.linalg.svd(lc.adjoint_rank2(cache, d).matrix(), full_matrices=False)
     keep = sh > 1e-13 * sh[0]
     return -(Uh[:, keep] @ Vht[keep, :]), sh[keep]

@@ -80,7 +80,7 @@ def test_criterion_05_attainment_at_e1():
         cache = lc.solve_least_squares(lc.LsProblem([[1.0], [0.0]], [1.0, 1.0]))
         exact = lc.residual_condition_bounds(cache, lc.ScaleFactors.presets(cache)["relative"]).chi_A
         assert exact == pytest.approx(SQRT2, rel=1e-9)
-        dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
+        dA = lc.worst_case_perturbation(cache)
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         eps = 1e-7
         perturbed = lc.solve_least_squares(lc.LsProblem(cache.problem.A + eps * dA, cache.problem.b))

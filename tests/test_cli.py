@@ -838,7 +838,6 @@ def test_sweep_gvl_with_a_large_quotient_reaches_the_solver(capsys):
 # the exit status of each library error: a usage or input-shape error is 2, a
 # failed numerical precondition or invariant 3
 EXIT_CODES = {
-    "DegenerateDirection": 3,
     "DimensionMismatch": 2,
     "InvalidGeometry": 3,
     "LsqCondError": 3,

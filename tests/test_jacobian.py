@@ -228,8 +228,15 @@ def test_canonicalize_preserves_bounds():
 # --- worst-case direction (exact maximizer) -----------------------------------------------------------
 
 
+def _worst_direction(cache):
+    """d* = dr / ||dr||, dr the first-order residual change of
+    worst_case_perturbation: the unit direction at which g is maximal."""
+    dr = lc.apply_residual_jacobian(cache, lc.worst_case_perturbation(cache))
+    return dr / vector_norm(dr, "dr")
+
+
 def test_worst_case_e1(e1_cache):
-    d = lc.worst_case_direction(e1_cache)
+    d = _worst_direction(e1_cache)
     _, U = lc.adjoint_rank2(e1_cache, d).bounds()
     assert U == pytest.approx(SQRT2, rel=1e-12)
     assert exact_value(e1_cache) == pytest.approx(SQRT2, rel=1e-12)  # upper bound attained here
@@ -237,7 +244,7 @@ def test_worst_case_e1(e1_cache):
 
 
 def test_worst_case_parametric(gvl_cache):
-    d = lc.worst_case_direction(gvl_cache)
+    d = _worst_direction(gvl_cache)
     # ||r||/sigma_min = 2 and ||x|| = 2 give upper = 2 sqrt(2); m = n + 1, and
     # [V^t x | ||r|| Sigma^{-1}] = [[2, 1, 0], [0, 0, 2]] has sigma_max = sqrt(5)
     scales = lc.ScaleFactors()
@@ -252,20 +259,20 @@ def test_worst_case_rejects_zero_residual():
     # b inside col(A)
     cache = lc.solve_least_squares(lc.LsProblem([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 2.0, 0.0]))
     with pytest.raises(lc.ZeroResidual):
-        lc.worst_case_direction(cache)
+        lc.worst_case_perturbation(cache)
 
 
 def test_worst_case_rejects_zero_solution():
     # b orthogonal to col(A)
     cache = lc.solve_least_squares(lc.LsProblem([[1.0], [0.0], [0.0]], [0.0, 1.0, 1.0]))
     with pytest.raises(lc.ZeroSolution):
-        lc.worst_case_direction(cache)
+        lc.worst_case_perturbation(cache)
 
 
 def test_worst_case_orthonormal_columns():
     spec = EnsembleSpec(7, 3, (1.0, 1.0, 1.0), 0.9, 0.5, 73)
     cache = lc.solve_least_squares(random_problem(spec))
-    _, U = lc.adjoint_rank2(cache, lc.worst_case_direction(cache)).bounds()
+    _, U = lc.adjoint_rank2(cache, _worst_direction(cache)).bounds()
     assert U == pytest.approx(math.hypot(cache.norm_r, cache.norm_x), rel=1e-12)
 
 
@@ -294,11 +301,12 @@ def test_empirical_constructed_only_reaches_lower_bound():
 
 def test_empirical_deterministic(gvl_cache):
     assert exact_value(gvl_cache) == exact_value(gvl_cache)
-    np.testing.assert_array_equal(lc.worst_case_direction(gvl_cache), lc.worst_case_direction(gvl_cache))
+    np.testing.assert_array_equal(lc.worst_case_perturbation(gvl_cache), lc.worst_case_perturbation(gvl_cache))
+    np.testing.assert_array_equal(_worst_direction(gvl_cache), _worst_direction(gvl_cache))
 
 
 def test_empirical_candidate_invariants(gvl_cache):
-    d = lc.worst_case_direction(gvl_cache)
+    d = _worst_direction(gvl_cache)
     assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
     L, U = lc.adjoint_rank2(gvl_cache, d).bounds()
     assert L - 1e-10 <= exact_value(gvl_cache) <= U + 1e-10
@@ -320,10 +328,46 @@ def test_oracle_never_exceeds_exact():
 
 def test_certificate_attains_exact():
     for cache in both_branches(200, 127):
-        dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
+        dA = lc.worst_case_perturbation(cache)
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         dr = lc.apply_residual_jacobian(cache, dA)
         assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
+
+
+def test_worst_direction_attains_exact():
+    # the maximizer stays checked: g at d* = dr / ||dr|| is the exact value
+    for cache in both_branches(200, 137):
+        assert lc.adjoint_rank2(cache, _worst_direction(cache)).objective() == pytest.approx(
+            exact_value(cache), rel=1e-12
+        )
+
+
+def test_certificate_is_a_partial_isometry():
+    # rank 2 with both singular values 1 at m >= n + 2, rank 1 when x is
+    # parallel to v_min (always when n = 1) and at m = n + 1
+    for cache in both_branches(50, 139):
+        m, n = cache.problem.A.shape
+        rank = 2 if m >= n + 2 and n > 1 else 1
+        sv = np.linalg.svd(lc.worst_case_perturbation(cache), compute_uv=False)
+        np.testing.assert_allclose(sv[:rank], 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(sv[rank:] <= 1e-12)
+
+
+def test_certificate_when_x_is_nearly_parallel_to_v_min():
+    # x = v_min + 1e-9 v_1 at m >= n + 2: the rejection of x from v_min is
+    # 1e-9 ||x||, which x - (v_min^t x) v_min would get only to about 1e-7
+    # relative, leaving ||dA||_2 - 1 near 1e-7
+    rng = np.random.default_rng(149)
+    U, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    A = (U[:, :3] * [1.0, 0.5, 0.1]) @ V.T
+    x = V[:, 2] + 1e-9 * V[:, 0]
+    cache = lc.solve_least_squares(lc.LsProblem(A, A @ x + U[:, 5]))
+    assert abs(cache.V[:, -1] @ cache.x) / cache.norm_x > 1.0 - 1e-17
+    dA = lc.worst_case_perturbation(cache)
+    assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
+    dr = lc.apply_residual_jacobian(cache, dA)
+    assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,7 +387,7 @@ def test_exact_value_property(n, extra, kappa_exp, theta, mix, seed):
     assert upper / SQRT2 * (1.0 - 1e-12) <= exact <= upper * (1.0 + 1e-12)
     if extra >= 2:
         assert exact == upper  # a direction orthogonal to r and col(A) attains upper
-    dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
+    dA = lc.worst_case_perturbation(cache)
     dr = lc.apply_residual_jacobian(cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(exact, rel=1e-10)
     assert sampled_condition_wrt_A(cache, n_samples=200, seed=seed) <= exact * (1.0 + 1e-10)
@@ -405,7 +449,7 @@ def test_exact_value_agrees_with_exhaustive_grid_in_3d():
 
 
 def test_attaining_e1(e1_cache):
-    dA = lc.attaining_perturbation(e1_cache, lc.worst_case_direction(e1_cache))
+    dA = lc.worst_case_perturbation(e1_cache)
     assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
     dr = lc.apply_residual_jacobian(e1_cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(SQRT2, rel=1e-12)
@@ -416,7 +460,8 @@ def test_attaining_unit_norm_random_directions():
     for cache, _ in solved_ensemble(10, 89):
         d = rng.standard_normal(cache.problem.m)
         d /= np.linalg.norm(d)
-        dA = lc.attaining_perturbation(cache, d)
+        # weak duality at a direction that is not the maximizer
+        dA, _ = dense_svd_perturbation(cache, d)
         assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         dr = lc.apply_residual_jacobian(cache, dA)
         g = lc.adjoint_rank2(cache, d).objective()
@@ -425,7 +470,7 @@ def test_attaining_unit_norm_random_directions():
 
 
 def test_attaining_first_order_check(e1_cache):
-    dA = lc.attaining_perturbation(e1_cache, lc.worst_case_direction(e1_cache))
+    dA = lc.worst_case_perturbation(e1_cache)
     dr = lc.apply_residual_jacobian(e1_cache, dA)
     eps = 1e-7
     perturbed = lc.solve_least_squares(
@@ -436,28 +481,35 @@ def test_attaining_first_order_check(e1_cache):
 
 
 def test_attaining_matches_dense_svd_reference():
-    # at m = n + 1, [u1 u2] has rank one and both constructions can keep a
-    # rounding-level sigma_2 just above the keep threshold, so their polar
-    # factors differ by up to eps sigma_1 / sigma_2; the attained value
-    # does not depend on that choice
+    # conftest's dense-SVD perturbation attains g at every direction, and at
+    # the maximizer d* it attains what the certificate does. At m >= n + 2
+    # the certificate is the polar factor of the adjoint at d*, so the two
+    # agree to eps sigma_1 / sigma_2 where the reference keeps both singular
+    # values. At m = n + 1, [u1 u2] has rank one and the reference can keep
+    # a rounding-level sigma_2 just above its keep threshold, so only the
+    # attained values are compared there
     rng = np.random.default_rng(131)
     for cache in both_branches(50, 131):
+        dA = lc.worst_case_perturbation(cache)
+        dr = lc.apply_residual_jacobian(cache, dA)
+        d_star = dr / np.linalg.norm(dr)
         D = rng.standard_normal((5, cache.problem.m))
-        for d in (lc.worst_case_direction(cache), *(D / np.linalg.norm(D, axis=1)[:, None])):
-            dA = lc.attaining_perturbation(cache, d)
+        for d in (d_star, *(D / np.linalg.norm(D, axis=1)[:, None])):
             ref, sh = dense_svd_perturbation(cache, d)
-            attained = lc.apply_residual_jacobian(cache, dA) @ d
             reference = lc.apply_residual_jacobian(cache, ref) @ d
-            assert abs(attained - reference) <= 1e-12 * lc.adjoint_rank2(cache, d).objective()
-            if sh.size == 2:
-                assert np.linalg.norm(dA - ref, 2) <= 1e-13 * sh[0] / sh[1]
+            g = lc.adjoint_rank2(cache, d).objective()
+            assert abs(reference - g) <= 1e-12 * g
+            if d is d_star:
+                assert abs(dr @ d - reference) <= 1e-12 * g
+                if sh.size == 2 and cache.problem.m >= cache.problem.n + 2:
+                    assert np.linalg.norm(dA - ref, 2) <= 1e-13 * sh[0] / sh[1]
 
 
 def test_attaining_on_a_tall_problem():
     # 2000x40, a shape the verify suites never reach
     sv = tuple(np.geomspace(1.0, 1e-4, 40))
     cache = lc.solve_least_squares(random_problem(EnsembleSpec(2000, 40, sv, 0.6, 0.5, 17)))
-    dA = lc.attaining_perturbation(cache, lc.worst_case_direction(cache))
+    dA = lc.worst_case_perturbation(cache)
     assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
     dr = lc.apply_residual_jacobian(cache, dA)
     assert np.linalg.norm(dr) == pytest.approx(exact_value(cache), rel=1e-10)
@@ -475,11 +527,11 @@ def test_certificate_across_the_double_range(m, k, j):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         cache = lc.solve_least_squares(lc.LsProblem(np.ldexp(A, k), np.ldexp(b, j)))
-        d = lc.worst_case_direction(cache)
-        assert np.isfinite(d).all()
-        dA = lc.attaining_perturbation(cache, d)
+        dA = lc.worst_case_perturbation(cache)
+        assert np.linalg.norm(dA, 2) == pytest.approx(1.0, abs=1e-12)
         dr = lc.apply_residual_jacobian(cache, dA)
         assert vector_norm(dr, "dr") == pytest.approx(exact_value(cache), rel=1e-10)
+        assert np.isfinite(dr / vector_norm(dr, "dr")).all()
         # the sign test and the sandwich on a block, where (u1^t r) (x^t v2) can overflow
         D = rng.standard_normal((m, 5))
         D /= np.linalg.norm(D, axis=0)
@@ -493,8 +545,6 @@ def test_attaining_degenerate_direction(e1_cache):
     # u1 v1^t and u2 v2^t cancel exactly along (-1, 1)/sqrt(2)
     d = np.array([-1.0, 1.0]) / SQRT2
     assert lc.adjoint_rank2(e1_cache, d).objective() == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(lc.DegenerateDirection):
-        lc.attaining_perturbation(e1_cache, d)
 
 
 # --- finite differences -----------------------------------------------------------------
@@ -587,7 +637,8 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     )
     adj = lc.adjoint_rank2(cache, D)
     stack = adj.matrix()
-    Qu, C, Qv = adj.core()
+    Ru, Rv = adj._qr
+    C = Ru @ np.swapaxes(Rv, -1, -2)
     g = adj.objective()
     L, U = adj.bounds()
     canon = canonicalize_direction(cache, D, adj)
@@ -595,7 +646,7 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
     dr = lc.apply_residual_jacobian(cache, dA)
     assert stack.shape == (k, m, n) and nuclear.shape == g.shape == L.shape == U.shape == (k,)
     assert adj.u1.shape == canon.shape == dr.shape == (m, k) and adj.v2.shape == (n, k)
-    assert Qu.shape == (k, m, 2) and C.shape == (k, 2, min(n, 2)) and Qv.shape == (k, n, min(n, 2))
+    assert Ru.shape == (k, 2, 2) and C.shape == (k, 2, min(n, 2)) and Rv.shape == (k, min(n, 2), 2)
 
     for j in range(k):
         d, w = D[:, j].copy(), W[:, j].copy()
@@ -613,10 +664,15 @@ def test_block_columns_match_single_directions(n, extra, kappa_exp, k, seed):
         _close(L[j], L1, top)
         _close(U[j], U1, top)
         _close(g[j] ** 2, g1**2, top**2)
-        _close(Qu[j] @ C[j] @ Qv[j].T, stack[j], top)
-        for Q in (Qu[j], Qv[j]):
-            _close(Q.T @ Q, np.eye(Q.shape[1]), 1.0)
-        _close(np.linalg.svd(C[j], compute_uv=False), np.linalg.svd(one.core()[1], compute_uv=False), top)
+        # stack[j] = Qu (Ru Rv^t) Qv^t: the R factors carry the Gram matrices
+        # of [u1 r] and [x v2], and the core the nonzero singular values
+        Su, Sv = np.column_stack([adj.u1[:, j], cache.r]), np.column_stack([cache.x, adj.v2[:, j]])
+        for R, S in ((Ru[j], Su), (Rv[j], Sv)):
+            _close(R.T @ R, S.T @ S, np.linalg.norm(S) ** 2)
+        sv = np.linalg.svd(C[j], compute_uv=False)
+        _close(sv, np.linalg.svd(stack[j], compute_uv=False)[: sv.size], top)
+        Ru1, Rv1 = one._qr
+        _close(sv, np.linalg.svd(Ru1 @ Rv1.T, compute_uv=False), top)
         _close(canon[:, j], canonicalize_direction(cache, d, one), 1.0)
         dr1 = lc.apply_residual_jacobian(cache, dA[j])
         _close(dr[:, j], dr1, np.linalg.norm(dA[j], 2) * top)
@@ -627,5 +683,3 @@ def test_block_rejects_wrong_shapes(gvl_cache):
         lc.adjoint_rank2(gvl_cache, np.ones((4, 2)))
     with pytest.raises(lc.DimensionMismatch):
         lc.apply_residual_jacobian(gvl_cache, np.ones((2, 4, 2)))
-    with pytest.raises(lc.DimensionMismatch):
-        lc.attaining_perturbation(gvl_cache, np.eye(3)[:, :2])

@@ -8,10 +8,18 @@ conditioning.ConditionEstimates), so a seed only ever chooses generated
 problems. `analyze` reports it under every scale preset, and repeats the
 relative one in its "empirical" block.
 
-Loading this module loads only what `analyze` and `compare` use. The
-commands `generate`, `sweep` and `lanczos` import the generators module,
-and `verify` the verify module, inside the command, so that the analysis
-commands never load either.
+Loading this module loads argparse, NumPy and what the package exports
+(core, conditioning, jacobian, prior_bounds and errors). Each command
+imports inside itself the modules that not every command uses, so that
+a command never loads one that only other commands run:
+
+- `analyze`: mmio and report (and so json);
+- `compare`: mmio, and report for `--format csv`;
+- `generate`: generators, mmio and report;
+- `sweep`: generators and report;
+- `lanczos`: generators, mmio and report;
+- `verify`: the verify module (and so generators), and neither mmio
+  nor report.
 
 Exit codes: 0 success, 1 verification failure (a raising suite is one),
 2 I/O or parameter errors and inputs too large for memory, 3 failed
@@ -33,12 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mmio
 from .conditioning import ScaleFactors, residual_condition_bounds
 from .core import LsProblem, geometry, solve_least_squares
 from .errors import LsqCondError, ParamOutOfRange
 from .prior_bounds import compare_table
-from .report import build_report, dump_json, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,6 +146,8 @@ def _write_text(out: str | None, text: str) -> None:
 def _write_records(out: str | None, records: list) -> None:
     """CSV of dataclass records: the header from the fields of the first,
     one row per record in field order."""
+    from .report import write_csv
+
     buf = io.StringIO()
     header = [field.name for field in dataclasses.fields(records[0])]
     write_csv(buf, header, [dataclasses.astuple(rec) for rec in records])
@@ -158,6 +166,9 @@ def _write_case(out_dir: str, problem: LsProblem, delta_A: np.ndarray | None, ki
     expected.json holding the schema, the kind, the given blocks in order,
     and the files written. The record is serialized first, so a value it
     cannot hold fails before anything is written."""
+    from . import mmio
+    from .report import dump_json
+
     files = {"matrix": "A.mtx", "rhs": "b.txt", "delta_matrix": None if delta_A is None else "dA.mtx"}
     text = dump_json({"schema": "lsq-cond/expected/1", "kind": kind, **blocks, "files": files})
     out = Path(out_dir)
@@ -170,6 +181,9 @@ def _write_case(out_dir: str, problem: LsProblem, delta_A: np.ndarray | None, ki
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from . import mmio
+    from .report import build_report, dump_json
+
     t0 = time.perf_counter()
     (A, matrix_sha256), (b, rhs_sha256) = mmio.read_matrix(args.matrix), mmio.read_vector(args.rhs)
     t1 = time.perf_counter()
@@ -183,6 +197,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import mmio
+
     cache = solve_least_squares(LsProblem(mmio.read_matrix(args.matrix)[0], mmio.read_vector(args.rhs)[0]))
     rows = compare_table(cache)
     if args.format == "csv":
@@ -268,7 +284,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_lanczos(args: argparse.Namespace) -> int:
-    from . import generators
+    from . import generators, mmio
 
     _write_records(args.out, generators.lanczos_demo(mmio.read_matrix(args.matrix)[0], args.steps))
     return 0

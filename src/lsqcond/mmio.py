@@ -14,16 +14,22 @@ summed from (row, column, value) triples into +0.0: the stored entries in
 file order, then the mirror images of those off the diagonal (negated when
 skew). So coordinate repeats add up in file order, and every zero reads +0.
 
-The readers are the package's only file input: one read per file, values
-returned with the SHA-256 of the bytes parsed, and of a Matrix Market file
-only the header decoded (latin-1); NumPy parses the body's bytes.
+The readers are the package's only file input: each file is opened once,
+and its values come back with the SHA-256 of the bytes parsed. A Matrix
+Market file is read in one pass of fixed-size chunks (_CHUNK_BYTES), and
+every byte read goes once to one running SHA-256. Only the header lines
+are decoded (latin-1); NumPy parses the body a chunk at a time. So the
+reader holds the values and one chunk, never the whole file. A plain-text
+vector is read whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -32,64 +38,100 @@ _BANNER = "%%MatrixMarket"
 _FORMATS = ("array", "coordinate")
 _FIELDS = ("real", "integer", "pattern")
 _SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+# bytes per read of a Matrix Market file; a read allocates this much up front
+_CHUNK_BYTES = 1 << 16
+# the line ends of text mode, and the bytes NumPy's separator " " and bytes.isspace take as space
+_LINE_END = re.compile(rb"\r\n?|\n")
+_ASCII_SPACE = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")
 
 
 def read_matrix(path: str | Path) -> tuple[np.ndarray, str]:
     """Dense real matrix from a Matrix Market file (array or coordinate)
     and the SHA-256 hex digest of its bytes.
 
+    One pass reads the file _CHUNK_BYTES at a time and feeds every byte
+    read to one SHA-256. The header's lines end at LF, CRLF or CR and are
+    decoded (latin-1). Each body chunk is cut after its last ASCII
+    whitespace byte and parsed by NumPy; the bytes after the cut are
+    carried into the next chunk, so no number is split. The values go
+    into one array that doubles with the numbers parsed, up to the count
+    the size line gives, so a size line alone allocates nothing. The peak
+    is about the values plus one chunk; it is at most twice the values
+    while the array doubles or an `array general` file is copied to
+    row-major order.
+
     Raises ValueError, its message starting with the path, on any file
     outside the subset of the module docstring or too large to allocate.
     """
     try:
-        data = Path(path).read_bytes()
-        return _parse(data), hashlib.sha256(data).hexdigest()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            return _parse(_chunks(fh, digest)), digest.hexdigest()
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     except OverflowError:  # a size past int64, from NumPy's index arithmetic
         raise ValueError(f"{path}: too large to allocate") from None
 
 
-def _parse(data: bytes) -> np.ndarray:
-    # lines as text mode ends them; a last, empty match ends the size-line loop
-    lines = re.finditer(rb"[^\r\n]*(?:\r\n?|\n)?", data)
-    tokens = next(lines)[0].decode("latin-1").split()
+def _chunks(fh: BinaryIO, digest) -> Iterator[bytes]:
+    """The file's bytes in order, _CHUNK_BYTES at a time, each fed to digest as it is read."""
+    while chunk := fh.read(_CHUNK_BYTES):
+        digest.update(chunk)
+        yield chunk
+
+
+def _parse(chunks: Iterator[bytes]) -> np.ndarray:
+    buf, pos = b"", 0
+
+    def line() -> str:
+        # the next line as text mode ends it, or at the end of the file what is
+        # left ("" once nothing is). A CR that ends a chunk may be half a CRLF:
+        # its LF then reads as a blank line, which the header skips and the
+        # body reads as space.
+        nonlocal buf, pos
+        while not (end := _LINE_END.search(buf, pos)) and (chunk := next(chunks, b"")):
+            buf, pos = buf[pos:] + chunk, 0
+        stop = end.end() if end else len(buf)
+        text, pos = buf[pos:stop].decode("latin-1"), stop
+        return text
+
+    tokens = line().split()
     if len(tokens) != 5 or tokens[0] != _BANNER:
         raise ValueError(f"expected a '{_BANNER} matrix <format> <field> <symmetry>' banner")
     obj, fmt, field, symmetry = (t.lower() for t in tokens[1:])
     supported = obj == "matrix" and fmt in _FORMATS and field in _FIELDS and symmetry in _SYMMETRIES
     if not supported or (fmt, field) == ("array", "pattern"):
         raise ValueError(f"unsupported Matrix Market type '{' '.join(tokens[1:])}'")
-    for match in lines:
-        line = match[0].decode("latin-1")
-        if not (line.startswith("%") or (line and line.isspace())):
-            break
+    text = line()
+    while text.startswith("%") or (text and text.isspace()):
+        text = line()
     try:
-        dims = [int(t) for t in line.split()]
+        dims = [int(t) for t in text.split()]
     except ValueError:
         dims = []
     if len(dims) != (2 if fmt == "array" else 3) or min(dims) < 0:
-        raise ValueError(f"bad or missing size line {line.strip()!r}")
+        raise ValueError(f"bad or missing size line {text.strip()!r}")
     m, n = dims[0], dims[1]
     if symmetry != "general" and m != n:
         raise ValueError(f"a {symmetry} matrix must be square, got {m}x{n}")
-    start = match.end()
-    # NumPy's C parser, on a copy of the body freed once parsed; it reads blank text as [-1.0]
-    values = np.empty(0) if re.compile(rb"\s*").fullmatch(data, start) else np.fromstring(data[start:], sep=" ")
+    if fmt == "coordinate":
+        nnz, width = dims[2], (2 if field == "pattern" else 3)
+        count = nnz * width
+    elif symmetry == "general":
+        count = m * n
+    else:
+        # column-major lower triangle, no diagonal when skew; counted before its O(n^2) indices
+        k = 0 if symmetry == "symmetric" else 1
+        count = n * (n + 1 - 2 * k) // 2
+    values = _values(buf[pos:], chunks, count)
     if (fmt, symmetry) == ("array", "general"):
-        _check_count(values.size, m * n)
         _check_values(field, values)
         # row-major: BLAS rounds differently on a column-major view,
         # and reports must not depend on the file format
         return np.ascontiguousarray(values.reshape(n, m).T)
     if fmt == "array":
-        # column-major lower triangle, no diagonal when skew; counted before its O(n^2) indices
-        k = 0 if symmetry == "symmetric" else 1
-        _check_count(values.size, n * (n + 1 - 2 * k) // 2)
         j, i = np.triu_indices(n, k=k)
     else:
-        nnz, width = dims[2], (2 if field == "pattern" else 3)
-        _check_count(values.size, nnz * width)
         entries = values.reshape(nnz, width)
         idx = entries[:, :2]
         if not (np.all(idx == np.floor(idx)) and np.all(idx >= 1) and np.all(idx <= (m, n))):
@@ -107,9 +149,37 @@ def _parse(data: bytes) -> np.ndarray:
     return np.bincount(lin, weights=values, minlength=m * n).astype(float, copy=False).reshape(m, n)
 
 
-def _check_count(got: int, expected: int) -> None:
-    if got != expected:
-        raise ValueError(f"expected {expected} numbers after the size line, got {got}")
+def _values(tail: bytes, chunks: Iterator[bytes], count: int) -> np.ndarray:
+    """The count numbers in tail and the chunks after it, parsed a chunk
+    at a time into one array. The array grows with what was parsed, by
+    doubling up to count, so a size line alone allocates nothing; past
+    count the numbers are only counted."""
+    values, got = np.empty(0), 0
+    for text in _cut(tail, chunks):
+        # NumPy's C parser, which reads blank text as [-1.0]
+        part = np.empty(0) if text.isspace() else np.fromstring(text, sep=" ")
+        if got + part.size <= count:
+            if got + part.size > values.size:
+                grown = np.empty(min(count, max(2 * values.size, got + part.size)))
+                grown[:got] = values[:got]
+                values = grown
+            values[got : got + part.size] = part
+        got += part.size
+    if got != count:
+        raise ValueError(f"expected {count} numbers after the size line, got {got}")
+    return values
+
+
+def _cut(tail: bytes, chunks: Iterator[bytes]) -> Iterator[bytes]:
+    """tail and the chunks after it, each cut after its last ASCII
+    whitespace byte so that no number is split; the bytes after the cut
+    go to the next one."""
+    for chunk in chunks:
+        tail += chunk
+        cut = max(map(tail.rfind, _ASCII_SPACE)) + 1
+        yield tail[:cut]
+        tail = tail[cut:]
+    yield tail
 
 
 def _check_values(field: str, values: np.ndarray) -> None:

@@ -451,13 +451,29 @@ def test_verify_reports_a_raising_suite_and_runs_the_rest(monkeypatch, capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("module", ["lsqcond.verify", "lsqcond.generators"])
+@pytest.mark.parametrize("module", ["lsqcond.verify", "lsqcond.generators", "lsqcond.mmio", "lsqcond.report", "json"])
 def test_cli_import_does_not_load_verify(module):
-    # analyze and compare neither run a suite nor generate a problem, so
-    # they must not pay for those imports
+    # each command imports what only it, or only some commands, use: the
+    # suites, the generators, the file readers and the report writer
     code = f"import sys, lsqcond.cli; sys.exit({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_a_command_loads_no_module_it_does_not_run(gvl_case, tmp_path):
+    # verify reads no file and writes no report; analyze neither generates a problem nor runs a suite
+    analyze = ["analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"),
+               "--out", str(tmp_path / "report.json")]
+    runs = [
+        (["verify", "--seed", "1"], ["lsqcond.mmio", "lsqcond.report"]),
+        (analyze, ["numpy.random", "lsqcond.generators", "lsqcond.verify"]),
+    ]
+    for argv, modules in runs:
+        code = (f"import sys; from lsqcond import cli; code = cli.main({argv!r}); "
+                f"print([m for m in {modules!r} if m in sys.modules]); sys.exit(code)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", argv[0]
 
 
 def test_thread_cap_is_set_before_numpy_loads():
@@ -764,8 +780,10 @@ def run_cli_process(*args):
         ("coordinate real general\n10000000000 10000000000 1\n1 1 1.0\n", "too large to allocate"),
         # counted before the triangle's 931 GiB of indices are built
         ("array real symmetric\n1000000 1000000\n1.0\n", "expected 500000500000 numbers after the size line, got 1"),
+        # the values array is sized from the numbers parsed, not from the size line's 8 TB
+        ("array real general\n1000000 1000000\n1.0\n", "expected 1000000000000 numbers after the size line, got 1"),
     ],
-    ids=["coordinate", "coordinate-past-int64", "symmetric"],
+    ids=["coordinate", "coordinate-past-int64", "symmetric", "general"],
 )
 def test_a_matrix_too_large_for_memory_exits_2_naming_the_file(tmp_path, body, message):
     path = tmp_path / "A.mtx"

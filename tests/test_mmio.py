@@ -287,3 +287,117 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# --- one pass in chunks: any chunk size reads the same values, digest and error ----------
+
+# 0.1 + 0.2, a value that takes 17 significant digits
+STRADDLE_TOKEN = "0.30000000000000004"
+CHUNKED = {
+    "straddling value": f"%%MatrixMarket matrix array real general\n2 1\n-1.5\n{STRADDLE_TOKEN}\n",
+    "CR-only header": "%%MatrixMarket matrix array real general\r% note\r\r2 1\r1.5\r-2\r",
+    "CRLF header": "%%MatrixMarket matrix array real general\r\n% note\r\n\r\n2 1\r\n1.5\r\n-2\r\n",
+    "long comment": "%%MatrixMarket matrix array real general\n%" + "x" * 100 + "\n2 1\n1\n2\n",
+    "no final line end": "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e300\n2 2 -3",
+    "tab and form feed": "%%MatrixMarket matrix array real general\n2 2\n1\t2\x0c3\x0b4\n",
+}
+
+
+def _chunked_inputs(tmp_path) -> dict[str, bytes]:
+    """Every Matrix Market input of this file, by name."""
+    inputs = {f"mm_text {layout} {seed}": _mm_text(*layout, seed) for layout in SUPPORTED for seed in (0, 1, 2)}
+    inputs |= {f"malformed {case}": text for case, text in MALFORMED.items()}
+    inputs |= CHUNKED
+    data = {name: text.encode("latin-1") for name, text in inputs.items()}
+    special = np.array([-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e-300, -1e300, 1.0 / 3.0])
+    written = {f"round trip {shape}": np.resize(special, shape[0] * shape[1]).reshape(shape)
+               for shape in [(4, 2), (4, 1), (1, 3), (0, 2)]}
+    written["round trip 3x2"] = np.array([[1.0, -2.5], [0.0, 1e-13], [3.0, 4.0]])
+    written["vector"] = np.array([2.0, 0.5])[:, None]
+    for name, M in written.items():
+        mmio.write_matrix(tmp_path / "written.mtx", M)
+        data[name] = (tmp_path / "written.mtx").read_bytes()
+    return data
+
+
+def _outcome(path):
+    """read_matrix's shape, values' bytes and digest, or its error message."""
+    try:
+        values, digest = mmio.read_matrix(path)
+    except ValueError as exc:
+        return str(exc)
+    return values.shape, values.tobytes(), digest
+
+
+# what some inputs must read to, in one chunk as in many
+CHUNKED_OUTCOMES = {
+    "straddling value": np.array([[-1.5], [0.1 + 0.2]]),
+    "CR-only header": np.array([[1.5], [-2.0]]),
+    "CRLF header": np.array([[1.5], [-2.0]]),
+    "long comment": np.array([[1.0], [2.0]]),
+    # not NumPy's [-1.0] for blank text
+    "malformed whitespace-only body": "expected 1 numbers after the size line, got 0",
+    "malformed whitespace-only body with a tab and CRLF": "expected 1 numbers after the size line, got 0",
+    "malformed non-ASCII byte in body": "string or file could not be read to its end due to unmatched data",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_every_chunk_size_reads_what_one_chunk_reads(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "M.mtx"
+    for name, data in _chunked_inputs(tmp_path).items():
+        path.write_bytes(data)
+        monkeypatch.setattr(mmio, "_CHUNK_BYTES", max(len(data), 1))
+        whole = _outcome(path)
+        monkeypatch.setattr(mmio, "_CHUNK_BYTES", chunk)
+        assert _outcome(path) == whole, name
+        if not isinstance(whole, str):
+            assert whole[2] == hashlib.sha256(data).hexdigest(), name
+        expected = CHUNKED_OUTCOMES.get(name)
+        if isinstance(expected, str):
+            assert whole == f"{path}: {expected}", name
+        elif expected is not None:
+            assert whole[:2] == (expected.shape, expected.tobytes()), name
+
+
+def test_a_value_that_straddles_a_chunk_boundary_reads_whole(tmp_path, monkeypatch):
+    data = CHUNKED["straddling value"].encode("ascii")
+    start = data.index(STRADDLE_TOKEN.encode())
+    path = tmp_path / "M.mtx"
+    path.write_bytes(data)
+    for cut in range(start + 1, start + len(STRADDLE_TOKEN)):
+        monkeypatch.setattr(mmio, "_CHUNK_BYTES", cut)
+        assert read(mmio.read_matrix, path)[1, 0] == float(STRADDLE_TOKEN), cut
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_a_pipe_read_in_small_chunks_gets_the_digest_of_every_byte(monkeypatch):
+    data = CHUNKED["CRLF header"].encode("ascii")
+    monkeypatch.setattr(mmio, "_CHUNK_BYTES", 3)
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        values, digest = mmio.read_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert values.tobytes() == np.array([[1.5], [-2.0]]).tobytes()
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_a_matrix_file_is_never_held_whole(tmp_path, monkeypatch):
+    # the values, their row-major copy and a few chunks, not the file's
+    # bytes and a copy of its body as a whole-file read holds
+    monkeypatch.setattr(mmio, "_CHUNK_BYTES", 4096)
+    A = np.random.default_rng(5).standard_normal((2000, 20))
+    path = tmp_path / "A.mtx"
+    mmio.write_matrix(path, A)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got, digest = mmio.read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == A.tobytes() and digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 * A.nbytes + 16 * 4096 < size

@@ -1,7 +1,8 @@
 """Condition numbers of the residual and the projection: the closed form.
 
-The condition number with respect to the matrix is computed exactly. It
-lies in a sandwich between upper/sqrt(2) and upper, where
+The condition number with respect to the matrix is computed exactly.
+ConditionEstimates, as it is built, derives a sandwich between
+upper/sqrt(2) and upper and refuses an exact value outside it, where
 
     upper = (scale_A / scale_r) * sqrt((||r|| / sigma_min)^2 + ||x||^2).
 
@@ -19,11 +20,11 @@ three conventions found in the literature, in report order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import LsCache, geometry, vector_norm
+from .core import RESID_TOL, LsCache, geometry, vector_norm
 from .errors import InvalidGeometry, ZeroSolution
 
 SQRT2 = math.sqrt(2.0)
@@ -45,10 +46,10 @@ class ScaleFactors:
     scale_p: float = 1.0
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{field.name} must be positive and finite, got {value}")
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
 
     @classmethod
     def presets(cls, cache: LsCache) -> dict[str, "ScaleFactors"]:
@@ -66,33 +67,29 @@ class ScaleFactors:
 
 @dataclass(frozen=True)
 class ConditionEstimates:
-    """Condition numbers of the residual or of the projection, whichever
-    function built them.
+    """Condition numbers of the residual or of the projection, in report
+    order: chi_A is exact wrt the matrix and chi_b wrt the right-hand side.
 
-    chi_A is the exact condition number with respect to the matrix, and
-    chi_A_lower and chi_A_upper the ends of the paper's sqrt(2)-wide
-    sandwich around it; chi_A equals chi_A_upper when m >= n + 2. chi_b is
-    the exact condition number with respect to the right-hand side. The
-    fields are in report order.
+    The record derives chi_A_lower = chi_A_upper / sqrt(2) and raises
+    InvalidGeometry unless each value is a positive finite double and
+    chi_A lies in the paper's sandwich [chi_A_lower, chi_A_upper], the upper
+    end to 1e-8 relative: chi_A equals chi_A_upper when m >= n + 2, and at
+    m = n + 1 is a singular value of the bordered matrix, computed apart.
     """
 
-    chi_A_lower: float
+    chi_A_lower: float = field(init=False)
     chi_A: float
     chi_A_upper: float
     chi_b: float
 
     def __post_init__(self):
-        # chi_A_lower is derived from chi_A_upper, so it is checked last
+        object.__setattr__(self, "chi_A_lower", self.chi_A_upper / SQRT2)
         for name in ("chi_b", "chi_A", "chi_A_upper", "chi_A_lower"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidGeometry(f"{name} = {value} is not a positive finite double")
-
-    def sandwich_holds(self) -> bool:
-        """chi_A_lower <= chi_A <= chi_A_upper, the upper end to 1e-8
-        relative: at m = n + 1 chi_A is a singular value of the bordered
-        matrix, computed apart from chi_A_upper."""
-        return self.chi_A_lower <= self.chi_A <= self.chi_A_upper * (1.0 + 1e-8)
+        if not self.chi_A_lower <= self.chi_A <= self.chi_A_upper * (1.0 + 1e-8):
+            raise InvalidGeometry(f"exact value {self.chi_A} outside [{self.chi_A_lower}, {self.chi_A_upper}]")
 
 
 def _upper_value(cache: LsCache) -> float:
@@ -116,7 +113,7 @@ def _estimates(cache: LsCache, scales: ScaleFactors, scale_out: float) -> Condit
     """Scale the unscaled upper and exact values by scale_A / scale_out."""
     chi_A = scales.scale_A / scale_out * exact_value(cache)
     chi_A_upper = scales.scale_A / scale_out * _upper_value(cache)
-    return ConditionEstimates(chi_A_upper / SQRT2, chi_A, chi_A_upper, scales.scale_b / scale_out)
+    return ConditionEstimates(chi_A, chi_A_upper, scales.scale_b / scale_out)
 
 
 def residual_condition_bounds(cache: LsCache, scales: ScaleFactors) -> ConditionEstimates:
@@ -135,10 +132,11 @@ def projection_condition_bounds(cache: LsCache, scales: ScaleFactors) -> Conditi
     With scale_p = ||Ax|| the upper value equals
     kappa * sqrt(tan(theta)^2 + 1/vds^2) and chi_b equals sec(theta).
     The Jacobian of Ax wrt the matrix is the negative of the residual's,
-    so only the codomain scale changes.
+    so only the codomain scale changes. Raises ZeroSolution when
+    ||Ax|| <= RESID_TOL ||b||, the guard geometry puts on ||r||.
     """
-    if cache.norm_Ax == 0.0:
-        raise ZeroSolution("projection Ax is exactly zero")
+    if cache.norm_Ax <= RESID_TOL * cache.norm_b:
+        raise ZeroSolution(f"||Ax|| = {cache.norm_Ax:.3e} within residual tolerance of zero")
     return _estimates(cache, scales, scales.scale_p)
 
 

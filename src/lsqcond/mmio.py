@@ -20,13 +20,14 @@ Market file is read in one pass of fixed-size chunks (_CHUNK_BYTES), and
 every byte read goes once to one running SHA-256. Only the header lines
 are decoded (latin-1); NumPy parses the body a chunk at a time. So the
 reader holds the values and one chunk, never the whole file. A plain-text
-vector is read whole.
+vector is read in the same pass, its lines handed to NumPy as they come.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -194,9 +195,10 @@ def read_vector(path: str | Path) -> tuple[np.ndarray, str]:
     SHA-256 hex digest of its bytes.
 
     Plain text means one decimal value per line, ASCII, '.' radix, lines
-    ending in LF, CRLF or CR; blank lines and '#' comments are skipped. A
-    file with no value, a line with two, or one that does not parse raises
-    ValueError, its message starting with the path.
+    ending in LF, CRLF or CR; blank lines and '#' comments are skipped. One
+    pass of chunks, each digested once, feeds its lines to np.loadtxt as
+    they come. A file with no value, a line with two, or one that does not
+    parse raises ValueError, its message starting with the path.
     """
     path = Path(path)
     if path.suffix.lower() in _MM_SUFFIXES:
@@ -204,20 +206,30 @@ def read_vector(path: str | Path) -> tuple[np.ndarray, str]:
         if min(M.shape) != 1:
             raise ValueError(f"{path}: expected a vector, got shape {M.shape}")
         return M.ravel(), digest
-    data = path.read_bytes()
-    # str.splitlines also breaks at 0x85, 0x0C and others, inside a line
-    lines = re.split(r"\r\n?|\n", data.decode("latin-1"))
+    digest = hashlib.sha256()
     try:
-        # np.loadtxt only warns on an input with no data
-        if not any(line.split("#", 1)[0].strip() for line in lines):
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            v = np.loadtxt(_lines(_chunks(fh, digest)), dtype=float, ndmin=2)
+        if v.size == 0:
             raise ValueError("no values")
-        v = np.loadtxt(lines, dtype=float, ndmin=2)
         if v.shape[1] != 1:
             raise ValueError(f"expected one value per line, got shape {v.shape}")
         _check_values("real", v)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return v[:, 0], hashlib.sha256(data).hexdigest()
+    return v[:, 0], digest.hexdigest()
+
+
+def _lines(chunks: Iterator[bytes]) -> Iterator[str]:
+    """The lines of the chunks as text mode ends them, decoded latin-1; not
+    str.splitlines, which also breaks at 0x85, 0x0C and others. A CR that
+    ends one chunk and the LF that starts the next give a blank line."""
+    tail = b""
+    for chunk in chunks:
+        *lines, tail = _LINE_END.split(tail + chunk)
+        yield from (line.decode("latin-1") for line in lines)
+    yield tail.decode("latin-1")
 
 
 def write_matrix(path: str | Path, M: np.ndarray) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .conditioning import ScaleFactors, projection_condition_bounds, residual_condition_bounds
 from .core import LsCache, geometry
-from .errors import InvalidGeometry
 from .prior_bounds import compare_table
 
 SCHEMA = "lsq-cond/3"
@@ -37,10 +36,8 @@ def build_report(
     the estimates and the published-bounds table all come from the solved
     cache. "estimates" holds, for each of ScaleFactors.presets, the
     residual's ConditionEstimates record whole, in field order, and
-    "projection" the projection's under the relative preset;
-    InvalidGeometry is raised if an exact value chi_A in any of them
-    escapes its sandwich, so a report can never assert an inconsistent
-    value. "empirical" repeats the relative preset's residual values.
+    "projection" the projection's under the relative preset. "empirical"
+    repeats the relative preset's residual values.
     "geometry" is the Geometry record whole, in field order. "timings" is
     None; the caller fills it in when asked to, since it breaks
     reproducibility.
@@ -51,12 +48,6 @@ def build_report(
     presets = ScaleFactors.presets(cache)
     bounds = {name: residual_condition_bounds(cache, scales) for name, scales in presets.items()}
     proj = projection_condition_bounds(cache, presets["relative"])
-    checked = {f"estimates.{name}": est for name, est in bounds.items()} | {"projection": proj}
-    for block, est in checked.items():
-        if not est.sandwich_holds():
-            raise InvalidGeometry(
-                f"exact value {est.chi_A} outside [{est.chi_A_lower}, {est.chi_A_upper}] in {block}"
-            )
     return {
         "schema": SCHEMA,
         "problem": {

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lsqcond import cli, errors, mmio, report, verify
+from lsqcond import cli, conditioning, errors, mmio, report, verify
 from lsqcond.cli import main
 from lsqcond.conditioning import ScaleFactors, residual_condition_bounds
 from lsqcond.core import LsProblem, solve_least_squares
@@ -657,6 +657,20 @@ def test_zero_residual_exits_3(tmp_path, capsys):
     assert "ZeroResidual" in capsys.readouterr().err
 
 
+def test_b_orthogonal_to_col_A_within_tolerance_exits_3(tmp_path):
+    # A^t b = 0, so the computed ||Ax|| = 1.2e-16 is rounding error: the
+    # projection's chi_A would print as 5.6e16 and its chi_b as 1.2e16
+    mmio.write_matrix(tmp_path / "A.mtx", np.array([[1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 0.0]]))
+    mmio.write_vector(tmp_path / "b.txt", np.array([1.0, 0.0, -1.0, 0.5]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lsqcond", "analyze",
+         "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.txt")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr.startswith("ZeroSolution: ||Ax|| = ") and result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "A, b, prefix",
     [
@@ -669,10 +683,11 @@ def test_zero_residual_exits_3(tmp_path, capsys):
         ([[1e130], [0.0], [0.0]], [1e-181, 1e-181, 0.0], "InvalidGeometry: chi_A"),
         # U^t b = 1e-200, but x = 1e-400 underflows to zero
         ([[1e200], [0.0], [0.0]], [1e-200, 1e-200, 0.0], "InvalidGeometry: ||x||"),
-        # the projection's relative chi_A carries ||A|| / ||Ax|| = 1e300 times
-        # kappa = 1e10; the residual's estimates are finite (the case of
+        # the projection's relative chi_A would carry ||A|| / ||Ax|| = 1e300
+        # times kappa = 1e10, but ||Ax|| is within RESID_TOL ||b|| of zero; the
+        # residual's estimates are finite (the case of
         # `generate gvl --alpha 1e-10 --beta 1e-300 --phi 0`)
-        ([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]], [1e-300, 0.0, 1.0], "InvalidGeometry: chi_A = inf"),
+        ([[1.0, 0.0], [0.0, 1e-10], [0.0, 0.0]], [1e-300, 0.0, 1.0], "ZeroSolution: "),
     ],
     ids=["b", "x", "chi_A", "x-underflow", "projection-chi_A"],
 )
@@ -735,18 +750,40 @@ def test_sandwich_escape_exits_3(gvl_case, monkeypatch, capsys):
 def test_sandwich_escape_under_one_preset_exits_3(gvl_case, monkeypatch, capsys):
     # the check covers every preset in the report, not only the relative one
     real = report.residual_condition_bounds
+    absolute = []
 
     def escaped(cache, scales):
         est = real(cache, scales)
         if scales != ScaleFactors():
             return est
+        absolute.append(est)
         return dataclasses.replace(est, chi_A=1.01 * est.chi_A_upper)
 
     monkeypatch.setattr(report, "residual_condition_bounds", escaped)
     code = run_cli("analyze", "--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt"))
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("InvalidGeometry: exact value ") and "absolute" in err
+    (est,) = absolute
+    assert err == f"InvalidGeometry: exact value {1.01 * est.chi_A_upper} outside [{est.chi_A_lower}, {est.chi_A_upper}]\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compare"],
+        ["compare", "--format", "csv"],
+        ["sweep", "gvl", "--param", "alpha", "--values", "0.5,0.1"],
+    ],
+    ids=["compare", "compare-csv", "sweep"],
+)
+def test_an_escaping_exact_value_stops_compare_and_sweep(gvl_case, monkeypatch, capsys, args):
+    # the record checks its own sandwich, so every command that builds one is guarded
+    monkeypatch.setattr(conditioning, "exact_value", lambda cache: 1.01 * conditioning._upper_value(cache))
+    files = ["--matrix", str(gvl_case / "A.mtx"), "--rhs", str(gvl_case / "b.txt")]
+    code = run_cli(*args, *(files if args[0] == "compare" else []))
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("InvalidGeometry: exact value ") and err.count("\n") == 1
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

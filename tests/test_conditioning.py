@@ -211,6 +211,51 @@ def test_estimates_lower_end_is_the_upper_over_sqrt2():
             assert est.chi_A_lower == est.chi_A_upper / SQRT2
 
 
+def _near_lower_end(count, seed):
+    """m = n + 1 problems whose exact value nears the sandwich's lower end:
+    x orthogonal to v_min and ||x|| = ||r|| / sigma_min, kappa up to 1e11."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        Q = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        US = Q[:, :n] * np.geomspace(1.0, 10.0 ** -rng.uniform(0.0, 11.0), n)
+        y = np.append(rng.standard_normal(n - 1), 0.0)
+        rho = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = V @ (y * (rho / np.linalg.norm(y) / np.linalg.norm(US[:, -1])))
+        yield lc.LsProblem(US @ V.T, US @ (V.T @ x) + rho * Q[:, n])
+
+
+def _records(cache):
+    """Every record of both targets under each preset and unit scales."""
+    for scales in [*lc.ScaleFactors.presets(cache).values(), lc.ScaleFactors()]:
+        for bounds in (lc.residual_condition_bounds, lc.projection_condition_bounds):
+            yield bounds(cache, scales)
+
+
+def test_every_computed_record_is_built_inside_its_sandwich():
+    # the record derives its lower end and refuses a chi_A outside the
+    # sandwich; no computed problem is refused, down to the lower end
+    near = [lc.solve_least_squares(p) for p in _near_lower_end(150, 211)]
+    lowest = 1.0
+    for cache in [*both_branches(100, 212, max_kappa_exp=11.0), *near]:
+        for est in _records(cache):
+            assert est.chi_A_lower == est.chi_A_upper / SQRT2
+            lowest = min(lowest, est.chi_A / est.chi_A_upper)
+    assert lowest < (1.0 + 1e-6) / SQRT2  # the family reaches the lower end
+
+
+def test_a_record_outside_its_sandwich_raises(gvl_cache):
+    # the lower end holds exactly, the upper one with 1e-8 relative slack
+    for est in _records(gvl_cache):
+        upper = est.chi_A_upper * (1.0 + 1e-8)
+        for inside in (est.chi_A_lower, upper):
+            assert dataclasses.replace(est, chi_A=inside).chi_A_lower == est.chi_A_lower
+        for outside in (np.nextafter(est.chi_A_lower, 0.0), np.nextafter(upper, np.inf)):
+            with pytest.raises(lc.InvalidGeometry, match=r"^exact value .* outside \[.*\]$"):
+                dataclasses.replace(est, chi_A=float(outside))
+
+
 def test_scale_factors_must_be_positive():
     with pytest.raises(ValueError):
         lc.ScaleFactors(scale_A=0.0)

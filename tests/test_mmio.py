@@ -401,3 +401,105 @@ def test_a_matrix_file_is_never_held_whole(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert got.tobytes() == A.tobytes() and digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert peak < 2 * A.nbytes + 16 * 4096 < size
+
+
+# --- plain-text vectors: the same pass of chunks ------------------------------------------
+
+# every text-vector input of this file, and line ends of each kind
+TEXT_VECTORS = {
+    "round trip": b"1.0\n-0.25\n3e-17\n",
+    "two columns": b"1.0 2.0\n3.0 4.0\n",
+    "two values on a line": b"1.0 2.0\n",
+    "NEL inside a line": b"1.0\x852.0\n",
+    "form feed inside a line": b"1.0\x0c2.0\n",
+    "no-break space inside a line": b"1.0\xa02.0\n",
+    "empty": b"",
+    "blank": b"\n  \n",
+    "comment only": b"# no values\n",
+    "not a number": b"1\nx\n3\n",
+    "CRLF": b"1.5\r\n-2\r\n",
+    "CR only": b"1.5\r-2\r",
+    "comments and no final line end": b"# head\n1.5\n\n-2 # tail",
+}
+TEXT_OUTCOMES = {
+    "round trip": np.array([1.0, -0.25, 3e-17]),
+    "two columns": "expected one value per line, got shape (2, 2)",
+    "two values on a line": "expected one value per line, got shape (1, 2)",
+    "NEL inside a line": "expected one value per line, got shape (1, 2)",
+    "form feed inside a line": "expected one value per line, got shape (1, 2)",
+    "no-break space inside a line": "expected one value per line, got shape (1, 2)",
+    "empty": "no values",
+    "blank": "no values",
+    "comment only": "no values",
+    "not a number": "could not convert string 'x' to float64 at row 1, column 1.",
+    "CRLF": np.array([1.5, -2.0]),
+    "CR only": np.array([1.5, -2.0]),
+    "comments and no final line end": np.array([1.5, -2.0]),
+}
+
+
+def _vector_outcome(path):
+    """read_vector's values' bytes and digest, or its error message; no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values, digest = mmio.read_vector(path)
+        except ValueError as exc:
+            return str(exc)
+    return values.tobytes(), digest
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_every_chunk_size_reads_a_text_vector_as_one_chunk_does(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "b.txt"
+    for name, data in TEXT_VECTORS.items():
+        path.write_bytes(data)
+        monkeypatch.setattr(mmio, "_CHUNK_BYTES", max(len(data), 1))
+        whole = _vector_outcome(path)
+        monkeypatch.setattr(mmio, "_CHUNK_BYTES", chunk)
+        assert _vector_outcome(path) == whole, name
+        expected = TEXT_OUTCOMES[name]
+        if isinstance(expected, str):
+            assert whole == f"{path}: {expected}", name
+        else:
+            assert whole == (expected.tobytes(), hashlib.sha256(data).hexdigest()), name
+
+
+def test_a_non_number_past_the_first_chunk_keeps_its_row_number(tmp_path):
+    # loadtxt counts the rows with values, blank and comment lines aside
+    data = b"# values\n\n" + b"0.125\n" * 100_004 + b"x\n1\n"
+    assert len(data) > 4 * mmio._CHUNK_BYTES
+    path = tmp_path / "b.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: could not convert string 'x' .* at row 100004, column 1\.$"):
+        mmio.read_vector(path)
+
+
+def test_a_crlf_split_across_two_chunks_ends_one_line(tmp_path, monkeypatch):
+    # the LF that starts the second chunk gives a blank line, which shifts no row
+    path = tmp_path / "b.txt"
+    monkeypatch.setattr(mmio, "_CHUNK_BYTES", 4)
+    for data, outcome in ((b"1.5\r\n-2\r\n", [1.5, -2.0]), (b"1.5\r\nx\r\n", "at row 1, column 1.")):
+        path.write_bytes(data)
+        assert data[3:5] == b"\r\n"
+        got = _vector_outcome(path)
+        if isinstance(outcome, str):
+            assert got.startswith(f"{path}: could not convert string 'x'") and got.endswith(outcome)
+        else:
+            assert got == (np.array(outcome).tobytes(), hashlib.sha256(data).hexdigest())
+
+
+def test_a_text_vector_is_never_held_whole(tmp_path):
+    # the values and loadtxt's own chunk of lines, not the file's bytes, their
+    # text and a list of its lines
+    v = np.random.default_rng(6).standard_normal(300_000)
+    path = tmp_path / "b.txt"
+    mmio.write_vector(path, v)
+    tracemalloc.start()
+    try:
+        got, digest = mmio.read_vector(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == v.tobytes() and digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 2 * v.nbytes < path.stat().st_size

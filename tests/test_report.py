@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -105,8 +106,7 @@ def test_projection_chi_A_scales_to_the_residual_value():
 
 def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
     # the projection's record passes the same guard as the residual's
-    targets = {"residual_condition_bounds": "estimates.relative", "projection_condition_bounds": "projection"}
-    for target, block in targets.items():
+    for target in ("residual_condition_bounds", "projection_condition_bounds"):
         bounds = getattr(lc, target)
         upper = bounds(e1_cache, lc.ScaleFactors.presets(e1_cache)["relative"]).chi_A_upper
         for value in (upper * (1.0 + 1e-6), upper / math.sqrt(2.0) * (1.0 - 1e-6)):
@@ -116,5 +116,6 @@ def test_build_report_rejects_value_outside_sandwich(e1_cache, monkeypatch):
 
             with monkeypatch.context() as patch:
                 patch.setattr(report, target, escaped)
-                with pytest.raises(InvalidGeometry, match=f" in {block}$"):
+                message = f"exact value {value} outside [{upper / math.sqrt(2.0)}, {upper}]"
+                with pytest.raises(InvalidGeometry, match=f"^{re.escape(message)}$"):
                     build_report(e1_cache)
